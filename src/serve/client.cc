@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -10,8 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/precompute.h"
-#include "smc/secure_forest.h"
-#include "smc/secure_tree.h"
 #include "util/check.h"
 #include "util/parallel.h"
 #include "util/serial.h"
@@ -26,16 +25,7 @@ ClassificationClient::ClassificationClient(const ClientConfig& config)
   // runs clean, and "one fault, zero client-visible failures" is testable.
   if (config_.fault_plan.enabled()) injector_.emplace(config_.fault_plan);
   if (ResumeDisabledByEnv()) config_.enable_resume = false;
-  Timer deadline;
-  for (int attempt = 1;; ++attempt) {
-    try {
-      ConnectOnce();
-      return;
-    } catch (const TransportError&) {
-      Abandon();
-      BackoffOrRethrow(attempt, deadline.ElapsedSeconds());
-    }
-  }
+  WithRetry(nullptr);
 }
 
 ClassificationClient::~ClassificationClient() {
@@ -242,6 +232,40 @@ void ClassificationClient::BackoffOrRethrow(int attempt,
   std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));
 }
 
+void ClassificationClient::WithRetry(const std::function<void()>& op) {
+  Timer deadline;
+  for (int attempt = 1;; ++attempt) {
+    try {
+      if (!open_) {
+        ConnectOnce();
+        if (op) {
+          ++reconnects_;
+          static obs::Counter& reconnects = obs::GetCounter("serve.reconnects");
+          reconnects.Add();
+        }
+      }
+      if (op) op();
+      return;
+    } catch (const TransportError&) {
+      Abandon();
+      BackoffOrRethrow(attempt, deadline.ElapsedSeconds());
+      if (op) {
+        ++retries_;
+        static obs::Counter& retried = obs::GetCounter("serve.client.retries");
+        retried.Add();
+      }
+    }
+  }
+}
+
+void ClassificationClient::CheckRow(const std::vector<int>& row) const {
+  PAFS_CHECK_EQ(row.size(), setup_.features.size());
+  for (size_t f = 0; f < row.size(); ++f) {
+    PAFS_CHECK_GE(row[f], 0);
+    PAFS_CHECK_LT(row[f], setup_.features[f].cardinality);
+  }
+}
+
 int ClassificationClient::Classify(const std::vector<int>& row) {
   return ClassifyWithStats(row).predicted_class;
 }
@@ -249,129 +273,133 @@ int ClassificationClient::Classify(const std::vector<int>& row) {
 SmcRunStats ClassificationClient::ClassifyWithStats(
     const std::vector<int>& row) {
   PAFS_CHECK_MSG(!finished_, "Classify on a closed client");
-  PAFS_CHECK_EQ(row.size(), setup_.features.size());
-  for (size_t f = 0; f < row.size(); ++f) {
-    PAFS_CHECK_GE(row[f], 0);
-    PAFS_CHECK_LT(row[f], setup_.features[f].cardinality);
-  }
-  Timer deadline;
-  for (int attempt = 1;; ++attempt) {
-    try {
-      if (!open_) {
-        ConnectOnce();
-        ++reconnects_;
-        static obs::Counter& reconnects = obs::GetCounter("serve.reconnects");
-        reconnects.Add();
-      }
-      return QueryOnce(row);
-    } catch (const TransportError&) {
-      Abandon();
-      BackoffOrRethrow(attempt, deadline.ElapsedSeconds());
-      ++retries_;
-      static obs::Counter& retried = obs::GetCounter("serve.client.retries");
-      retried.Add();
-    }
-  }
+  CheckRow(row);
+  SmcRunStats stats;
+  std::vector<int> preds;
+  WithRetry([&] { RunOnce({row}, RequestTag::kQuery, &preds, &stats); });
+  return stats;
 }
 
-SmcRunStats ClassificationClient::QueryOnce(const std::vector<int>& row) {
-  obs::TraceSpan span("serve.client.query");
+std::vector<int> ClassificationClient::ClassifyBatch(
+    const std::vector<std::vector<int>>& rows, SmcRunStats* stats) {
+  PAFS_CHECK_MSG(!finished_, "ClassifyBatch on a closed client");
+  for (const std::vector<int>& row : rows) CheckRow(row);
+  SmcRunStats total;
+  std::vector<int> preds;
+  preds.reserve(rows.size());
+  // The Paillier protocol has no single-exchange batched shape, so linear
+  // rows go out one kQuery each.
+  const bool linear = setup_.classifier == ClassifierKind::kLinear;
+  const RequestTag tag = linear ? RequestTag::kQuery : RequestTag::kBatch;
+  const size_t chunk_max =
+      linear ? 1 : static_cast<size_t>(std::max(config_.batch_max_records, 1));
+  for (size_t begin = 0; begin < rows.size(); begin += chunk_max) {
+    size_t end = std::min(rows.size(), begin + chunk_max);
+    std::vector<std::vector<int>> chunk(rows.begin() + begin,
+                                        rows.begin() + end);
+    WithRetry([&] { RunOnce(chunk, tag, &preds, &total); });
+  }
+  if (stats != nullptr) *stats = total;
+  return preds;
+}
+
+void ClassificationClient::RunOnce(const std::vector<std::vector<int>>& rows,
+                                   RequestTag tag, std::vector<int>* preds,
+                                   SmcRunStats* stats) {
+  const bool batch = tag == RequestTag::kBatch;
+  obs::TraceSpan span(batch ? "serve.client.batch" : "serve.client.query");
   Timer timer;
-  uint64_t bytes_before =
-      socket_->stats().bytes_sent + socket_->stats().bytes_received;
-  uint64_t rounds_before = socket_->stats().direction_flips;
+  const ChannelStats& wire = socket_->stats();
+  const uint64_t bytes_before = wire.bytes_sent + wire.bytes_received;
+  const uint64_t rounds_before = wire.direction_flips;
+  const size_t n = rows.size();
   Channel& ch = *framed_;
-  ch.SendU64(static_cast<uint64_t>(RequestTag::kQuery));
+  ch.SendU64(static_cast<uint64_t>(tag));
   // The id makes retries idempotent: a resend of an already-executed id is
   // answered from the server's reply cache, never executed twice.
   ch.SendU64(next_query_id_);
+  if (batch) ch.SendU64(static_cast<uint64_t>(n));
   {
     obs::TraceSpan disclose("disclose");
-    for (int f : setup_.plan_features) {
-      ch.SendU64(static_cast<uint64_t>(row[f]));
-    }
-  }
-  // Admission ack: the server read the request and a worker is running it
-  // (kOk), or admission control shed it (kBusy) and the retry loop should
-  // back off and reconnect.
-  uint64_t admitted = ch.RecvU64();
-  if (admitted == static_cast<uint64_t>(ReplyStatus::kBusy)) {
-    throw ServerBusyError("serve client: query shed, server saturated");
-  }
-  if (admitted == static_cast<uint64_t>(ReplyStatus::kResync)) {
-    // The server executed this id but its replay transcript is gone. Drop
-    // every piece of resume state so the retry builds a fresh session
-    // (query ids restart at 1); queries are pure, so re-running the query
-    // on a fresh session cannot double-apply anything.
-    ForgetResumeState();
-    next_query_id_ = 1;
-    throw ChannelError(ChannelErrorKind::kClosed,
-                       "serve client: replay state lost, resyncing");
-  }
-  if (admitted == static_cast<uint64_t>(ReplyStatus::kCancelled)) {
-    throw ChannelError(ChannelErrorKind::kCancelled,
-                       "serve client: query cancelled by server watchdog");
-  }
-  if (admitted != static_cast<uint64_t>(ReplyStatus::kOk)) {
-    throw ProtocolError("serve client: malformed admission ack");
-  }
-  SmcRunStats stats;
-  switch (setup_.classifier) {
-    case ClassifierKind::kNaiveBayes: {
-      stats = SecureNbRunClient(ch, *nb_spec_, row, ot_, rng_, setup_.scheme,
-                                ot_pads_.get());
-      break;
-    }
-    case ClassifierKind::kDecisionTree: {
-      stats = SecureTreeRunClient(ch, setup_.features, setup_.num_classes,
-                                  row, ot_, rng_, setup_.scheme,
-                                  ot_pads_.get());
-      break;
-    }
-    case ClassifierKind::kLinear: {
-      if (!keys_.has_value()) {
-        obs::TraceSpan keygen("paillier.keygen");
-        keys_.emplace(GeneratePaillierKey(rng_, setup_.paillier_bits));
-        // Keygen consumed rng_ draws; refresh the snapshot so a resume of
-        // this very query replays from the post-keygen stream (keys_ is
-        // kept across reconnects and never regenerated).
-        if (!ticket_.empty()) SnapshotState();
-        // Post-snapshot, so the pads below are covered by replay: even the
-        // session's first linear query runs the pooled path.
-        RefillPadPool();
+    for (const std::vector<int>& row : rows) {
+      for (int f : setup_.plan_features) {
+        ch.SendU64(static_cast<uint64_t>(row[f]));
       }
-      stats = linear_spec_->RunClient(ch, *keys_, row, ot_, rng_,
-                                      setup_.scheme, pad_pool_.get());
-      break;
     }
-    case ClassifierKind::kForest: {
-      stats = SecureForestRunClient(ch, setup_.features, setup_.num_classes,
-                                    row, ot_, rng_, setup_.scheme,
-                                    ot_pads_.get());
-      break;
+  }
+  RecvAdmissionAck(ch);
+  std::vector<int> answers(n);
+  size_t and_gates = 0;
+  if (linear_spec_ != nullptr) {
+    if (!keys_.has_value()) {
+      obs::TraceSpan keygen("paillier.keygen");
+      keys_.emplace(GeneratePaillierKey(rng_, setup_.paillier_bits));
+      // Keygen consumed rng_ draws; refresh the snapshot so a resume of
+      // this very query replays from the post-keygen stream (keys_ is
+      // kept across reconnects and never regenerated).
+      if (!ticket_.empty()) SnapshotState();
+      // Post-snapshot, so the pads below are covered by replay: even the
+      // session's first linear query runs the pooled path.
+      RefillPadPool();
+    }
+    SmcRunStats one = linear_spec_->RunClient(ch, *keys_, rows[0], ot_, rng_,
+                                              setup_.scheme, pad_pool_.get());
+    answers[0] = one.predicted_class;
+    and_gates = one.and_gates;
+  } else {
+    // Per-record eval items. Tree/forest records sharing a disclosure set
+    // share one circuit prelude — the server sends one per distinct set in
+    // first-occurrence order, which both sides derive independently from
+    // the rows, so the wire carries no index frames. NB records all use
+    // the session circuit.
+    const char* what = setup_.classifier == ClassifierKind::kForest
+                           ? "secure forest"
+                           : "secure tree";
+    std::vector<CircuitPrelude> preludes;
+    preludes.reserve(n);  // Items point into it: no reallocation.
+    std::vector<size_t> prelude_gates;
+    std::vector<std::vector<int>> seen;
+    std::vector<BitVec> evaluator_bits(n);
+    std::vector<GcEvalItem> items(n);
+    const size_t nb_gates =
+        nb_spec_ != nullptr ? nb_spec_->circuit().Stats().and_gates : 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (nb_spec_ != nullptr) {
+        evaluator_bits[i] = nb_spec_->EncodeRow(rows[i]);
+        items[i] = {&nb_spec_->circuit(), &evaluator_bits[i]};
+        and_gates += nb_gates;
+        continue;
+      }
+      std::vector<int> key;
+      key.reserve(setup_.plan_features.size());
+      for (int f : setup_.plan_features) key.push_back(rows[i][f]);
+      size_t k = std::find(seen.begin(), seen.end(), key) - seen.begin();
+      if (k == seen.size()) {
+        seen.push_back(std::move(key));
+        preludes.push_back(RecvCircuitPrelude(ch, setup_.features, what));
+        prelude_gates.push_back(preludes.back().circuit.Stats().and_gates);
+      }
+      evaluator_bits[i] = preludes[k].layout.EncodeRow(rows[i]);
+      items[i] = {&preludes[k].circuit, &evaluator_bits[i]};
+      and_gates += prelude_gates[k];
+    }
+    std::vector<BitVec> outputs =
+        GcRunEvaluatorBatch(ch, items, ot_, rng_, setup_.scheme,
+                            ThreadPool::Global(), ot_pads_.get());
+    for (size_t i = 0; i < n; ++i) {
+      answers[i] = DecodeClassIndex(outputs[i], setup_.num_classes);
     }
   }
   // Refill tail (v4): top the receiver pad pool up while the round trip is
   // already paid, before the commit point so the snapshot below covers the
   // refilled pool.
   ClientOtRefillTail(ch);
-  // Completion ack — the commit point. Until this frame arrives the query
-  // is not done client-side, so a connection lost here leaves the client
-  // one query *behind* the server and the retry of the same id is served
-  // as a replay. (Committing on our final protocol send instead would let
-  // a dropped send commit the client ahead of the server — unresolvable.)
-  uint64_t fin = ch.RecvU64();
-  if (fin == static_cast<uint64_t>(ReplyStatus::kCancelled)) {
-    throw ChannelError(ChannelErrorKind::kCancelled,
-                       "serve client: query cancelled by server watchdog");
-  }
-  if (fin != static_cast<uint64_t>(ReplyStatus::kOk)) {
-    throw ProtocolError("serve client: malformed completion ack");
-  }
-  stats.bytes = socket_->stats().bytes_sent +
-                socket_->stats().bytes_received - bytes_before;
-  stats.rounds = socket_->stats().direction_flips - rounds_before;
-  stats.wall_seconds = timer.ElapsedSeconds();
+  RecvCompletionAck(ch);
+  stats->bytes += wire.bytes_sent + wire.bytes_received - bytes_before;
+  stats->rounds += wire.direction_flips - rounds_before;
+  stats->wall_seconds += timer.ElapsedSeconds();
+  stats->and_gates += and_gates;
+  stats->predicted_class = answers.back();
   ++next_query_id_;
   // Checkpoint post-success state: a reconnect-with-ticket rewinds here,
   // exactly matching the server's refreshed cache entry.
@@ -379,7 +407,50 @@ SmcRunStats ClassificationClient::QueryOnce(const std::vector<int>& row) {
   // Offline phase for the *next* query, paid now while no reply is being
   // awaited; only legal right after the snapshot (replay covers the draws).
   RefillPadPool();
-  return stats;
+  preds->insert(preds->end(), answers.begin(), answers.end());
+}
+
+void ClassificationClient::RecvAdmissionAck(Channel& ch) {
+  // The server read the request and a worker is running it (kOk), or
+  // admission control shed it (kBusy) and the retry loop should back off
+  // and reconnect.
+  uint64_t status = ch.RecvU64();
+  if (status == static_cast<uint64_t>(ReplyStatus::kBusy)) {
+    throw ServerBusyError("serve client: request shed, server saturated");
+  }
+  if (status == static_cast<uint64_t>(ReplyStatus::kResync)) {
+    // The server executed this id but its replay transcript is gone. Drop
+    // every piece of resume state so the retry builds a fresh session
+    // (query ids restart at 1); requests are pure, so re-running one on a
+    // fresh session cannot double-apply anything.
+    ForgetResumeState();
+    next_query_id_ = 1;
+    throw ChannelError(ChannelErrorKind::kClosed,
+                       "serve client: replay state lost, resyncing");
+  }
+  if (status == static_cast<uint64_t>(ReplyStatus::kCancelled)) {
+    throw ChannelError(ChannelErrorKind::kCancelled,
+                       "serve client: request cancelled by server watchdog");
+  }
+  if (status != static_cast<uint64_t>(ReplyStatus::kOk)) {
+    throw ProtocolError("serve client: malformed admission ack");
+  }
+}
+
+void ClassificationClient::RecvCompletionAck(Channel& ch) {
+  // The commit point. Until this frame arrives the request is not done
+  // client-side, so a connection lost here leaves the client one request
+  // *behind* the server and the retry of the same id is served as a
+  // replay. (Committing on our final protocol send instead would let a
+  // dropped send commit the client ahead of the server — unresolvable.)
+  uint64_t status = ch.RecvU64();
+  if (status == static_cast<uint64_t>(ReplyStatus::kCancelled)) {
+    throw ChannelError(ChannelErrorKind::kCancelled,
+                       "serve client: request cancelled by server watchdog");
+  }
+  if (status != static_cast<uint64_t>(ReplyStatus::kOk)) {
+    throw ProtocolError("serve client: malformed completion ack");
+  }
 }
 
 void ClassificationClient::ClientOtRefillTail(Channel& ch) {
@@ -402,183 +473,6 @@ void ClassificationClient::ClientOtRefillTail(Channel& ch) {
     obs::TraceSpan span("serve.client.ot_refill");
     ot_pads_->Append(ot_.RecvRandom(ch, rng_, static_cast<size_t>(granted)));
   }
-}
-
-std::vector<int> ClassificationClient::ClassifyBatch(
-    const std::vector<std::vector<int>>& rows, SmcRunStats* stats) {
-  PAFS_CHECK_MSG(!finished_, "ClassifyBatch on a closed client");
-  if (stats != nullptr) *stats = SmcRunStats{};
-  std::vector<int> preds;
-  preds.reserve(rows.size());
-  if (rows.empty()) return preds;
-  for (const std::vector<int>& row : rows) {
-    PAFS_CHECK_EQ(row.size(), setup_.features.size());
-    for (size_t f = 0; f < row.size(); ++f) {
-      PAFS_CHECK_GE(row[f], 0);
-      PAFS_CHECK_LT(row[f], setup_.features[f].cardinality);
-    }
-  }
-  if (setup_.classifier == ClassifierKind::kLinear) {
-    // The Paillier protocol has no single-exchange batched shape; run the
-    // rows as ordinary queries so the caller still gets one answer vector.
-    for (const std::vector<int>& row : rows) {
-      SmcRunStats one = ClassifyWithStats(row);
-      preds.push_back(one.predicted_class);
-      if (stats != nullptr) {
-        stats->bytes += one.bytes;
-        stats->rounds += one.rounds;
-        stats->wall_seconds += one.wall_seconds;
-        stats->predicted_class = one.predicted_class;
-      }
-    }
-    return preds;
-  }
-  const size_t chunk_max =
-      static_cast<size_t>(std::max(config_.batch_max_records, 1));
-  for (size_t begin = 0; begin < rows.size(); begin += chunk_max) {
-    size_t end = std::min(rows.size(), begin + chunk_max);
-    std::vector<std::vector<int>> chunk(rows.begin() + begin,
-                                        rows.begin() + end);
-    Timer deadline;
-    for (int attempt = 1;; ++attempt) {
-      try {
-        if (!open_) {
-          ConnectOnce();
-          ++reconnects_;
-          static obs::Counter& reconnects =
-              obs::GetCounter("serve.reconnects");
-          reconnects.Add();
-        }
-        BatchOnce(chunk, &preds, stats);
-        break;
-      } catch (const TransportError&) {
-        Abandon();
-        BackoffOrRethrow(attempt, deadline.ElapsedSeconds());
-        ++retries_;
-        static obs::Counter& retried =
-            obs::GetCounter("serve.client.retries");
-        retried.Add();
-      }
-    }
-  }
-  return preds;
-}
-
-void ClassificationClient::BatchOnce(const std::vector<std::vector<int>>& rows,
-                                     std::vector<int>* out,
-                                     SmcRunStats* stats) {
-  obs::TraceSpan span("serve.client.batch");
-  Timer timer;
-  uint64_t bytes_before =
-      socket_->stats().bytes_sent + socket_->stats().bytes_received;
-  uint64_t rounds_before = socket_->stats().direction_flips;
-  const size_t n = rows.size();
-  Channel& ch = *framed_;
-  ch.SendU64(static_cast<uint64_t>(RequestTag::kBatch));
-  ch.SendU64(next_query_id_);
-  ch.SendU64(static_cast<uint64_t>(n));
-  {
-    obs::TraceSpan disclose("disclose");
-    for (const std::vector<int>& row : rows) {
-      for (int f : setup_.plan_features) {
-        ch.SendU64(static_cast<uint64_t>(row[f]));
-      }
-    }
-  }
-  uint64_t admitted = ch.RecvU64();
-  if (admitted == static_cast<uint64_t>(ReplyStatus::kBusy)) {
-    throw ServerBusyError("serve client: batch shed, server saturated");
-  }
-  if (admitted == static_cast<uint64_t>(ReplyStatus::kResync)) {
-    ForgetResumeState();
-    next_query_id_ = 1;
-    throw ChannelError(ChannelErrorKind::kClosed,
-                       "serve client: replay state lost, resyncing");
-  }
-  if (admitted == static_cast<uint64_t>(ReplyStatus::kCancelled)) {
-    throw ChannelError(ChannelErrorKind::kCancelled,
-                       "serve client: batch cancelled by server watchdog");
-  }
-  if (admitted != static_cast<uint64_t>(ReplyStatus::kOk)) {
-    throw ProtocolError("serve client: malformed admission ack");
-  }
-  // Per-record eval items. Tree/forest records sharing a disclosure set
-  // share one circuit prelude — the server sends one per distinct set in
-  // first-occurrence order, which both sides derive independently from the
-  // rows, so the wire carries no index frames.
-  std::vector<GcEvalItem> items(n);
-  std::vector<BitVec> evaluator_bits(n);
-  std::vector<std::unique_ptr<CircuitPrelude>> preludes;
-  std::vector<size_t> which(n, 0);
-  const char* what = setup_.classifier == ClassifierKind::kForest
-                         ? "secure forest"
-                         : "secure tree";
-  if (setup_.classifier == ClassifierKind::kNaiveBayes) {
-    for (size_t i = 0; i < n; ++i) {
-      evaluator_bits[i] = nb_spec_->EncodeRow(rows[i]);
-      items[i].circuit = &nb_spec_->circuit();
-      items[i].evaluator_bits = &evaluator_bits[i];
-    }
-  } else {
-    std::vector<std::vector<int>> seen;
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<int> key;
-      key.reserve(setup_.plan_features.size());
-      for (int f : setup_.plan_features) key.push_back(rows[i][f]);
-      auto it = std::find(seen.begin(), seen.end(), key);
-      if (it == seen.end()) {
-        seen.push_back(key);
-        preludes.push_back(std::make_unique<CircuitPrelude>(
-            RecvCircuitPrelude(ch, setup_.features, what)));
-        which[i] = preludes.size() - 1;
-      } else {
-        which[i] = static_cast<size_t>(it - seen.begin());
-      }
-      evaluator_bits[i] = preludes[which[i]]->layout.EncodeRow(rows[i]);
-      items[i].circuit = &preludes[which[i]]->circuit;
-      items[i].evaluator_bits = &evaluator_bits[i];
-    }
-  }
-  std::vector<BitVec> outputs =
-      GcRunEvaluatorBatch(ch, items, ot_, rng_, setup_.scheme,
-                          ThreadPool::Global(), ot_pads_.get());
-  std::vector<int> preds(n);
-  uint32_t label_bits = static_cast<uint32_t>(BitsFor(setup_.num_classes));
-  for (size_t i = 0; i < n; ++i) {
-    if (setup_.classifier == ClassifierKind::kNaiveBayes) {
-      preds[i] = nb_spec_->DecodeOutput(outputs[i]);
-      continue;
-    }
-    if (outputs[i].size() != label_bits) {
-      throw ProtocolError(std::string(what) + ": circuit produced " +
-                          std::to_string(outputs[i].size()) +
-                          " label bits, want " + std::to_string(label_bits));
-    }
-    preds[i] = static_cast<int>(outputs[i].ToU64(0, label_bits));
-    if (preds[i] >= setup_.num_classes) {
-      throw ProtocolError(std::string(what) + ": decoded class " +
-                          std::to_string(preds[i]) + " out of range");
-    }
-  }
-  ClientOtRefillTail(ch);
-  uint64_t fin = ch.RecvU64();
-  if (fin == static_cast<uint64_t>(ReplyStatus::kCancelled)) {
-    throw ChannelError(ChannelErrorKind::kCancelled,
-                       "serve client: batch cancelled by server watchdog");
-  }
-  if (fin != static_cast<uint64_t>(ReplyStatus::kOk)) {
-    throw ProtocolError("serve client: malformed completion ack");
-  }
-  if (stats != nullptr) {
-    stats->bytes += socket_->stats().bytes_sent +
-                    socket_->stats().bytes_received - bytes_before;
-    stats->rounds += socket_->stats().direction_flips - rounds_before;
-    stats->wall_seconds += timer.ElapsedSeconds();
-    stats->predicted_class = preds.back();
-  }
-  ++next_query_id_;
-  if (!ticket_.empty()) SnapshotState();
-  out->insert(out->end(), preds.begin(), preds.end());
 }
 
 void ClassificationClient::Ping() {

@@ -1,10 +1,12 @@
 // Client driver for the serving layer: connects to a ClassificationServer
 // over TCP or UDS, learns the schema + disclosure plan in the handshake,
-// and then runs the client side of the secure protocol once per query over
-// the framed socket. One client = one server session; run several clients
-// (threads or processes) for concurrent load.
+// and then runs the client side of the secure protocol once per request
+// over the framed socket. A request is a query (one row, kQuery) or a
+// batch (N rows, kBatch); both run through the same request path, a query
+// being the batch of one. One client = one server session; run several
+// clients (threads or processes) for concurrent load.
 //
-// Resilience: every query runs under the config's RetryPolicy. A session
+// Resilience: every request runs under the config's RetryPolicy. A session
 // fault (peer died, deadline expired, corrupt frame) or a typed kBusy shed
 // from the server tears the session down, waits a jittered capped
 // exponential backoff, reconnects, re-handshakes (base OTs re-run on the
@@ -15,6 +17,7 @@
 #define PAFS_SERVE_CLIENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -101,10 +104,11 @@ class ClassificationClient {
   // Cross-query batching (wire v4): classifies every row through one GC
   // protocol exchange per chunk of config.batch_max_records — one shared
   // OT-extension matrix, one circuit prelude per distinct disclosure set.
-  // Linear sessions fall back to per-row Classify (the Paillier protocol
-  // has no batched shape). `stats`, when non-null, accumulates wire bytes,
-  // rounds, and wall time across the whole call. Retries chunk-at-a-time
-  // with the same at-most-once semantics as Classify.
+  // Linear sessions send chunks of one row as kQuery (the Paillier
+  // protocol has no batched shape). `stats`, when non-null, accumulates
+  // wire bytes, rounds, wall time and AND gates across the whole call.
+  // Retries chunk-at-a-time with the same at-most-once semantics as
+  // Classify.
   std::vector<int> ClassifyBatch(const std::vector<std::vector<int>>& rows,
                                  SmcRunStats* stats = nullptr);
 
@@ -140,18 +144,29 @@ class ClassificationClient {
   // One connect + handshake on a fresh socket; replaces the session state
   // (socket, framing, OT endpoints, circuit specs) on success.
   void ConnectOnce();
-  // ConnectOnce under the retry policy, against `deadline` elapsed-seconds
-  // budget tracking. `attempt` counts across the caller's whole operation.
   // Tears the current session down and marks it closed.
   void Abandon() noexcept;
   // Sleeps the jittered backoff for `attempt` (1-based) or rethrows if the
   // policy's attempts/deadline budget is spent.
   void BackoffOrRethrow(int attempt, double elapsed_seconds);
-  SmcRunStats QueryOnce(const std::vector<int>& row);
-  // One wire batch (RequestTag::kBatch) for `rows`; appends predictions
-  // and accumulates into `stats` when non-null. Caller validated rows.
-  void BatchOnce(const std::vector<std::vector<int>>& rows,
-                 std::vector<int>* out, SmcRunStats* stats);
+  // Runs `op` under the retry policy: a TransportError tears the session
+  // down and backs off, and the next attempt reconnects first. A null `op`
+  // only connects — the constructor's initial handshake, which counts as
+  // neither a reconnect nor a retry.
+  void WithRetry(const std::function<void()>& op);
+  // One request on the open session: kQuery carries rows[0] alone, kBatch
+  // a record count and every row. Appends the answers to `preds` and adds
+  // the request's wire bytes, rounds, wall time and AND gates to `stats`
+  // (predicted_class is the last answer). Caller validated the rows.
+  void RunOnce(const std::vector<std::vector<int>>& rows, RequestTag tag,
+               std::vector<int>* preds, SmcRunStats* stats);
+  // The two status frames bracketing a request: the admission ack (kBusy
+  // sheds, kResync drops resume state) and the completion ack (the commit
+  // point). Anything but kOk throws typed.
+  void RecvAdmissionAck(Channel& ch);
+  void RecvCompletionAck(Channel& ch);
+  // Programmer-error check: one in-range value for every schema feature.
+  void CheckRow(const std::vector<int>& row) const;
   // The v4 refill tail, run between the protocol and the completion ack:
   // asks the server for the receiver pool's deficit in random OTs and
   // absorbs whatever it grants.

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "net/error.h"
+#include "smc/common.h"
 
 namespace pafs::serve {
 
@@ -142,6 +143,22 @@ std::vector<uint8_t> RecvTicketFrame(Channel& channel) {
                         std::to_string(kResumeTicketBytes));
   }
   return ticket;
+}
+
+int DecodeClassIndex(const BitVec& output, int num_classes) {
+  const uint32_t bits = static_cast<uint32_t>(BitsFor(num_classes));
+  if (output.size() != bits) {
+    throw ProtocolError("serve: classifier output has " +
+                        std::to_string(output.size()) + " bits, want " +
+                        std::to_string(bits));
+  }
+  const uint64_t c = output.ToU64(0, bits);
+  if (c >= static_cast<uint64_t>(num_classes)) {
+    throw ProtocolError("serve: decoded class " + std::to_string(c) +
+                        " out of range (" + std::to_string(num_classes) +
+                        " classes)");
+  }
+  return static_cast<int>(c);
 }
 
 bool ResumeDisabledByEnv() {

@@ -37,6 +37,44 @@ std::map<int, int> PlaceholderDisclosure(const std::vector<int>& plan) {
   return key_map;
 }
 
+// A record's disclosure values in plan order (its GC pool key) as the
+// feature -> value map the model encoders take.
+std::map<int, int> DisclosureMap(const std::vector<int>& plan,
+                                 const std::vector<int>& key) {
+  std::map<int, int> disclosed;
+  for (size_t i = 0; i < plan.size(); ++i) disclosed.emplace(plan[i], key[i]);
+  return disclosed;
+}
+
+// Reads a request's records after its query id: kBatch sends a count
+// (1..max_records) first, kQuery is one record with no count frame. Each
+// record is its disclosure values in plan order, range-checked.
+std::vector<std::vector<int>> RecvRequest(Channel& ch,
+                                          const SessionSetup& setup,
+                                          bool batch, int max_records) {
+  uint64_t count = 1;
+  if (batch) {
+    count = ch.RecvU64();
+    if (count == 0 || count > static_cast<uint64_t>(max_records)) {
+      throw ProtocolError("serve: batch count " + std::to_string(count) +
+                          " out of range (max " +
+                          std::to_string(max_records) + ")");
+    }
+  }
+  std::vector<std::vector<int>> keys(count);
+  for (std::vector<int>& key : keys) {
+    for (int f : setup.plan_features) {
+      uint64_t v = ch.RecvU64();
+      if (v >= static_cast<uint64_t>(setup.features[f].cardinality)) {
+        throw ProtocolError("serve: disclosed value " + std::to_string(v) +
+                            " out of range for " + setup.features[f].name);
+      }
+      key.push_back(static_cast<int>(v));
+    }
+  }
+  return keys;
+}
+
 // Best-effort typed reject: one nonblocking write of a whole CRC frame
 // carrying `status`, straight on the fd. Used from the acceptor/event-loop
 // thread, which must never block on a peer's full socket buffer — if the
@@ -512,43 +550,26 @@ void ClassificationServer::ServeQuery(Session& s, Channel& ch, bool batch) {
   obs::TraceSpan span("serve.query");
   // At-most-once state machine on the client-stamped query id:
   //   id == next      -> execute live (and record the transcript),
-  //   id == next - 1  -> a retry of the query we already executed; replay
+  //   id == next - 1  -> a retry of the request we already executed; replay
   //                      the recorded reply, or kResync if it is gone,
   //   anything else   -> the peer is out of step beyond what retries can
   //                      produce; fail the session typed.
   uint64_t query_id = ch.RecvU64();
   if (query_id == s.next_query_id) {
-    if (batch) {
-      ExecuteBatch(s, ch, query_id);
-    } else {
-      ExecuteQuery(s, ch, query_id);
-    }
+    ExecuteRequest(s, ch, query_id, batch);
     return;
   }
   if (query_id + 1 == s.next_query_id) {
     if (s.transcript != nullptr && s.transcript->query_id == query_id &&
         !s.transcript->ops.empty()) {
-      ReplayQuery(s, ch, *s.transcript);
+      ReplayQuery(ch, *s.transcript);
       return;
     }
-    // The transcript is gone (query overflowed max_replay_bytes). Drain
-    // the retry's request header off the wire, then answer kResync in the
+    // The transcript is gone (the request overflowed max_replay_bytes).
+    // Drain the retry's records off the wire, then answer kResync in the
     // admission slot: the client discards its resume state and rebuilds a
     // fresh session. The current session stays healthy.
-    uint64_t rows = 1;
-    if (batch) {
-      rows = ch.RecvU64();
-      if (rows == 0 ||
-          rows > static_cast<uint64_t>(config_.batch_max_records)) {
-        throw ProtocolError("serve: resync batch count " +
-                            std::to_string(rows) + " out of range");
-      }
-    }
-    for (uint64_t row = 0; row < rows; ++row) {
-      for (size_t i = 0; i < model_.setup.plan_features.size(); ++i) {
-        (void)ch.RecvU64();
-      }
-    }
+    (void)RecvRequest(ch, model_.setup, batch, config_.batch_max_records);
     ch.SendU64(static_cast<uint64_t>(ReplyStatus::kResync));
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -563,8 +584,8 @@ void ClassificationServer::ServeQuery(Session& s, Channel& ch, bool batch) {
                       std::to_string(s.next_query_id) + ")");
 }
 
-void ClassificationServer::ExecuteQuery(Session& s, Channel& ch,
-                                        uint64_t query_id) {
+void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
+                                          uint64_t query_id, bool batch) {
   Timer timer;
   {
     // Arm the watchdog: from here until the final stanza this session is
@@ -578,20 +599,18 @@ void ClassificationServer::ExecuteQuery(Session& s, Channel& ch,
   RecordingChannel rec(ch, transcript.get(), config_.max_replay_bytes);
   Channel& qch = rec;
   const SessionSetup& setup = model_.setup;
-  std::map<int, int> disclosed;
-  std::vector<int> key;  // Disclosure values in plan order: the pool key.
-  for (int f : setup.plan_features) {
-    uint64_t v = qch.RecvU64();
-    if (v >= static_cast<uint64_t>(setup.features[f].cardinality)) {
-      throw ProtocolError("serve: disclosed value " + std::to_string(v) +
-                          " out of range for " + setup.features[f].name);
-    }
-    disclosed[f] = static_cast<int>(v);
-    key.push_back(static_cast<int>(v));
+  const std::vector<std::vector<int>> keys =
+      RecvRequest(qch, setup, batch, config_.batch_max_records);
+  const size_t n = keys.size();
+  // The linear protocol is Paillier-phase-driven, not a GC exchange, so it
+  // has no batched shape: the server declines, and the client sends linear
+  // rows as single queries.
+  if (batch && linear_spec_ != nullptr) {
+    throw ProtocolError("serve: batch not supported for linear sessions");
   }
   // Admission ack: the request was read and a worker is running it. The
   // shed path answers the same slot in the conversation with kBusy, so a
-  // client always learns its query's fate from this one frame.
+  // client always learns its request's fate from this one frame.
   qch.SendU64(static_cast<uint64_t>(ReplyStatus::kOk));
   {
     // The protocol region owns the OT stream end to end (transfers plus
@@ -600,212 +619,69 @@ void ClassificationServer::ExecuteQuery(Session& s, Channel& ch,
     std::lock_guard<std::mutex> ot_lock(s.ot_mu);
     OtSenderPadPool* ot_pads = s.precompute.ot_pads();
     if (ot_pads != nullptr && s.ot.is_setup() && ot_pads->HasPending()) {
-      size_t n = ot_pads->Materialize(s.ot);
+      size_t added = ot_pads->Materialize(s.ot);
       std::lock_guard<std::mutex> lock(mu_);
-      stats_.ot_pads_precomputed += n;
+      stats_.ot_pads_precomputed += added;
     }
-    GcPool* gc_pool = setup.scheme == GarblingScheme::kHalfGates
-                          ? s.precompute.gc_pool()
-                          : nullptr;
-    switch (setup.classifier) {
-      case ClassifierKind::kNaiveBayes: {
-        // The NB circuit ignores disclosure values (they fold into garbler
-        // bits), so every query shares one pool key.
-        GarbledCircuit pre;
-        bool have = false;
-        if (gc_pool != nullptr) {
-          gc_pool->RegisterKey({}, std::shared_ptr<const Circuit>(
-                                       std::shared_ptr<const Circuit>(),
-                                       &nb_spec_->circuit()));
-          have = gc_pool->TryTake({}, &pre);
-        }
-        SecureNbRunServer(qch, *nb_spec_, model_.nb, disclosed, s.ot, s.rng,
-                          setup.scheme, have ? &pre : nullptr, ot_pads);
-        break;
-      }
-      case ClassifierKind::kDecisionTree: {
-        auto data = SpecFor(s, key, disclosed);
-        GarbledCircuit pre;
-        bool have = gc_pool != nullptr && gc_pool->TryTake(key, &pre);
-        SendCircuitPrelude(qch, data->tree->layout(), data->tree->circuit());
-        BitVec out = GcRunGarbler(qch, data->tree->circuit(),
-                                  data->garbler_bits, s.ot, s.rng,
-                                  setup.scheme, /*pool=*/nullptr,
-                                  have ? &pre : nullptr, ot_pads);
-        data->tree->DecodeOutput(out);
-        break;
-      }
-      case ClassifierKind::kLinear: {
-        // Wire the session's precompute pool in: the server only learns
-        // the client's modulus inside phase 0, hence the callback. Pads
-        // filled by idle workers make the bias encryption and per-class
-        // rerandomization single multiplies; a dry pool degrades to the
-        // online modexp per op.
-        Session* session = &s;
-        PaillierPoolFn pool_for = [session](const BigInt& n) {
-          return session->precompute.PadsFor(n);
-        };
-        linear_spec_->RunServer(qch, model_.linear, disclosed, s.ot, s.rng,
-                                setup.scheme, pool_for);
-        break;
-      }
-      case ClassifierKind::kForest: {
-        auto data = SpecFor(s, key, disclosed);
-        GarbledCircuit pre;
-        bool have = gc_pool != nullptr && gc_pool->TryTake(key, &pre);
-        SendCircuitPrelude(qch, data->forest->layout(),
-                           data->forest->circuit());
-        BitVec out = GcRunGarbler(qch, data->forest->circuit(),
-                                  data->garbler_bits, s.ot, s.rng,
-                                  setup.scheme, ThreadPool::Global(),
-                                  have ? &pre : nullptr, ot_pads);
-        data->forest->DecodeOutput(out);
-        break;
-      }
-    }
-    ServerOtRefillTail(s, qch);
-  }
-  ++s.queries;
-  s.next_query_id = query_id + 1;
-  s.transcript = rec.overflowed() ? nullptr : transcript;
-  // Refresh the snapshot (covering this query's OT/RNG advancement) before
-  // the completion ack releases the client: an acked client may instantly
-  // reconnect with the ticket and must hit the post-query entry. The entry
-  // shares this transcript object, so the ack recorded below is replayed
-  // too.
-  RefreshResumeEntry(s);
-  // Completion ack — the client's commit point. Because the server commits
-  // strictly first, its state is never *behind* the client's: a lost ack
-  // leaves the server exactly one query ahead, which the retry of the same
-  // id resolves as a replay, never as an out-of-step failure.
-  qch.SendU64(static_cast<uint64_t>(ReplyStatus::kOk));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.in_query = false;
-    ++stats_.queries_served;
-  }
-  static obs::Counter& served = obs::GetCounter("serve.queries_served");
-  served.Add();
-  static obs::Histogram& latency = obs::GetHistogram("serve.query.seconds");
-  latency.Record(timer.ElapsedSeconds());
-}
-
-void ClassificationServer::ExecuteBatch(Session& s, Channel& ch,
-                                        uint64_t query_id) {
-  obs::TraceSpan span("serve.batch");
-  Timer timer;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.in_query = true;
-    s.query_start = std::chrono::steady_clock::now();
-  }
-  auto transcript = std::make_shared<QueryTranscript>();
-  transcript->query_id = query_id;
-  RecordingChannel rec(ch, transcript.get(), config_.max_replay_bytes);
-  Channel& qch = rec;
-  const SessionSetup& setup = model_.setup;
-  uint64_t count = qch.RecvU64();
-  if (count == 0 || count > static_cast<uint64_t>(config_.batch_max_records)) {
-    throw ProtocolError("serve: batch count " + std::to_string(count) +
-                        " out of range (max " +
-                        std::to_string(config_.batch_max_records) + ")");
-  }
-  std::vector<std::map<int, int>> disclosed(count);
-  std::vector<std::vector<int>> keys(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    for (int f : setup.plan_features) {
-      uint64_t v = qch.RecvU64();
-      if (v >= static_cast<uint64_t>(setup.features[f].cardinality)) {
-        throw ProtocolError("serve: disclosed value " + std::to_string(v) +
-                            " out of range for " + setup.features[f].name);
-      }
-      disclosed[i][f] = static_cast<int>(v);
-      keys[i].push_back(static_cast<int>(v));
-    }
-  }
-  // The linear protocol is Paillier-phase-driven, not a single GC exchange;
-  // batching it is a different (additively parallel) shape, so the server
-  // declines and the client's ClassifyBatch falls back to per-row queries.
-  if (setup.classifier == ClassifierKind::kLinear) {
-    throw ProtocolError("serve: batch not supported for linear sessions");
-  }
-  qch.SendU64(static_cast<uint64_t>(ReplyStatus::kOk));
-  {
-    std::lock_guard<std::mutex> ot_lock(s.ot_mu);
-    OtSenderPadPool* ot_pads = s.precompute.ot_pads();
-    if (ot_pads != nullptr && s.ot.is_setup() && ot_pads->HasPending()) {
-      size_t n = ot_pads->Materialize(s.ot);
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.ot_pads_precomputed += n;
-    }
-    GcPool* gc_pool = setup.scheme == GarblingScheme::kHalfGates
-                          ? s.precompute.gc_pool()
-                          : nullptr;
-    // Resolve each record's circuit. Tree/forest records with the same
-    // disclosure key share one SpecData (one circuit, one garbler-bits
-    // encoding, one prelude on the wire); the client derives the identical
-    // first-occurrence order from its own rows, so no index frames are
-    // needed. NB records share the session-wide circuit but each fold
-    // their disclosure values into their own garbler bits.
-    std::vector<std::shared_ptr<Session::SpecData>> specs(count);
-    std::vector<BitVec> nb_bits;
-    std::vector<GcGarbleItem> items(count);
-    std::vector<GarbledCircuit> pre(count);
-    if (setup.classifier == ClassifierKind::kNaiveBayes) {
-      if (gc_pool != nullptr) {
-        gc_pool->RegisterKey({}, std::shared_ptr<const Circuit>(
+    if (linear_spec_ != nullptr) {
+      // Wire the session's precompute pool in: the server only learns the
+      // client's modulus inside phase 0, hence the callback. Pads filled by
+      // idle workers make the bias encryption and per-class
+      // rerandomization single multiplies; a dry pool degrades to the
+      // online modexp per op.
+      Session* session = &s;
+      PaillierPoolFn pool_for = [session](const BigInt& modulus) {
+        return session->precompute.PadsFor(modulus);
+      };
+      linear_spec_->RunServer(qch, model_.linear,
+                              DisclosureMap(setup.plan_features, keys[0]),
+                              s.ot, s.rng, setup.scheme, pool_for);
+    } else {
+      // Resolve each record's circuit. Tree/forest records with the same
+      // disclosure key share one SpecData (one circuit, one garbler-bits
+      // encoding, one prelude on the wire); the client derives the same
+      // first-occurrence order from its own rows, so no index frames are
+      // needed. NB records share the session-wide circuit (one pool key)
+      // but each fold their disclosure values into their own garbler bits.
+      GcPool* gc_pool = setup.scheme == GarblingScheme::kHalfGates
+                            ? s.precompute.gc_pool()
+                            : nullptr;
+      const std::vector<int> nb_key;
+      if (gc_pool != nullptr && nb_spec_ != nullptr) {
+        gc_pool->RegisterKey(nb_key, std::shared_ptr<const Circuit>(
                                      std::shared_ptr<const Circuit>(),
                                      &nb_spec_->circuit()));
       }
-      nb_bits.reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        nb_bits.push_back(nb_spec_->EncodeModel(model_.nb, disclosed[i]));
-        items[i].circuit = &nb_spec_->circuit();
-        items[i].garbler_bits = &nb_bits[i];
-        if (gc_pool != nullptr && gc_pool->TryTake({}, &pre[i])) {
-          items[i].pregarbled = &pre[i];
-        }
-      }
-    } else {
-      std::vector<std::vector<int>> seen;  // First-occurrence key order.
-      for (uint64_t i = 0; i < count; ++i) {
-        specs[i] = SpecFor(s, keys[i], disclosed[i]);
-        const bool first =
-            std::find(seen.begin(), seen.end(), keys[i]) == seen.end();
-        if (first) {
-          seen.push_back(keys[i]);
-          const auto& data = *specs[i];
-          if (setup.classifier == ClassifierKind::kForest) {
-            SendCircuitPrelude(qch, data.forest->layout(),
-                               data.forest->circuit());
-          } else {
-            SendCircuitPrelude(qch, data.tree->layout(),
-                               data.tree->circuit());
+      std::vector<std::shared_ptr<Session::SpecData>> specs(n);
+      std::vector<BitVec> nb_bits(n);
+      std::vector<GcGarbleItem> items(n);
+      std::vector<GarbledCircuit> pre(n);
+      for (size_t i = 0; i < n; ++i) {
+        if (nb_spec_ != nullptr) {
+          nb_bits[i] = nb_spec_->EncodeModel(
+              model_.nb, DisclosureMap(setup.plan_features, keys[i]));
+          items[i] = {&nb_spec_->circuit(), &nb_bits[i]};
+        } else {
+          specs[i] = SpecFor(s, keys[i]);
+          if (std::find(keys.begin(), keys.begin() + i, keys[i]) ==
+              keys.begin() + i) {
+            SendCircuitPrelude(qch, *specs[i]->layout, *specs[i]->circuit);
           }
+          items[i] = {specs[i]->circuit, &specs[i]->garbler_bits};
         }
-        items[i].circuit = setup.classifier == ClassifierKind::kForest
-                               ? &specs[i]->forest->circuit()
-                               : &specs[i]->tree->circuit();
-        items[i].garbler_bits = &specs[i]->garbler_bits;
-        if (gc_pool != nullptr && gc_pool->TryTake(keys[i], &pre[i])) {
+        const std::vector<int>& pool_key =
+            nb_spec_ != nullptr ? nb_key : keys[i];
+        if (gc_pool != nullptr && gc_pool->TryTake(pool_key, &pre[i])) {
           items[i].pregarbled = &pre[i];
         }
       }
-    }
-    std::vector<BitVec> outputs =
-        GcRunGarblerBatch(qch, items, s.ot, s.rng, setup.scheme,
-                          ThreadPool::Global(), ot_pads);
-    for (uint64_t i = 0; i < count; ++i) {
-      switch (setup.classifier) {
-        case ClassifierKind::kNaiveBayes:
-          nb_spec_->DecodeOutput(outputs[i]);
-          break;
-        case ClassifierKind::kDecisionTree:
-          specs[i]->tree->DecodeOutput(outputs[i]);
-          break;
-        default:
-          specs[i]->forest->DecodeOutput(outputs[i]);
-          break;
+      std::vector<BitVec> outputs =
+          GcRunGarblerBatch(qch, items, s.ot, s.rng, setup.scheme,
+                            ThreadPool::Global(), ot_pads);
+      // The outputs are the client's report: a forged class index fails
+      // the session typed.
+      for (const BitVec& out : outputs) {
+        (void)DecodeClassIndex(out, setup.num_classes);
       }
     }
     ServerOtRefillTail(s, qch);
@@ -813,28 +689,39 @@ void ClassificationServer::ExecuteBatch(Session& s, Channel& ch,
   ++s.queries;
   s.next_query_id = query_id + 1;
   s.transcript = rec.overflowed() ? nullptr : transcript;
+  // Refresh the snapshot (covering this request's OT/RNG advancement)
+  // before the completion ack releases the client: an acked client may
+  // instantly reconnect with the ticket and must hit the post-request
+  // entry. The entry shares this transcript object, so the ack recorded
+  // below is replayed too.
   RefreshResumeEntry(s);
-  // Completion ack: same commit ordering as ExecuteQuery — the server
-  // commits first, so a lost ack resolves as a replayed batch.
+  // Completion ack — the client's commit point. Because the server commits
+  // strictly first, its state is never *behind* the client's: a lost ack
+  // leaves the server exactly one request ahead, which the retry of the
+  // same id resolves as a replay, never as an out-of-step failure.
   qch.SendU64(static_cast<uint64_t>(ReplyStatus::kOk));
   {
     std::lock_guard<std::mutex> lock(mu_);
     s.in_query = false;
     ++stats_.queries_served;
-    ++stats_.batches_served;
-    stats_.batch_records += count;
+    if (batch) {
+      ++stats_.batches_served;
+      stats_.batch_records += n;
+    }
   }
   static obs::Counter& served = obs::GetCounter("serve.queries_served");
-  served.Add();
   static obs::Counter& batches = obs::GetCounter("serve.batches_served");
-  batches.Add();
-  static obs::Histogram& latency = obs::GetHistogram("serve.batch.seconds");
-  latency.Record(timer.ElapsedSeconds());
+  static obs::Histogram& query_latency =
+      obs::GetHistogram("serve.query.seconds");
+  static obs::Histogram& batch_latency =
+      obs::GetHistogram("serve.batch.seconds");
+  served.Add();
+  if (batch) batches.Add();
+  (batch ? batch_latency : query_latency).Record(timer.ElapsedSeconds());
 }
 
 std::shared_ptr<ClassificationServer::Session::SpecData>
-ClassificationServer::SpecFor(Session& s, const std::vector<int>& key,
-                              const std::map<int, int>& disclosed) {
+ClassificationServer::SpecFor(Session& s, const std::vector<int>& key) {
   const SessionSetup& setup = model_.setup;
   std::shared_ptr<Session::SpecData> data;
   auto it = s.spec_cache.find(key);
@@ -842,16 +729,23 @@ ClassificationServer::SpecFor(Session& s, const std::vector<int>& key,
     data = it->second;
   } else {
     data = std::make_shared<Session::SpecData>();
+    std::map<int, int> disclosed = DisclosureMap(setup.plan_features, key);
     if (setup.classifier == ClassifierKind::kForest) {
       RandomForest specialized = model_.forest.Specialize(disclosed);
-      data->forest = std::make_shared<SecureForestCircuit>(
+      auto spec = std::make_shared<SecureForestCircuit>(
           specialized, setup.features, setup.num_classes, disclosed);
-      data->garbler_bits = data->forest->EncodeModel(specialized);
+      data->garbler_bits = spec->EncodeModel(specialized);
+      data->layout = &spec->layout();
+      data->circuit = &spec->circuit();
+      data->owner = std::move(spec);
     } else {
       DecisionTree specialized = model_.tree.Specialize(disclosed);
-      data->tree = std::make_shared<SecureTreeCircuit>(
+      auto spec = std::make_shared<SecureTreeCircuit>(
           specialized, setup.features, setup.num_classes, disclosed);
-      data->garbler_bits = data->tree->EncodeModel(specialized);
+      data->garbler_bits = spec->EncodeModel(specialized);
+      data->layout = &spec->layout();
+      data->circuit = &spec->circuit();
+      data->owner = std::move(spec);
     }
     s.spec_cache[key] = data;
     // LRU-bound the cache to the GC pool's key budget so the two track the
@@ -875,17 +769,14 @@ ClassificationServer::SpecFor(Session& s, const std::vector<int>& key,
                         ? s.precompute.gc_pool()
                         : nullptr;
   if (gc_pool != nullptr) {
-    const Circuit* circuit = setup.classifier == ClassifierKind::kForest
-                                 ? &data->forest->circuit()
-                                 : &data->tree->circuit();
     gc_pool->RegisterKey(key,
-                         std::shared_ptr<const Circuit>(data, circuit));
+                         std::shared_ptr<const Circuit>(data, data->circuit));
   }
   return data;
 }
 
 void ClassificationServer::ServerOtRefillTail(Session& s, Channel& ch) {
-  // Every query/batch ends with a receiver-driven refill negotiation: the
+  // Every request ends with a receiver-driven refill negotiation: the
   // client asks for `wanted` random OTs, the server grants what its own
   // pad pool can absorb (both pools must grow in lockstep for the pooled
   // transfer to stay aligned). The grant only *receives* the IKNP columns
@@ -906,7 +797,7 @@ void ClassificationServer::ServerOtRefillTail(Session& s, Channel& ch) {
   }
 }
 
-void ClassificationServer::ReplayQuery(Session& s, Channel& ch,
+void ClassificationServer::ReplayQuery(Channel& ch,
                                        const QueryTranscript& transcript) {
   obs::TraceSpan span("serve.replay");
   // Drive the recorded conversation: our sends verbatim, the peer's sends

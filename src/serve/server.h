@@ -5,8 +5,11 @@
 //   acceptor thread ── epoll EventLoop ──> bounded session registry
 //        │  (listener + every IDLE session socket)
 //        └─ readable session ──> ThreadPool::Submit ──> session task:
-//             handshake | one query (blocking secure protocol over the
+//             handshake | one request (blocking secure protocol over the
 //             framed socket) ──> re-arm in epoll and go idle, or close.
+//
+// A request is a query (one record) or a batch (N records); both run
+// through the same executor, a query being the batch of one.
 //
 // A session occupies a worker thread only while a request is in flight;
 // between requests it costs one epoll registration, so the server holds
@@ -47,10 +50,8 @@
 #include "ot/iknp.h"
 #include "serve/model.h"
 #include "serve/precompute.h"
-#include "smc/secure_forest.h"
 #include "smc/secure_linear.h"
 #include "smc/secure_nb.h"
-#include "smc/secure_tree.h"
 #include "util/parallel.h"
 
 namespace pafs::serve {
@@ -229,8 +230,11 @@ class ClassificationServer {
     // touches this, so it needs no lock; entries are shared_ptr so a batch
     // holding several outlives an LRU eviction mid-call.
     struct SpecData {
-      std::shared_ptr<SecureForestCircuit> forest;
-      std::shared_ptr<SecureTreeCircuit> tree;
+      // The SecureTreeCircuit or SecureForestCircuit that layout and
+      // circuit point into.
+      std::shared_ptr<const void> owner;
+      const HiddenLayout* layout = nullptr;
+      const Circuit* circuit = nullptr;
       BitVec garbler_bits;  // EncodeModel of the specialized model.
       uint64_t last_used = 0;
     };
@@ -270,28 +274,27 @@ class ClassificationServer {
   // One protocol exchange. Returns false when the session should close
   // gracefully (bye). Throws TransportError subclasses on faults.
   bool ServeOne(Session& session);
-  // `batch` selects the kBatch body (one id covering N records) over the
-  // single-query body; the id state machine is shared.
+  // `batch` selects the kBatch body (a record count, then N records) over
+  // kQuery (exactly one record, no count); the id state machine is shared.
   void ServeQuery(Session& session, Channel& channel, bool batch);
-  // Runs a live query through the protocol while recording the transcript
-  // for at-most-once replay; refreshes the session's resume-cache entry.
-  void ExecuteQuery(Session& session, Channel& channel, uint64_t query_id);
-  // Runs a live batch: N records through one GC protocol exchange (one OT
-  // extension matrix for the whole batch, one circuit prelude per distinct
-  // disclosure set, pre-garbled circuits from the GC pool when warm).
-  void ExecuteBatch(Session& session, Channel& channel, uint64_t query_id);
+  // Runs a live request: its N records through one protocol exchange (one
+  // OT extension matrix, one circuit prelude per distinct disclosure set,
+  // pre-garbled circuits from the GC pool when warm), recording the
+  // transcript for at-most-once replay and refreshing the session's
+  // resume-cache entry. A single query is the N = 1 case; linear sessions
+  // only take that case.
+  void ExecuteRequest(Session& session, Channel& channel, uint64_t query_id,
+                      bool batch);
   // The session's cached spec for a disclosure set (tree/forest), built on
   // first use and registered with the GC pool so fillers garble for it.
-  std::shared_ptr<Session::SpecData> SpecFor(
-      Session& session, const std::vector<int>& key,
-      const std::map<int, int>& disclosed);
+  std::shared_ptr<Session::SpecData> SpecFor(Session& session,
+                                             const std::vector<int>& key);
   // In-query OT pad refill (caller holds ot_mu, channel is the recording
   // channel): answers the client's `wanted` announcement with a grant and
   // parks the received columns for idle materialization.
   void ServerOtRefillTail(Session& session, Channel& channel);
   // Answers a retried query id byte-for-byte from the recorded transcript.
-  void ReplayQuery(Session& session, Channel& channel,
-                   const QueryTranscript& transcript);
+  void ReplayQuery(Channel& channel, const QueryTranscript& transcript);
   // Handshake helpers (caller does not hold mu_).
   bool TryResumeSession(Session& session, const std::vector<uint8_t>& ticket);
   void IssueTicket(Session& session, Channel& channel);

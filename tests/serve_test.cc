@@ -31,8 +31,10 @@
 #include "serve/model.h"
 #include "serve/precompute.h"
 #include "serve/server.h"
+#include "smc/secure_forest.h"
 #include "smc/secure_linear.h"
 #include "smc/secure_nb.h"
+#include "smc/secure_tree.h"
 #include "util/random.h"
 #include "util/serial.h"
 
@@ -91,6 +93,62 @@ serve::SessionSetup RawHandshake(FramedChannel& framed,
   if (ticket != nullptr) *ticket = issued;
   return setup;
 }
+
+// The pipeline's standalone client for a GC classifier kind, run as the
+// client half of a raw kQuery on a serving session.
+SmcRunStats RunRawGcClient(Channel& ch, const serve::SessionSetup& setup,
+                           ClassifierKind kind, const std::vector<int>& row,
+                           OtExtReceiver& ot, Rng& rng) {
+  if (kind == ClassifierKind::kDecisionTree) {
+    return SecureTreeRunClient(ch, setup.features, setup.num_classes, row, ot,
+                               rng, setup.scheme);
+  }
+  if (kind == ClassifierKind::kForest) {
+    return SecureForestRunClient(ch, setup.features, setup.num_classes, row,
+                                 ot, rng, setup.scheme);
+  }
+  std::map<int, int> key_map;
+  for (int f : setup.plan_features) key_map.emplace(f, 0);
+  SecureNbCircuit spec(setup.features, setup.num_classes, key_map);
+  return SecureNbRunClient(ch, spec, row, ot, rng, setup.scheme);
+}
+
+// Channel decorator that forges the evaluator's output report as all-ones.
+// The report goes out as a u64 bit count, a u64 byte count, then the
+// bytes; the decorator matches it by that header, which no other frame
+// pair of a one-record query repeats.
+class ForgedReportChannel final : public Channel {
+ public:
+  ForgedReportChannel(Channel& inner, uint64_t report_bits)
+      : inner_(inner), bits_(report_bits), bytes_((report_bits + 7) / 8) {}
+
+  void Send(const uint8_t* data, size_t n) override {
+    if (last_[0] == bits_ && last_[1] == bytes_ && n == bytes_) {
+      std::vector<uint8_t> ones(n, 0xFF);
+      inner_.Send(ones.data(), n);
+      ++forged;
+    } else {
+      inner_.Send(data, n);
+    }
+    uint64_t value = ~0ull;  // Not a u64 frame.
+    if (n == 8) {
+      value = 0;
+      for (int i = 7; i >= 0; --i) value = (value << 8) | data[i];
+    }
+    last_[0] = last_[1];
+    last_[1] = value;
+  }
+  void Recv(uint8_t* data, size_t n) override { inner_.Recv(data, n); }
+  const ChannelStats& stats() const override { return inner_.stats(); }
+
+  int forged = 0;
+
+ private:
+  Channel& inner_;
+  uint64_t bits_;
+  uint64_t bytes_;
+  uint64_t last_[2] = {~0ull, ~0ull};
+};
 
 // Polls a server-stats predicate; the serving path is asynchronous, so
 // failure counters land shortly after the wire-level symptom.
@@ -671,81 +729,147 @@ TEST_F(ServeTest, ResumedReconnectSkipsBaseOts) {
 TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
   // At-most-once: a client that loses the reply retries the same query id
   // from its last snapshot; the server answers from the recorded
-  // transcript without executing the query a second time.
-  auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
-  ClassificationServer server(ServingModel::FromPipeline(*pipeline),
-                              ServerConfig{});
-  server.Start();
-  const std::vector<int>& row = data_.row(5);
+  // transcript without executing the query a second time. The raw client
+  // is the pipeline's standalone client for each GC kind, so this also
+  // pins that the serving executor speaks their wire format byte for byte.
+  for (ClassifierKind kind :
+       {ClassifierKind::kNaiveBayes, ClassifierKind::kDecisionTree,
+        ClassifierKind::kForest}) {
+    SCOPED_TRACE(ClassifierName(kind));
+    auto pipeline = MakePipeline(kind);
+    ClassificationServer server(ServingModel::FromPipeline(*pipeline),
+                                ServerConfig{});
+    server.Start();
+    const std::vector<int>& row = data_.row(5);
 
-  auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
-  socket->set_recv_timeout_seconds(30 * kTimeScale);
-  FramedChannel framed(*socket);
-  std::vector<uint8_t> ticket;
-  serve::SessionSetup setup = RawHandshake(framed, &ticket);
-  ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
-  std::map<int, int> key_map;
-  for (int f : setup.plan_features) key_map.emplace(f, 0);
-  SecureNbCircuit spec(setup.features, setup.num_classes, key_map);
+    auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
+    socket->set_recv_timeout_seconds(30 * kTimeScale);
+    FramedChannel framed(*socket);
+    std::vector<uint8_t> ticket;
+    serve::SessionSetup setup = RawHandshake(framed, &ticket);
+    ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
 
-  OtExtReceiver ot;
-  Rng rng(0x5EED);
-  // Snapshot the pre-query client state — exactly what a crashed client
-  // would restore before retrying.
-  std::vector<uint8_t> ot_snapshot = ot.Serialize();
-  std::vector<uint8_t> rng_snapshot;
-  {
-    ByteWriter writer(&rng_snapshot);
-    rng.Serialize(writer);
-  }
-
-  auto run_query = [&](FramedChannel& ch, OtExtReceiver& o, Rng& r) {
-    ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
-    ch.SendU64(1);  // Same id both times: this is "the" query.
-    for (int f : setup.plan_features) {
-      ch.SendU64(static_cast<uint64_t>(row[f]));
+    OtExtReceiver ot;
+    Rng rng(0x5EED);
+    // Snapshot the pre-query client state — exactly what a crashed client
+    // would restore before retrying.
+    std::vector<uint8_t> ot_snapshot = ot.Serialize();
+    std::vector<uint8_t> rng_snapshot;
+    {
+      ByteWriter writer(&rng_snapshot);
+      rng.Serialize(writer);
     }
-    EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-    SmcRunStats stats = SecureNbRunClient(ch, spec, row, o, r, setup.scheme);
-    // The v4 refill tail: this raw client runs unpooled, so it asks for 0
-    // and the server must grant 0.
-    ch.SendU64(0);
-    EXPECT_EQ(ch.RecvU64(), 0u);
-    // Completion ack: the client-side commit point for the query.
-    EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-    return stats;
-  };
 
-  SmcRunStats first = run_query(framed, ot, rng);
-  EXPECT_EQ(first.predicted_class, pipeline->PlaintextPredict(row));
-  ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 1; }));
+    auto run_query = [&](FramedChannel& ch, OtExtReceiver& o, Rng& r) {
+      ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+      ch.SendU64(1);  // Same id both times: this is "the" query.
+      for (int f : setup.plan_features) {
+        ch.SendU64(static_cast<uint64_t>(row[f]));
+      }
+      EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+      SmcRunStats stats = RunRawGcClient(ch, setup, kind, row, o, r);
+      // The v4 refill tail: this raw client runs unpooled, so it asks for 0
+      // and the server must grant 0.
+      ch.SendU64(0);
+      EXPECT_EQ(ch.RecvU64(), 0u);
+      // Completion ack: the client-side commit point for the query.
+      EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+      return stats;
+    };
 
-  // The reply is "lost": drop the connection, rewind to the snapshot, and
-  // resume with the ticket.
-  socket->Close();
-  OtExtReceiver ot_retry = OtExtReceiver::Deserialize(ot_snapshot);
-  ByteReader rng_reader(rng_snapshot);
-  Rng rng_retry = Rng::Deserialize(rng_reader);
-  auto socket2 = SocketConnect(server.address(), 2.0 * kTimeScale);
-  socket2->set_recv_timeout_seconds(30 * kTimeScale);
-  FramedChannel framed2(*socket2);
-  serve::ClientHello hello;
-  hello.ticket = ticket;
-  serve::SendClientHello(framed2, hello);
-  ASSERT_EQ(framed2.RecvU64(),
-            static_cast<uint64_t>(serve::ReplyStatus::kResumed));
-  std::vector<uint8_t> rotated = serve::RecvTicketFrame(framed2);
-  EXPECT_EQ(rotated.size(), serve::kResumeTicketBytes);
-  EXPECT_NE(rotated, ticket);  // Tickets are consumed and rotated.
+    SmcRunStats first = run_query(framed, ot, rng);
+    EXPECT_EQ(first.predicted_class, pipeline->PlaintextPredict(row));
+    ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 1; }));
 
-  SmcRunStats retry = run_query(framed2, ot_retry, rng_retry);
-  EXPECT_EQ(retry.predicted_class, first.predicted_class);
+    // The reply is "lost": drop the connection, rewind to the snapshot, and
+    // resume with the ticket.
+    socket->Close();
+    OtExtReceiver ot_retry = OtExtReceiver::Deserialize(ot_snapshot);
+    ByteReader rng_reader(rng_snapshot);
+    Rng rng_retry = Rng::Deserialize(rng_reader);
+    auto socket2 = SocketConnect(server.address(), 2.0 * kTimeScale);
+    socket2->set_recv_timeout_seconds(30 * kTimeScale);
+    FramedChannel framed2(*socket2);
+    serve::ClientHello hello;
+    hello.ticket = ticket;
+    serve::SendClientHello(framed2, hello);
+    ASSERT_EQ(framed2.RecvU64(),
+              static_cast<uint64_t>(serve::ReplyStatus::kResumed));
+    std::vector<uint8_t> rotated = serve::RecvTicketFrame(framed2);
+    EXPECT_EQ(rotated.size(), serve::kResumeTicketBytes);
+    EXPECT_NE(rotated, ticket);  // Tickets are consumed and rotated.
 
-  ASSERT_TRUE(WaitFor([&] { return server.stats().replay_hits >= 1; }));
-  ServerStats stats = server.stats();
-  EXPECT_EQ(stats.replay_hits, 1u);
-  EXPECT_EQ(stats.queries_served, 1u);  // Executed exactly once.
-  EXPECT_EQ(stats.resumptions, 1u);
+    SmcRunStats retry = run_query(framed2, ot_retry, rng_retry);
+    EXPECT_EQ(retry.predicted_class, first.predicted_class);
+
+    ASSERT_TRUE(WaitFor([&] { return server.stats().replay_hits >= 1; }));
+    ServerStats stats = server.stats();
+    EXPECT_EQ(stats.replay_hits, 1u);
+    EXPECT_EQ(stats.queries_served, 1u);  // Executed exactly once.
+    EXPECT_EQ(stats.resumptions, 1u);
+  }
+}
+
+TEST_F(ServeTest, ForgedOutputReportFailsSessionTyped) {
+  // The server decodes the output bits the client reports. A client that
+  // reports a class index past num_classes (all-ones on the 3-class
+  // model's 2 output bits) must fail its own session typed, not abort the
+  // server process every other session lives in.
+  for (ClassifierKind kind :
+       {ClassifierKind::kNaiveBayes, ClassifierKind::kDecisionTree,
+        ClassifierKind::kForest}) {
+    SCOPED_TRACE(ClassifierName(kind));
+    auto pipeline = MakePipeline(kind);
+    ClassificationServer server(ServingModel::FromPipeline(*pipeline),
+                                ServerConfig{});
+    server.Start();
+    const std::vector<int>& row = data_.row(9);
+
+    auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
+    socket->set_recv_timeout_seconds(30 * kTimeScale);
+    FramedChannel framed(*socket);
+    serve::SessionSetup setup = RawHandshake(framed);
+    ASSERT_EQ(setup.num_classes, 3);  // All-ones on 2 bits decodes to 3.
+    ForgedReportChannel forged(framed, BitsFor(setup.num_classes));
+    OtExtReceiver ot;
+    Rng rng(0xF0F0);
+    EXPECT_THROW(
+        {
+          forged.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+          forged.SendU64(1);
+          for (int f : setup.plan_features) {
+            forged.SendU64(static_cast<uint64_t>(row[f]));
+          }
+          EXPECT_EQ(forged.RecvU64(),
+                    static_cast<uint64_t>(serve::ReplyStatus::kOk));
+          RunRawGcClient(forged, setup, kind, row, ot, rng);
+          forged.SendU64(0);  // Refill tail; the server has hung up.
+          (void)forged.RecvU64();
+        },
+        TransportError);
+    EXPECT_EQ(forged.forged, 1);
+    ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 1; }));
+    EXPECT_EQ(server.stats().sessions_failed, 1u);
+    EXPECT_EQ(server.stats().queries_served, 0u);
+
+    // The server keeps serving everyone else.
+    ClassificationClient client(ClientFor(server));
+    EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+    client.Close();
+    server.Stop();
+    EXPECT_EQ(server.stats().sessions_failed, 1u);
+  }
+}
+
+TEST(ServeModelTest, DecodeClassIndexRejectsPeerBitsTyped) {
+  BitVec two(2);
+  two.Set(1, true);
+  EXPECT_EQ(serve::DecodeClassIndex(two, 3), 2);
+  BitVec ones(2);
+  ones.Set(0, true);
+  ones.Set(1, true);
+  EXPECT_THROW(serve::DecodeClassIndex(ones, 3), ProtocolError);
+  EXPECT_THROW(serve::DecodeClassIndex(BitVec(3), 3), ProtocolError);
 }
 
 TEST_F(ServeTest, WatchdogCancelsWedgedQueryTypedAndServerKeepsServing) {
@@ -1110,7 +1234,7 @@ TEST_F(ServeTest, ServerRestartsOnSameConfig) {
 TEST_F(ServeTest, BatchMatchesPlaintextAcrossClassifiers) {
   for (ClassifierKind kind :
        {ClassifierKind::kNaiveBayes, ClassifierKind::kDecisionTree,
-        ClassifierKind::kForest}) {
+        ClassifierKind::kLinear, ClassifierKind::kForest}) {
     auto pipeline = MakePipeline(kind);
     ClassificationServer server(ServingModel::FromPipeline(*pipeline),
                                 ServerConfig{});
@@ -1128,12 +1252,31 @@ TEST_F(ServeTest, BatchMatchesPlaintextAcrossClassifiers) {
           << ClassifierName(kind) << " record " << i;
     }
     EXPECT_GT(stats.bytes, 0u);
+    EXPECT_GT(stats.and_gates, 0u) << ClassifierName(kind);
 
-    // One kBatch request carried all seven records.
-    ASSERT_TRUE(WaitFor([&] { return server.stats().batches_served >= 1; }));
-    ServerStats ss = server.stats();
-    EXPECT_EQ(ss.batches_served, 1u);
-    EXPECT_EQ(ss.batch_records, rows.size());
+    if (kind == ClassifierKind::kLinear) {
+      // Linear rows go out as single queries, one per row.
+      ASSERT_TRUE(WaitFor(
+          [&] { return server.stats().queries_served >= rows.size(); }));
+      EXPECT_EQ(server.stats().batches_served, 0u);
+    } else {
+      // One kBatch request carried all seven records.
+      ASSERT_TRUE(WaitFor([&] { return server.stats().batches_served >= 1; }));
+      ServerStats ss = server.stats();
+      EXPECT_EQ(ss.batches_served, 1u);
+      EXPECT_EQ(ss.batch_records, rows.size());
+    }
+
+    // A batch answers exactly as per-row queries do, and a one-row batch
+    // reports the same circuit size as the query for that row.
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(client.Classify(rows[i]), preds[i])
+          << ClassifierName(kind) << " record " << i;
+    }
+    SmcRunStats one_row;
+    client.ClassifyBatch({rows[1]}, &one_row);
+    EXPECT_EQ(one_row.and_gates, client.ClassifyWithStats(rows[1]).and_gates)
+        << ClassifierName(kind);
     client.Close();
     server.Stop();
     EXPECT_EQ(server.stats().sessions_failed, 0u);
