@@ -4,7 +4,6 @@
 //               [--listen=tcp:HOST:PORT|unix:PATH] [--max-sessions=N]
 //               [--threads=N] [--max-pending=N] [--idle-timeout=SECONDS]
 //               [--resume-cache=N] [--query-budget=SECONDS]
-//               [--pool-depth=N] [--pool-refill-batch=N]
 //               [--gc-pool-depth=N] [--ot-pool-depth=N]
 //               [--batch-max-records=N] [--no-pool] [--breakdown]
 //
@@ -50,7 +49,6 @@ int Usage() {
       "                   [--max-sessions=N] [--threads=N]\n"
       "                   [--max-pending=N] [--idle-timeout=SECONDS]\n"
       "                   [--resume-cache=N] [--query-budget=SECONDS]\n"
-      "                   [--pool-depth=N] [--pool-refill-batch=N]\n"
       "                   [--gc-pool-depth=N] [--ot-pool-depth=N]\n"
       "                   [--batch-max-records=N] [--no-pool]\n"
       "                   [--breakdown]\n"
@@ -58,18 +56,14 @@ int Usage() {
       "                       resumption (0 disables resume tickets)\n"
       "  --query-budget=S     watchdog cancels any single query running\n"
       "                       longer than S seconds (0 = unlimited)\n"
-      "  --pool-depth=N       Paillier pads precomputed per idle session\n"
-      "                       for the linear protocol (0 disables pools)\n"
-      "  --pool-refill-batch=N  pads an idle-time filler step computes\n"
-      "                       before re-checking for foreground work\n"
       "  --gc-pool-depth=N    circuits pre-garbled per disclosure key\n"
       "                       between queries (0 disables the GC pool)\n"
       "  --ot-pool-depth=N    random-OT pads precomputed per idle session\n"
       "                       for label transfer (0 disables the pad pool)\n"
       "  --batch-max-records=N  largest ClassifyBatch a session may submit\n"
       "                       in one wire batch\n"
-      "  --no-pool            serve every query with inline modexps,\n"
-      "                       online garbling, and online OT extension\n"
+      "  --no-pool            serve every query with online garbling\n"
+      "                       and online OT extension\n"
       "                       (same as PAFS_NO_POOL=1)\n");
   return 2;
 }
@@ -132,10 +126,6 @@ int main(int argc, char** argv) {
       server_config.resume_cache_entries = std::atoi(arg + 15);
     } else if (std::strncmp(arg, "--query-budget=", 15) == 0) {
       server_config.query_budget_seconds = std::strtod(arg + 15, nullptr);
-    } else if (std::strncmp(arg, "--pool-depth=", 13) == 0) {
-      server_config.pool_pad_depth = std::atoi(arg + 13);
-    } else if (std::strncmp(arg, "--pool-refill-batch=", 20) == 0) {
-      server_config.pool_refill_batch = std::atoi(arg + 20);
     } else if (std::strncmp(arg, "--gc-pool-depth=", 16) == 0) {
       server_config.gc_pool_depth = std::atoi(arg + 16);
     } else if (std::strncmp(arg, "--ot-pool-depth=", 16) == 0) {
@@ -200,9 +190,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.resume_misses),
                 static_cast<unsigned long long>(stats.replay_hits),
                 static_cast<unsigned long long>(stats.queries_cancelled));
-    std::printf("offline precompute: %llu Paillier pads, %llu pre-garbled "
-                "circuits, %llu OT pads filled while idle\n",
-                static_cast<unsigned long long>(stats.pool_pads_precomputed),
+    std::printf("offline precompute: %llu pre-garbled circuits, %llu OT "
+                "pads filled while idle\n",
                 static_cast<unsigned long long>(stats.gc_pregarbled),
                 static_cast<unsigned long long>(stats.ot_pads_precomputed));
     std::printf("batching: %llu wire batches covering %llu records\n",

@@ -41,7 +41,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # end-to-end serving smoke. The remaining numeric/protocol suites are
   # single-threaded and covered by the ASan gate.
   ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-    -R '^(net_test|serve_test|chaos_test|util_test|obs_test|kernel_test|crypto_test|bench_serving_smoke|bench_e2e_smoke)$'
+    -R '^(net_test|serve_test|chaos_test|util_test|obs_test|kernel_test|crypto_test|bench_serving_smoke|bench_serving_smoke_linear|bench_e2e_smoke)$'
   echo "check.sh: tsan green"
   exit 0
 fi

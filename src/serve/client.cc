@@ -75,10 +75,6 @@ void ClassificationClient::ConnectOnce() {
     }
     ticket_ = RecvTicketFrame(*framed_);
     RestoreSnapshot();
-    // The restored rng sits exactly at the snapshot position, so this
-    // refill makes the same draws a re-run's inline fallback would — a
-    // replayed retry still matches the transcript, pads and all.
-    RefillPadPool();
     ++resumes_;
     static obs::Counter& resumed = obs::GetCounter("serve.client.resumes");
     resumed.Add();
@@ -102,18 +98,14 @@ void ClassificationClient::ConnectOnce() {
     nb_spec_ = std::make_unique<SecureNbCircuit>(setup_.features,
                                                  setup_.num_classes, key_map);
   } else if (setup_.classifier == ClassifierKind::kLinear) {
-    linear_spec_ = std::make_unique<SecureLinearProtocol>(
+    linear_spec_ = std::make_unique<SecureLinearAbyProtocol>(
         setup_.features, setup_.num_classes, key_map);
   }
   // A new server session means new base OTs: the old extension state is
-  // bound to the dead session's sender. (Paillier keys are client-local
-  // and survive reconnects.) Pooled pads were drawn from a pre-reconnect
-  // rng position, which the snapshot below will not cover — drop them.
-  if (pad_pool_ != nullptr) pad_pool_->Clear();
+  // bound to the dead session's sender. Same for OT pads: the pool's
+  // entries pair with the dead session's sender stream, so a fresh session
+  // starts from an empty pool (the first query's refill tail warms it).
   ot_ = OtExtReceiver();
-  // Same reasoning for OT pads: the pool's entries pair with the dead
-  // session's sender stream, so a fresh session starts from an empty pool
-  // (the first query's refill tail warms it).
   if (config_.ot_pool_depth > 0 && !PoolsDisabledByEnv()) {
     ot_pads_ = std::make_unique<OtReceiverPadPool>(
         static_cast<size_t>(config_.ot_pool_depth));
@@ -132,26 +124,7 @@ void ClassificationClient::ConnectOnce() {
   } else {
     SnapshotState();
   }
-  // Offline phase: with the snapshot taken, pad draws are replay-safe, so
-  // the first query on this fresh session already runs pooled.
-  RefillPadPool();
   open_ = true;
-}
-
-void ClassificationClient::RefillPadPool() {
-  if (linear_spec_ == nullptr || !keys_.has_value() || PoolsDisabledByEnv()) {
-    return;
-  }
-  // One query's worth of pads: phase 1 sends NumClientCiphertexts()
-  // ciphertexts, each spending one pad.
-  size_t target = static_cast<size_t>(linear_spec_->NumClientCiphertexts());
-  if (pad_pool_ == nullptr ||
-      !pad_pool_->MatchesModulus(keys_->public_key.n()) ||
-      pad_pool_->target_depth() != target) {
-    pad_pool_ = std::make_unique<PaillierPadPool>(keys_->public_key, target);
-  }
-  obs::TraceSpan span("serve.client.pad_refill");
-  pad_pool_->Refill(rng_, pad_pool_->Deficit());
 }
 
 void ClassificationClient::SnapshotState() {
@@ -167,16 +140,12 @@ void ClassificationClient::SnapshotState() {
 }
 
 void ClassificationClient::RestoreSnapshot() {
-  // Replay determinism: the snapshot's rng position precedes every pooled
-  // pad draw, so the pads must go — the re-run query re-draws the same
-  // bases inline and reproduces its ciphertexts byte for byte.
-  if (pad_pool_ != nullptr) pad_pool_->Clear();
   ot_ = OtExtReceiver::Deserialize(ot_snapshot_);
   ByteReader reader(rng_snapshot_);
   rng_ = Rng::Deserialize(reader);
-  // OT pads, unlike Paillier pads, ARE covered by the snapshot (the pool
-  // was serialized post-refill-tail), so a replayed retry re-spends the
-  // exact pads the transcript's corrections were computed from.
+  // OT pads are covered by the snapshot (the pool was serialized
+  // post-refill-tail), so a replayed retry re-spends the exact pads the
+  // transcript's corrections were computed from.
   ByteReader pads_reader(ot_pads_snapshot_);
   if (pads_reader.U32() == 1) {
     if (ot_pads_ == nullptr) {
@@ -287,17 +256,13 @@ std::vector<int> ClassificationClient::ClassifyBatch(
   SmcRunStats total;
   std::vector<int> preds;
   preds.reserve(rows.size());
-  // The Paillier protocol has no single-exchange batched shape, so linear
-  // rows go out one kQuery each.
-  const bool linear = setup_.classifier == ClassifierKind::kLinear;
-  const RequestTag tag = linear ? RequestTag::kQuery : RequestTag::kBatch;
   const size_t chunk_max =
-      linear ? 1 : static_cast<size_t>(std::max(config_.batch_max_records, 1));
+      static_cast<size_t>(std::max(config_.batch_max_records, 1));
   for (size_t begin = 0; begin < rows.size(); begin += chunk_max) {
     size_t end = std::min(rows.size(), begin + chunk_max);
     std::vector<std::vector<int>> chunk(rows.begin() + begin,
                                         rows.begin() + end);
-    WithRetry([&] { RunOnce(chunk, tag, &preds, &total); });
+    WithRetry([&] { RunOnce(chunk, RequestTag::kBatch, &preds, &total); });
   }
   if (stats != nullptr) *stats = total;
   return preds;
@@ -328,67 +293,76 @@ void ClassificationClient::RunOnce(const std::vector<std::vector<int>>& rows,
     }
   }
   RecvAdmissionAck(ch);
-  std::vector<int> answers(n);
+  // Per-record eval items. Tree/forest records sharing a disclosure set
+  // share one circuit prelude — the server sends one per distinct set in
+  // first-occurrence order, which both sides derive independently from the
+  // rows, so the wire carries no index frames. NB and linear records all
+  // use the session circuit; linear records first gather their phase-1
+  // choice bits for one combined correlated-OT transfer.
+  const char* what = setup_.classifier == ClassifierKind::kForest
+                         ? "secure forest"
+                         : "secure tree";
+  const Circuit* session_circuit =
+      nb_spec_ != nullptr       ? &nb_spec_->circuit()
+      : linear_spec_ != nullptr ? &linear_spec_->argmax_circuit()
+                                : nullptr;
+  const size_t session_gates =
+      session_circuit != nullptr ? session_circuit->Stats().and_gates : 0;
+  std::vector<CircuitPrelude> preludes;
+  preludes.reserve(n);  // Items point into it: no reallocation.
+  std::vector<size_t> prelude_gates;
+  std::vector<std::vector<int>> seen;
+  std::vector<BitVec> evaluator_bits(n);
+  std::vector<GcEvalItem> items(n);
+  BitVec choices;
   size_t and_gates = 0;
-  if (linear_spec_ != nullptr) {
-    if (!keys_.has_value()) {
-      obs::TraceSpan keygen("paillier.keygen");
-      keys_.emplace(GeneratePaillierKey(rng_, setup_.paillier_bits));
-      // Keygen consumed rng_ draws; refresh the snapshot so a resume of
-      // this very query replays from the post-keygen stream (keys_ is
-      // kept across reconnects and never regenerated).
-      if (!ticket_.empty()) SnapshotState();
-      // Post-snapshot, so the pads below are covered by replay: even the
-      // session's first linear query runs the pooled path.
-      RefillPadPool();
-    }
-    SmcRunStats one = linear_spec_->RunClient(ch, *keys_, rows[0], ot_, rng_,
-                                              setup_.scheme, pad_pool_.get());
-    answers[0] = one.predicted_class;
-    and_gates = one.and_gates;
-  } else {
-    // Per-record eval items. Tree/forest records sharing a disclosure set
-    // share one circuit prelude — the server sends one per distinct set in
-    // first-occurrence order, which both sides derive independently from
-    // the rows, so the wire carries no index frames. NB records all use
-    // the session circuit.
-    const char* what = setup_.classifier == ClassifierKind::kForest
-                           ? "secure forest"
-                           : "secure tree";
-    std::vector<CircuitPrelude> preludes;
-    preludes.reserve(n);  // Items point into it: no reallocation.
-    std::vector<size_t> prelude_gates;
-    std::vector<std::vector<int>> seen;
-    std::vector<BitVec> evaluator_bits(n);
-    std::vector<GcEvalItem> items(n);
-    const size_t nb_gates =
-        nb_spec_ != nullptr ? nb_spec_->circuit().Stats().and_gates : 0;
-    for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
+    if (session_circuit != nullptr) {
       if (nb_spec_ != nullptr) {
         evaluator_bits[i] = nb_spec_->EncodeRow(rows[i]);
-        items[i] = {&nb_spec_->circuit(), &evaluator_bits[i]};
-        and_gates += nb_gates;
-        continue;
+      } else {
+        BitVec record = linear_spec_->Choices(rows[i]);
+        for (size_t j = 0; j < record.size(); ++j) {
+          choices.PushBack(record.Get(j));
+        }
       }
-      std::vector<int> key;
-      key.reserve(setup_.plan_features.size());
-      for (int f : setup_.plan_features) key.push_back(rows[i][f]);
-      size_t k = std::find(seen.begin(), seen.end(), key) - seen.begin();
-      if (k == seen.size()) {
-        seen.push_back(std::move(key));
-        preludes.push_back(RecvCircuitPrelude(ch, setup_.features, what));
-        prelude_gates.push_back(preludes.back().circuit.Stats().and_gates);
-      }
-      evaluator_bits[i] = preludes[k].layout.EncodeRow(rows[i]);
-      items[i] = {&preludes[k].circuit, &evaluator_bits[i]};
-      and_gates += prelude_gates[k];
+      items[i] = {session_circuit, &evaluator_bits[i]};
+      and_gates += session_gates;
+      continue;
     }
-    std::vector<BitVec> outputs =
-        GcRunEvaluatorBatch(ch, items, ot_, rng_, setup_.scheme,
-                            ThreadPool::Global(), ot_pads_.get());
+    std::vector<int> key;
+    key.reserve(setup_.plan_features.size());
+    for (int f : setup_.plan_features) key.push_back(rows[i][f]);
+    size_t k = std::find(seen.begin(), seen.end(), key) - seen.begin();
+    if (k == seen.size()) {
+      seen.push_back(std::move(key));
+      preludes.push_back(RecvCircuitPrelude(ch, setup_.features, what));
+      prelude_gates.push_back(preludes.back().circuit.Stats().and_gates);
+    }
+    evaluator_bits[i] = preludes[k].layout.EncodeRow(rows[i]);
+    items[i] = {&preludes[k].circuit, &evaluator_bits[i]};
+    and_gates += prelude_gates[k];
+  }
+  // Base OTs on the session's first request, ahead of linear phase 1.
+  if (!ot_.is_setup()) ot_.Setup(ch, rng_);
+  if (linear_spec_ != nullptr) {
+    std::vector<Block> received;
+    if (choices.size() > 0) {
+      received = PooledOtRecv(ch, ot_, choices, ot_pads_.get());
+    }
+    const size_t per_record = linear_spec_->NumProductOts();
     for (size_t i = 0; i < n; ++i) {
-      answers[i] = DecodeClassIndex(outputs[i], setup_.num_classes);
+      evaluator_bits[i] = linear_spec_->EvaluatorBits(std::vector<Block>(
+          received.begin() + i * per_record,
+          received.begin() + (i + 1) * per_record));
     }
+  }
+  std::vector<BitVec> outputs =
+      GcRunEvaluatorBatch(ch, items, ot_, rng_, setup_.scheme,
+                          ThreadPool::Global(), ot_pads_.get());
+  std::vector<int> answers(n);
+  for (size_t i = 0; i < n; ++i) {
+    answers[i] = DecodeClassIndex(outputs[i], setup_.num_classes);
   }
   // Refill tail (v4): top the receiver pad pool up while the round trip is
   // already paid, before the commit point so the snapshot below covers the
@@ -404,9 +378,6 @@ void ClassificationClient::RunOnce(const std::vector<std::vector<int>>& rows,
   // Checkpoint post-success state: a reconnect-with-ticket rewinds here,
   // exactly matching the server's refreshed cache entry.
   if (!ticket_.empty()) SnapshotState();
-  // Offline phase for the *next* query, paid now while no reply is being
-  // awaited; only legal right after the snapshot (replay covers the draws).
-  RefillPadPool();
   preds->insert(preds->end(), answers.begin(), answers.end());
 }
 

@@ -22,15 +22,13 @@
 #include <optional>
 #include <vector>
 
-#include "crypto/paillier.h"
-#include "crypto/paillier_pool.h"
 #include "net/fault.h"
 #include "net/framing.h"
 #include "net/socket.h"
 #include "ot/iknp.h"
 #include "ot/ot_pool.h"
 #include "serve/model.h"
-#include "smc/secure_linear.h"
+#include "smc/secure_linear_aby.h"
 #include "smc/secure_nb.h"
 #include "util/random.h"
 
@@ -101,14 +99,12 @@ class ClassificationClient {
   int Classify(const std::vector<int>& row);
   SmcRunStats ClassifyWithStats(const std::vector<int>& row);
 
-  // Cross-query batching (wire v4): classifies every row through one GC
+  // Cross-query batching (wire v4): classifies every row through one
   // protocol exchange per chunk of config.batch_max_records — one shared
   // OT-extension matrix, one circuit prelude per distinct disclosure set.
-  // Linear sessions send chunks of one row as kQuery (the Paillier
-  // protocol has no batched shape). `stats`, when non-null, accumulates
-  // wire bytes, rounds, wall time and AND gates across the whole call.
-  // Retries chunk-at-a-time with the same at-most-once semantics as
-  // Classify.
+  // `stats`, when non-null, accumulates wire bytes, rounds, wall time and
+  // AND gates across the whole call. Retries chunk-at-a-time with the same
+  // at-most-once semantics as Classify.
   std::vector<int> ClassifyBatch(const std::vector<std::vector<int>>& rows,
                                  SmcRunStats* stats = nullptr);
 
@@ -178,11 +174,6 @@ class ClassificationClient {
   // Discards the ticket and snapshots (after kResync or when the server
   // runs with resumption disabled); the next reconnect is a full handshake.
   void ForgetResumeState();
-  // Tops the Paillier pad pool up from rng_ (offline phase of the next
-  // linear query). Only legal immediately after SnapshotState — pads drawn
-  // before a snapshot but consumed after it would make a replayed retry
-  // diverge from the transcript (crypto/paillier_pool.h contract).
-  void RefillPadPool();
 
   ClientConfig config_;
   SessionSetup setup_;
@@ -191,12 +182,7 @@ class ClassificationClient {
   std::unique_ptr<FaultInjectingChannel> faulty_;
   std::unique_ptr<FramedChannel> framed_;
   std::unique_ptr<SecureNbCircuit> nb_spec_;
-  std::unique_ptr<SecureLinearProtocol> linear_spec_;
-  std::optional<PaillierKeyPair> keys_;  // Lazily generated (kLinear only).
-  // Precomputed Encrypt pads for the next query's phase 1, drawn from rng_
-  // only right after a snapshot and cleared whenever one is restored (or a
-  // fresh session starts) so retried queries stay byte-identical.
-  std::unique_ptr<PaillierPadPool> pad_pool_;
+  std::unique_ptr<SecureLinearAbyProtocol> linear_spec_;
   // Receiver-side OT pad pool (v4 refill tail). Rebuilt on every fresh
   // handshake (pads are bound to the dead session's sender state) and
   // covered by the resumption snapshot so replayed retries re-spend the

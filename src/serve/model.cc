@@ -34,7 +34,6 @@ ServingModel ServingModel::FromPipeline(const SecureClassificationPipeline& p) {
   model.setup.num_classes = p.num_classes();
   model.setup.classifier = p.config().classifier;
   model.setup.scheme = p.config().scheme;
-  model.setup.paillier_bits = p.config().paillier_bits;
   model.setup.plan_features = p.plan().features;
   switch (model.setup.classifier) {
     case ClassifierKind::kNaiveBayes:
@@ -56,7 +55,6 @@ ServingModel ServingModel::FromPipeline(const SecureClassificationPipeline& p) {
 void SendSessionSetup(Channel& channel, const SessionSetup& setup) {
   channel.SendU64(static_cast<uint64_t>(setup.classifier));
   channel.SendU64(static_cast<uint64_t>(setup.scheme));
-  channel.SendU64(static_cast<uint64_t>(setup.paillier_bits));
   channel.SendU64(static_cast<uint64_t>(setup.num_classes));
   channel.SendU64(setup.features.size());
   for (const FeatureSpec& f : setup.features) {
@@ -76,8 +74,6 @@ SessionSetup RecvSessionSetup(Channel& channel) {
   setup.classifier = static_cast<ClassifierKind>(classifier);
   uint64_t scheme = RecvBounded(channel, 1, "garbling scheme");
   setup.scheme = static_cast<GarblingScheme>(scheme);
-  setup.paillier_bits =
-      static_cast<int>(RecvBounded(channel, 1u << 14, "paillier bits"));
   setup.num_classes =
       static_cast<int>(RecvBounded(channel, kMaxClasses, "class count"));
   if (setup.num_classes < 2) {

@@ -240,81 +240,32 @@ void GcPool::EvictOverCapLocked() {
 
 SessionPrecompute::SessionPrecompute(const PrecomputeConfig& config,
                                      uint64_t seed)
-    : config_(config), fill_rng_(seed) {
-  if (PoolsDisabledByEnv()) config_.enabled = false;
-  if (config_.enabled && config_.gc_depth > 0) {
+    : fill_rng_(seed) {
+  const bool enabled = config.enabled && !PoolsDisabledByEnv();
+  if (enabled && config.gc_depth > 0) {
     gc_pool_ = std::make_unique<GcPool>(
-        static_cast<size_t>(config_.gc_depth),
-        static_cast<size_t>(config_.gc_max_keys));
+        static_cast<size_t>(config.gc_depth),
+        static_cast<size_t>(config.gc_max_keys));
   }
-  if (config_.enabled && config_.ot_pads > 0) {
+  if (enabled && config.ot_pads > 0) {
     ot_pads_ =
-        std::make_unique<OtSenderPadPool>(static_cast<size_t>(config_.ot_pads));
+        std::make_unique<OtSenderPadPool>(static_cast<size_t>(config.ot_pads));
   }
-}
-
-std::shared_ptr<PaillierPadPool> SessionPrecompute::PadsFor(const BigInt& n) {
-  if (!config_.enabled) return nullptr;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pool_ == nullptr || !pool_->MatchesModulus(n)) {
-    // A filler may be mid-Refill on the displaced pool; its shared_ptr
-    // copy keeps that pool alive until the refill pass finishes, and the
-    // stale pads die with it.
-    pool_ = std::make_shared<PaillierPadPool>(
-        PaillierPublicKey(n), static_cast<size_t>(config_.paillier_pads));
-  }
-  return pool_;
 }
 
 bool SessionPrecompute::NeedsRefill() const {
-  if (!config_.enabled) return false;
-  if (gc_pool_ != nullptr && gc_pool_->Deficit() > 0) return true;
-  std::lock_guard<std::mutex> lock(mu_);
-  return pool_ != nullptr && pool_->Deficit() > 0;
+  return gc_pool_ != nullptr && gc_pool_->Deficit() > 0;
 }
 
-size_t SessionPrecompute::RefillStep(const std::atomic<bool>* stop,
-                                     RefillCounts* counts) {
-  std::shared_ptr<PaillierPadPool> pool;
-  {
-    // Copy the shared_ptr, not the raw pointer: PadsFor may replace pool_
-    // for a new client modulus while the long modexps below run, and this
-    // copy is what keeps the pool we fill alive through that.
-    std::lock_guard<std::mutex> lock(mu_);
-    pool = pool_;
-  }
-  size_t paillier = 0;
-  if (pool != nullptr) {
-    paillier = pool->Refill(fill_rng_,
-                            static_cast<size_t>(config_.refill_batch), stop);
-  }
+size_t SessionPrecompute::RefillStep(const std::atomic<bool>* stop) {
   // At most one garble per pass: forest circuits take tens of
   // milliseconds, so this bounds how long a draining server waits on its
-  // fillers about as tightly as the Paillier batch does.
-  size_t gc = 0;
-  if (gc_pool_ != nullptr && (stop == nullptr || !stop->load()) &&
-      gc_pool_->RefillOne(fill_rng_)) {
-    gc = 1;
-  }
-  if (counts != nullptr) {
-    counts->paillier = paillier;
-    counts->gc = gc;
-  }
-  return paillier + gc;
+  // fillers.
+  if (gc_pool_ == nullptr || (stop != nullptr && stop->load())) return 0;
+  return gc_pool_->RefillOne(fill_rng_) ? 1 : 0;
 }
 
 void SessionPrecompute::Serialize(ByteWriter& w) const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (pool_ == nullptr) {
-      w.U32(0);
-    } else {
-      std::vector<uint8_t> n_bytes = pool_->public_key().n().ToBytes();
-      w.U32(static_cast<uint32_t>(n_bytes.size()));
-      w.Bytes(n_bytes.data(), n_bytes.size());
-      pool_->Serialize(w);
-    }
-  }
   w.U32(gc_pool_ != nullptr ? 1 : 0);
   if (gc_pool_ != nullptr) gc_pool_->Serialize(w);
   w.U32(ot_pads_ != nullptr ? 1 : 0);
@@ -322,27 +273,6 @@ void SessionPrecompute::Serialize(ByteWriter& w) const {
 }
 
 void SessionPrecompute::Restore(ByteReader& r) {
-  uint32_t n_len = r.U32();
-  if (n_len != 0) {
-    std::vector<uint8_t> n_bytes(n_len);
-    r.Bytes(n_bytes.data(), n_len);
-    BigInt n = BigInt::FromBytes(n_bytes);
-    std::lock_guard<std::mutex> lock(mu_);
-    // Snapshots only exist for enabled pools, but a PAFS_NO_POOL restart
-    // may restore one: keep the disabled semantics and drop the pads.
-    if (!config_.enabled) {
-      pool_.reset();
-      PaillierPadPool scratch{PaillierPublicKey(n), 0};
-      scratch.Restore(r);  // Consume the reader past the pad block.
-    } else {
-      pool_ = std::make_shared<PaillierPadPool>(
-          PaillierPublicKey(n), static_cast<size_t>(config_.paillier_pads));
-      pool_->Restore(r);
-    }
-  } else {
-    std::lock_guard<std::mutex> lock(mu_);
-    pool_.reset();
-  }
   if (r.U32() != 0) {
     if (gc_pool_ != nullptr) {
       gc_pool_->Restore(r);
@@ -363,12 +293,6 @@ void SessionPrecompute::Restore(ByteReader& r) {
   } else if (ot_pads_ != nullptr) {
     ot_pads_->Clear();
   }
-}
-
-PaillierPadPool::Stats SessionPrecompute::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pool_ == nullptr) return {};
-  return pool_->stats();
 }
 
 }  // namespace pafs::serve

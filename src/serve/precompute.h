@@ -3,10 +3,8 @@
 // SessionPrecompute; idle workers fill it between queries so the online
 // protocol finds its input-independent material ready.
 //
-// Three kinds of material are pooled: Paillier encryption pads (linear
-// sessions; keyed by the client-announced modulus, which the session
-// learns in phase 0 of its first linear query), pre-garbled circuits
-// (GcPool — forest/tree/NB sessions, keyed by the disclosure set), and
+// Two kinds of material are pooled: pre-garbled circuits (GcPool, keyed by
+// the disclosure set; NB and linear sessions use one session-wide key) and
 // sender-side OT-extension pads (ot/ot_pool.h; the expansion itself is
 // driven by the server task because it needs the session's OT stream
 // exclusivity).
@@ -14,14 +12,9 @@
 // Threading contract: the server guarantees at most one filler task per
 // session at a time (Session::filling), so RefillStep never races itself
 // and fill_rng_ needs no lock. Pool contents are internally locked, so an
-// online query taking material may overlap a filler mid-refill. The
-// Paillier pool is held through a shared_ptr guarded by mu_: PadsFor
-// (worker) can replace the pool when the client announces a new modulus
-// while RefillStep (filler) is mid-refill on the old one, so both copy the
-// shared_ptr under the lock and the displaced pool stays alive until the
-// last holder drops it. The GC and OT pools are created once in the
-// constructor and never replaced, so their raw accessors are safe without
-// the lock.
+// online query taking material may overlap a filler mid-refill. Both pools
+// are created once in the constructor and never replaced, so their raw
+// accessors are safe without a lock.
 #ifndef PAFS_SERVE_PRECOMPUTE_H_
 #define PAFS_SERVE_PRECOMPUTE_H_
 
@@ -33,7 +26,6 @@
 #include <mutex>
 #include <vector>
 
-#include "crypto/paillier_pool.h"
 #include "gc/garble.h"
 #include "ot/ot_pool.h"
 #include "util/random.h"
@@ -44,13 +36,6 @@ namespace pafs::serve {
 struct PrecomputeConfig {
   // Master switch; PAFS_NO_POOL=1 force-disables regardless.
   bool enabled = true;
-  // Target Paillier pads per linear session. Sized so a few queries run
-  // entirely pooled between refills (a warfarin linear query spends
-  // 2 * num_classes server-side pads).
-  int paillier_pads = 24;
-  // Pads computed per filler pass; small so a draining server abandons a
-  // refill within one modexp of the stop flag.
-  int refill_batch = 8;
   // Pre-garbled circuits kept per disclosure key, and how many distinct
   // keys the GC pool tracks before LRU eviction. Depth 0 disables the
   // pool.
@@ -125,57 +110,32 @@ class GcPool {
   Stats stats_;
 };
 
-// True when PAFS_NO_POOL is set to a nonzero value: both ends then run
-// every Encrypt/Rerandomize online, keeping the unpooled path covered.
+// True when PAFS_NO_POOL is set to a nonzero value: both ends then garble
+// and extend OTs online, keeping the unpooled path covered.
 bool PoolsDisabledByEnv();
 
 class SessionPrecompute {
  public:
   SessionPrecompute(const PrecomputeConfig& config, uint64_t seed);
 
-  bool enabled() const { return config_.enabled; }
-
-  // The Paillier pad pool for client modulus n, created on first use and
-  // rebuilt if the announced modulus ever changes. Null when disabled.
-  // Returned by shared_ptr so the caller's pool survives a concurrent
-  // rebuild for a different modulus (the caller must not assume the pool
-  // is still the session's current one).
-  std::shared_ptr<PaillierPadPool> PadsFor(const BigInt& n);
-
   // The GC and OT pools, created once at construction. Null when disabled
   // (master switch, PAFS_NO_POOL, or zero depth).
   GcPool* gc_pool() { return gc_pool_.get(); }
   OtSenderPadPool* ot_pads() { return ot_pads_.get(); }
 
-  // Per-pass counts, split by material kind (ServerStats attribution).
-  struct RefillCounts {
-    size_t paillier = 0;
-    size_t gc = 0;
-  };
-
-  // True when a filler pass would add material (Paillier or GC; OT
-  // materialization is the server task's job — it needs the OT stream).
+  // True when a filler pass would garble (OT materialization is the
+  // server task's job — it needs the OT stream).
   bool NeedsRefill() const;
-  // One bounded refill pass (filler task body); polls `stop` between
-  // Paillier pads and garbles at most one circuit. Returns the number of
-  // items added; `counts`, when non-null, gets the per-kind split.
-  size_t RefillStep(const std::atomic<bool>* stop,
-                    RefillCounts* counts = nullptr);
+  // One bounded refill pass (filler task body): garbles at most one
+  // circuit unless `stop` is set. Returns the number of circuits added.
+  size_t RefillStep(const std::atomic<bool>* stop);
 
-  // Pool contents for the session's resumption snapshot. Serializes the
-  // modulus alongside the pads so Restore can rebuild the pool before the
-  // resumed session re-announces it; GC and OT pool contents follow.
+  // GC and OT pool contents for the session's resumption snapshot.
   void Serialize(ByteWriter& w) const;
   void Restore(ByteReader& r);
 
-  // Aggregated Paillier pool stats (zeroes when no pool exists yet).
-  PaillierPadPool::Stats stats() const;
-
  private:
-  PrecomputeConfig config_;
-  Rng fill_rng_;  // Dedicated: server pads have no determinism constraint.
-  mutable std::mutex mu_;  // Guards the pool_ pointer, not its contents.
-  std::shared_ptr<PaillierPadPool> pool_;
+  Rng fill_rng_;  // Dedicated: garbling seeds have no determinism constraint.
   std::unique_ptr<GcPool> gc_pool_;
   std::unique_ptr<OtSenderPadPool> ot_pads_;
 };

@@ -164,7 +164,7 @@ ClassificationServer::Session::Session(uint64_t id,
       framed(std::make_unique<FramedChannel>(*socket)),
       rng(seed ^ (id * 0x9E3779B97F4A7C15ull)),
       last_activity(std::chrono::steady_clock::now()),
-      // Distinct stream from the protocol rng: pad bases drawn by fillers
+      // Distinct stream from the protocol rng: garbling seeds drawn by fillers
       // must never perturb the protocol's deterministic draw sequence.
       precompute(pads, seed ^ (id * 0xA24BAED4963EE407ull)) {
   // Arm the whole channel stack with this session's token: the watchdog
@@ -192,14 +192,11 @@ ClassificationServer::ClassificationServer(ServingModel model,
   if (config_.resume_cache_entries == 0 || ResumeDisabledByEnv()) {
     config_.enable_resumption = false;
   }
-  config_.pool_pad_depth = std::max(config_.pool_pad_depth, 0);
-  config_.pool_refill_batch = std::max(config_.pool_refill_batch, 1);
   config_.gc_pool_depth = std::max(config_.gc_pool_depth, 0);
   config_.gc_pool_max_keys = std::max(config_.gc_pool_max_keys, 1);
   config_.ot_pool_depth = std::max(config_.ot_pool_depth, 0);
   config_.batch_max_records = std::max(config_.batch_max_records, 1);
-  if ((config_.pool_pad_depth == 0 && config_.gc_pool_depth == 0 &&
-       config_.ot_pool_depth == 0) ||
+  if ((config_.gc_pool_depth == 0 && config_.ot_pool_depth == 0) ||
       PoolsDisabledByEnv()) {
     config_.enable_pools = false;
   }
@@ -218,7 +215,7 @@ ClassificationServer::ClassificationServer(ServingModel model,
         setup.features, setup.num_classes,
         PlaceholderDisclosure(setup.plan_features));
   } else if (setup.classifier == ClassifierKind::kLinear) {
-    linear_spec_ = std::make_unique<SecureLinearProtocol>(
+    linear_spec_ = std::make_unique<SecureLinearAbyProtocol>(
         setup.features, setup.num_classes,
         PlaceholderDisclosure(setup.plan_features));
   }
@@ -307,8 +304,6 @@ void ClassificationServer::AdmitSession(std::unique_ptr<SocketChannel> socket) {
     socket->set_recv_timeout_seconds(config_.recv_timeout_seconds);
     PrecomputeConfig pads;
     pads.enabled = config_.enable_pools;
-    pads.paillier_pads = config_.pool_pad_depth;
-    pads.refill_batch = config_.pool_refill_batch;
     // Pre-garbled material is half-gates-shaped; a classic-scheme model
     // would never take from the pool, so don't fill it either.
     pads.gc_depth = model_.setup.scheme == GarblingScheme::kHalfGates
@@ -443,11 +438,10 @@ void ClassificationServer::ServeSession(const std::shared_ptr<Session>& s) {
 
 void ClassificationServer::FillerStep(const std::shared_ptr<Session>& s) {
   obs::SetThreadParty("server");
-  // The modexps/garbles run outside every lock; the pools' internal locks
-  // keep an overlapping query's TryTake safe, and the single-filler
-  // invariant (Session::filling) keeps the fill rng race-free.
-  SessionPrecompute::RefillCounts counts;
-  size_t added = s->precompute.RefillStep(&stop_fill_, &counts);
+  // The garbles run outside every lock; the pools' internal locks keep an
+  // overlapping query's TryTake safe, and the single-filler invariant
+  // (Session::filling) keeps the fill rng race-free.
+  size_t added = s->precompute.RefillStep(&stop_fill_);
   // Materialize parked OT columns — the other half of the offline work.
   // try_lock only: the OT stream belongs to a live query when ot_mu is
   // held, and that query materializes at its own start anyway.
@@ -463,8 +457,7 @@ void ClassificationServer::FillerStep(const std::shared_ptr<Session>& s) {
   bool again = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.pool_pads_precomputed += counts.paillier;
-    stats_.gc_pregarbled += counts.gc;
+    stats_.gc_pregarbled += added;
     stats_.ot_pads_precomputed += ot_added;
     // Keep going only while the session is still registered and idle: a
     // query in flight reschedules its own filler when it finishes, and a
@@ -602,12 +595,6 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
   const std::vector<std::vector<int>> keys =
       RecvRequest(qch, setup, batch, config_.batch_max_records);
   const size_t n = keys.size();
-  // The linear protocol is Paillier-phase-driven, not a GC exchange, so it
-  // has no batched shape: the server declines, and the client sends linear
-  // rows as single queries.
-  if (batch && linear_spec_ != nullptr) {
-    throw ProtocolError("serve: batch not supported for linear sessions");
-  }
   // Admission ack: the request was read and a worker is running it. The
   // shed path answers the same slot in the conversation with kBusy, so a
   // client always learns its request's fate from this one frame.
@@ -623,66 +610,67 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
       std::lock_guard<std::mutex> lock(mu_);
       stats_.ot_pads_precomputed += added;
     }
-    if (linear_spec_ != nullptr) {
-      // Wire the session's precompute pool in: the server only learns the
-      // client's modulus inside phase 0, hence the callback. Pads filled by
-      // idle workers make the bias encryption and per-class
-      // rerandomization single multiplies; a dry pool degrades to the
-      // online modexp per op.
-      Session* session = &s;
-      PaillierPoolFn pool_for = [session](const BigInt& modulus) {
-        return session->precompute.PadsFor(modulus);
-      };
-      linear_spec_->RunServer(qch, model_.linear,
-                              DisclosureMap(setup.plan_features, keys[0]),
-                              s.ot, s.rng, setup.scheme, pool_for);
-    } else {
-      // Resolve each record's circuit. Tree/forest records with the same
-      // disclosure key share one SpecData (one circuit, one garbler-bits
-      // encoding, one prelude on the wire); the client derives the same
-      // first-occurrence order from its own rows, so no index frames are
-      // needed. NB records share the session-wide circuit (one pool key)
-      // but each fold their disclosure values into their own garbler bits.
-      GcPool* gc_pool = setup.scheme == GarblingScheme::kHalfGates
-                            ? s.precompute.gc_pool()
-                            : nullptr;
-      const std::vector<int> nb_key;
-      if (gc_pool != nullptr && nb_spec_ != nullptr) {
-        gc_pool->RegisterKey(nb_key, std::shared_ptr<const Circuit>(
-                                     std::shared_ptr<const Circuit>(),
-                                     &nb_spec_->circuit()));
-      }
-      std::vector<std::shared_ptr<Session::SpecData>> specs(n);
-      std::vector<BitVec> nb_bits(n);
-      std::vector<GcGarbleItem> items(n);
-      std::vector<GarbledCircuit> pre(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (nb_spec_ != nullptr) {
-          nb_bits[i] = nb_spec_->EncodeModel(
-              model_.nb, DisclosureMap(setup.plan_features, keys[i]));
-          items[i] = {&nb_spec_->circuit(), &nb_bits[i]};
-        } else {
-          specs[i] = SpecFor(s, keys[i]);
-          if (std::find(keys.begin(), keys.begin() + i, keys[i]) ==
-              keys.begin() + i) {
-            SendCircuitPrelude(qch, *specs[i]->layout, *specs[i]->circuit);
-          }
-          items[i] = {specs[i]->circuit, &specs[i]->garbler_bits};
+    // Resolve each record's circuit. Tree/forest records with the same
+    // disclosure key share one SpecData (one circuit, one garbler-bits
+    // encoding, one prelude on the wire); the client derives the same
+    // first-occurrence order from its own rows, so no index frames are
+    // needed. NB and linear records share the session-wide circuit (one
+    // pool key) but each fold their disclosure values into their own
+    // garbler bits; linear records also append their phase-1 OT messages.
+    GcPool* gc_pool = setup.scheme == GarblingScheme::kHalfGates
+                          ? s.precompute.gc_pool()
+                          : nullptr;
+    const Circuit* session_circuit =
+        nb_spec_ != nullptr       ? &nb_spec_->circuit()
+        : linear_spec_ != nullptr ? &linear_spec_->argmax_circuit()
+                                  : nullptr;
+    const std::vector<int> session_key;
+    if (gc_pool != nullptr && session_circuit != nullptr) {
+      gc_pool->RegisterKey(session_key, std::shared_ptr<const Circuit>(
+                                            std::shared_ptr<const Circuit>(),
+                                            session_circuit));
+    }
+    std::vector<std::shared_ptr<Session::SpecData>> specs(n);
+    std::vector<BitVec> garbler_bits(n);
+    std::vector<std::array<Block, 2>> messages;
+    std::vector<GcGarbleItem> items(n);
+    std::vector<GarbledCircuit> pre(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (nb_spec_ != nullptr) {
+        garbler_bits[i] = nb_spec_->EncodeModel(
+            model_.nb, DisclosureMap(setup.plan_features, keys[i]));
+        items[i] = {session_circuit, &garbler_bits[i]};
+      } else if (linear_spec_ != nullptr) {
+        std::vector<std::array<Block, 2>> shares = linear_spec_->ShareMessages(
+            model_.linear, DisclosureMap(setup.plan_features, keys[i]), s.rng,
+            &garbler_bits[i]);
+        messages.insert(messages.end(), shares.begin(), shares.end());
+        items[i] = {session_circuit, &garbler_bits[i]};
+      } else {
+        specs[i] = SpecFor(s, keys[i]);
+        if (std::find(keys.begin(), keys.begin() + i, keys[i]) ==
+            keys.begin() + i) {
+          SendCircuitPrelude(qch, *specs[i]->layout, *specs[i]->circuit);
         }
-        const std::vector<int>& pool_key =
-            nb_spec_ != nullptr ? nb_key : keys[i];
-        if (gc_pool != nullptr && gc_pool->TryTake(pool_key, &pre[i])) {
-          items[i].pregarbled = &pre[i];
-        }
+        items[i] = {specs[i]->circuit, &specs[i]->garbler_bits};
       }
-      std::vector<BitVec> outputs =
-          GcRunGarblerBatch(qch, items, s.ot, s.rng, setup.scheme,
-                            ThreadPool::Global(), ot_pads);
-      // The outputs are the client's report: a forged class index fails
-      // the session typed.
-      for (const BitVec& out : outputs) {
-        (void)DecodeClassIndex(out, setup.num_classes);
+      const std::vector<int>& pool_key =
+          session_circuit != nullptr ? session_key : keys[i];
+      if (gc_pool != nullptr && gc_pool->TryTake(pool_key, &pre[i])) {
+        items[i].pregarbled = &pre[i];
       }
+    }
+    // Base OTs on the session's first request, ahead of linear phase 1
+    // (one correlated OT per message, all records at once).
+    if (!s.ot.is_setup()) s.ot.Setup(qch, s.rng);
+    if (!messages.empty()) PooledOtSend(qch, s.ot, messages, ot_pads);
+    std::vector<BitVec> outputs =
+        GcRunGarblerBatch(qch, items, s.ot, s.rng, setup.scheme,
+                          ThreadPool::Global(), ot_pads);
+    // The outputs are the client's report: a forged class index fails the
+    // session typed.
+    for (const BitVec& out : outputs) {
+      (void)DecodeClassIndex(out, setup.num_classes);
     }
     ServerOtRefillTail(s, qch);
   }
@@ -970,8 +958,8 @@ void ClassificationServer::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_) return;
     draining_ = true;
-    // Fillers poll this between pads, so the longest a drain waits on
-    // background precompute is one modexp.
+    // Fillers poll this between passes, so the longest a drain waits on
+    // background precompute is one garble.
     stop_fill_.store(true, std::memory_order_relaxed);
   }
   // Refuse new connects and take the listener out of the loop.

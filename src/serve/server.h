@@ -50,7 +50,7 @@
 #include "ot/iknp.h"
 #include "serve/model.h"
 #include "serve/precompute.h"
-#include "smc/secure_linear.h"
+#include "smc/secure_linear_aby.h"
 #include "smc/secure_nb.h"
 #include "util/parallel.h"
 
@@ -106,15 +106,11 @@ struct ServerConfig {
   // cancelled via its session's CancellationToken (typed kCancelled to
   // the peer, pool slot freed deterministically). 0 disables.
   double query_budget_seconds = 0;
-  // Offline/online split (DESIGN.md): idle workers precompute per-session
-  // Paillier pads between queries so the online linear protocol spends one
-  // multiply per pad instead of a modexp. PAFS_NO_POOL=1 force-disables.
+  // Offline/online split (DESIGN.md): idle workers pre-garble circuits and
+  // expand OT pads per session between queries, so the online protocol
+  // finds its input-independent material ready. PAFS_NO_POOL=1
+  // force-disables.
   bool enable_pools = true;
-  // Target pad depth per linear session (PrecomputeConfig::paillier_pads).
-  int pool_pad_depth = 24;
-  // Pads per filler pass; small batches keep the drain wait bounded by a
-  // single modexp past the stop flag.
-  int pool_refill_batch = 8;
   // Pre-garbled circuits kept per disclosure set per session (GcPool); a
   // warm entry removes the whole online Garble from a query's critical
   // path. 0 disables (falls back to online garbling). Half-gates only —
@@ -146,7 +142,7 @@ struct ServerStats {
   uint64_t replay_hits = 0;     // Retried queries served from transcript.
   uint64_t resyncs = 0;         // Retries whose transcript was gone.
   uint64_t queries_cancelled = 0;  // Watchdog budget kills.
-  uint64_t pool_pads_precomputed = 0;  // Paillier pads filled by fillers.
+  uint64_t pool_pads_precomputed = 0;  // Always 0 since wire v5.
   uint64_t gc_pregarbled = 0;       // Circuits garbled offline by fillers.
   uint64_t ot_pads_precomputed = 0;  // Random OTs materialized offline.
   uint64_t batches_served = 0;       // kBatch requests executed live.
@@ -281,8 +277,7 @@ class ClassificationServer {
   // OT extension matrix, one circuit prelude per distinct disclosure set,
   // pre-garbled circuits from the GC pool when warm), recording the
   // transcript for at-most-once replay and refreshing the session's
-  // resume-cache entry. A single query is the N = 1 case; linear sessions
-  // only take that case.
+  // resume-cache entry. A single query is the N = 1 case.
   void ExecuteRequest(Session& session, Channel& channel, uint64_t query_id,
                       bool batch);
   // The session's cached spec for a disclosure set (tree/forest), built on
@@ -319,7 +314,7 @@ class ClassificationServer {
   // Disclosure-set-only circuit specs shared by all sessions (the plan is
   // fixed, so the layout is too); tree/forest specialize per query.
   std::unique_ptr<SecureNbCircuit> nb_spec_;
-  std::unique_ptr<SecureLinearProtocol> linear_spec_;
+  std::unique_ptr<SecureLinearAbyProtocol> linear_spec_;
 
   std::optional<SocketListener> listener_;
   std::unique_ptr<EventLoop> loop_;

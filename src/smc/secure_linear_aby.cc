@@ -1,7 +1,5 @@
 #include "smc/secure_linear_aby.h"
 
-#include <array>
-
 #include "circuit/builder.h"
 #include "smc/secure_linear.h"
 #include "util/check.h"
@@ -45,27 +43,18 @@ int SecureLinearAbyProtocol::NumProductOts() const {
   return slots * num_classes_;
 }
 
-SmcRunStats SecureLinearAbyProtocol::RunServer(
-    Channel& channel, const LinearModel& model,
-    const std::map<int, int>& disclosed, OtExtSender& ot, Rng& rng,
-    GarblingScheme scheme) const {
-  Timer timer;
-  uint64_t bytes_before = channel.stats().bytes_sent;
-  uint64_t rounds_before = channel.stats().direction_flips;
-  // Cancellation checkpoint before the expensive phases (base OTs, then
-  // the correlated-OT fan-out); see gc/protocol.cc for the idiom.
-  channel.ThrowIfCancelled("linear server setup");
-  if (!ot.is_setup()) ot.Setup(channel, rng);
-
+std::vector<std::array<Block, 2>> SecureLinearAbyProtocol::ShareMessages(
+    const LinearModel& model, const std::map<int, int>& disclosed, Rng& rng,
+    BitVec* garbler_bits) const {
   auto fixed_weights = model.FixedWeights(kSmcScale);
   auto fixed_bias = model.FixedBias(kSmcScale);
 
-  // Phase 1: one correlated OT (r, r + w) per (class, one-hot slot). The
-  // server's share of score_c starts from the folded bias and subtracts
-  // every correlation mask r (mod 2^32).
+  // One correlated OT (r, r + w) per (class, one-hot slot). The server's
+  // share of score_c starts from the folded bias and subtracts every
+  // correlation mask r (mod 2^32).
   std::vector<std::array<Block, 2>> messages;
   messages.reserve(NumProductOts());
-  std::vector<uint32_t> server_shares(num_classes_);
+  *garbler_bits = BitVec(0);
   for (int c = 0; c < num_classes_; ++c) {
     int64_t bias = fixed_bias[c];
     for (const auto& [feature, value] : disclosed) {
@@ -82,16 +71,60 @@ SmcRunStats SecureLinearAbyProtocol::RunServer(
         share -= r;
       }
     }
-    server_shares[c] = share;
+    AppendSigned(*garbler_bits, static_cast<int32_t>(share), kLinearScoreBits);
   }
-  if (!messages.empty()) ot.Send(channel, messages);
+  return messages;
+}
 
-  // Phase 2: garbled argmax over the reconstructed scores.
-  BitVec garbler_bits(0);
+BitVec SecureLinearAbyProtocol::Choices(const std::vector<int>& row) const {
+  // The one-hot indicators, repeated per class (matching the server's
+  // message order).
+  BitVec choices(0);
   for (int c = 0; c < num_classes_; ++c) {
-    AppendSigned(garbler_bits, static_cast<int32_t>(server_shares[c]),
+    for (int h = 0; h < layout_.num_hidden(); ++h) {
+      int value = row[layout_.hidden_features()[h]];
+      for (int v = 0; v < layout_.cardinality(h); ++v) {
+        choices.PushBack(v == value);
+      }
+    }
+  }
+  return choices;
+}
+
+BitVec SecureLinearAbyProtocol::EvaluatorBits(
+    const std::vector<Block>& received) const {
+  PAFS_CHECK_EQ(received.size(), static_cast<size_t>(NumProductOts()));
+  const size_t slots = received.size() / num_classes_;
+  BitVec evaluator_bits(0);
+  size_t cursor = 0;
+  for (int c = 0; c < num_classes_; ++c) {
+    uint32_t share = 0;
+    for (size_t s = 0; s < slots; ++s) {
+      share += static_cast<uint32_t>(received[cursor++].lo);
+    }
+    AppendSigned(evaluator_bits, static_cast<int32_t>(share),
                  kLinearScoreBits);
   }
+  return evaluator_bits;
+}
+
+SmcRunStats SecureLinearAbyProtocol::RunServer(
+    Channel& channel, const LinearModel& model,
+    const std::map<int, int>& disclosed, OtExtSender& ot, Rng& rng,
+    GarblingScheme scheme) const {
+  Timer timer;
+  uint64_t bytes_before = channel.stats().bytes_sent;
+  uint64_t rounds_before = channel.stats().direction_flips;
+  // Cancellation checkpoint before the correlated-OT fan-out; see
+  // gc/protocol.cc for the idiom.
+  channel.ThrowIfCancelled("linear server phase 1");
+
+  // Phase 1: the correlated OTs. Phase 2: garbled argmax over the
+  // reconstructed scores.
+  BitVec garbler_bits;
+  std::vector<std::array<Block, 2>> messages =
+      ShareMessages(model, disclosed, rng, &garbler_bits);
+  if (!messages.empty()) ot.Send(channel, messages);
   BitVec out = GcRunGarbler(channel, circuit_, garbler_bits, ot, rng, scheme);
 
   SmcRunStats stats;
@@ -110,36 +143,11 @@ SmcRunStats SecureLinearAbyProtocol::RunClient(Channel& channel,
   Timer timer;
   uint64_t bytes_before = channel.stats().bytes_sent;
   uint64_t rounds_before = channel.stats().direction_flips;
-  if (!ot.is_setup()) ot.Setup(channel, rng);
 
-  // Choice bits: the one-hot indicators, repeated per class (matching the
-  // server's message order).
-  BitVec choices(0);
-  for (int c = 0; c < num_classes_; ++c) {
-    for (int h = 0; h < layout_.num_hidden(); ++h) {
-      int value = row[layout_.hidden_features()[h]];
-      for (int v = 0; v < layout_.cardinality(h); ++v) {
-        choices.PushBack(v == value);
-      }
-    }
-  }
-  std::vector<uint32_t> client_shares(num_classes_, 0);
-  if (choices.size() > 0) {
-    std::vector<Block> received = ot.Recv(channel, choices);
-    size_t cursor = 0;
-    int slots = static_cast<int>(choices.size()) / num_classes_;
-    for (int c = 0; c < num_classes_; ++c) {
-      for (int s = 0; s < slots; ++s) {
-        client_shares[c] += static_cast<uint32_t>(received[cursor++].lo);
-      }
-    }
-  }
-
-  BitVec evaluator_bits(0);
-  for (int c = 0; c < num_classes_; ++c) {
-    AppendSigned(evaluator_bits, static_cast<int32_t>(client_shares[c]),
-                 kLinearScoreBits);
-  }
+  BitVec choices = Choices(row);
+  std::vector<Block> received;
+  if (choices.size() > 0) received = ot.Recv(channel, choices);
+  BitVec evaluator_bits = EvaluatorBits(received);
   BitVec out =
       GcRunEvaluator(channel, circuit_, evaluator_bits, ot, rng, scheme);
 

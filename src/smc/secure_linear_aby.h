@@ -13,10 +13,14 @@
 // adder over the two 32-bit shares (two's complement handles negatives).
 //
 // Experiment F16 compares this against the Paillier hybrid: identical
-// predictions, symmetric-crypto-only compute.
+// predictions, symmetric-crypto-only compute. The serving layer runs the
+// per-record pieces (ShareMessages / Choices / EvaluatorBits) inside its
+// batched executors, on pooled OTs and a pre-garbled argmax; RunServer and
+// RunClient are the same pieces over plain OT extension.
 #ifndef PAFS_SMC_SECURE_LINEAR_ABY_H_
 #define PAFS_SMC_SECURE_LINEAR_ABY_H_
 
+#include <array>
 #include <map>
 
 #include "circuit/circuit.h"
@@ -41,6 +45,21 @@ class SecureLinearAbyProtocol {
   // OTs consumed by phase 1 per query (classes x sum of hidden cards).
   int NumProductOts() const;
 
+  // Server piece: one record's phase-1 OT messages (r, r + w), one per
+  // (class, hidden one-hot slot) in Choices() order, with the r drawn from
+  // `rng`. `garbler_bits` gets the server's score shares (folded bias minus
+  // the masks) encoded for the argmax circuit.
+  std::vector<std::array<Block, 2>> ShareMessages(
+      const LinearModel& model, const std::map<int, int>& disclosed, Rng& rng,
+      BitVec* garbler_bits) const;
+  // Client pieces: the phase-1 choice bits for `row` (its one-hot hidden
+  // indicators, repeated per class), and the argmax circuit's evaluator
+  // bits from the NumProductOts() received OT outputs.
+  BitVec Choices(const std::vector<int>& row) const;
+  BitVec EvaluatorBits(const std::vector<Block>& received) const;
+
+  // In-process runners (F16, tests): the pieces above over ot.Send/Recv,
+  // then the garbled argmax. Both OT endpoints must already be Setup.
   SmcRunStats RunServer(Channel& channel, const LinearModel& model,
                         const std::map<int, int>& disclosed, OtExtSender& ot,
                         Rng& rng,

@@ -235,7 +235,6 @@ serve::SessionSetup ReferenceSetup() {
   serve::SessionSetup setup;
   setup.classifier = ClassifierKind::kNaiveBayes;
   setup.scheme = GarblingScheme::kHalfGates;
-  setup.paillier_bits = 512;
   setup.num_classes = 3;
   setup.features = {{"age", 4, false},
                     {"dose", 8, false},

@@ -16,7 +16,6 @@
 
 #include "circuit/builder.h"
 #include "core/pipeline.h"
-#include "crypto/paillier_pool.h"
 #include "data/warfarin_gen.h"
 #include "gc/garble.h"
 #include "gc/protocol.h"
@@ -27,12 +26,13 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ot/iknp.h"
+#include "ot/ot_pool.h"
 #include "serve/client.h"
 #include "serve/model.h"
 #include "serve/precompute.h"
 #include "serve/server.h"
 #include "smc/secure_forest.h"
-#include "smc/secure_linear.h"
+#include "smc/secure_linear_aby.h"
 #include "smc/secure_nb.h"
 #include "smc/secure_tree.h"
 #include "util/random.h"
@@ -113,6 +113,26 @@ SmcRunStats RunRawGcClient(Channel& ch, const serve::SessionSetup& setup,
   return SecureNbRunClient(ch, spec, row, ot, rng, setup.scheme);
 }
 
+// The serving linear client, built from SecureLinearAbyProtocol's pieces:
+// base OTs on the session's first request, phase 1 on correlated OTs
+// (pooled when `pads` holds enough), then the garbled argmax. Returns the
+// decoded class.
+int RunRawLinearClient(Channel& ch, const serve::SessionSetup& setup,
+                       const std::vector<int>& row, OtExtReceiver& ot,
+                       Rng& rng, OtReceiverPadPool* pads = nullptr) {
+  std::map<int, int> key_map;
+  for (int f : setup.plan_features) key_map.emplace(f, 0);
+  SecureLinearAbyProtocol spec(setup.features, setup.num_classes, key_map);
+  if (!ot.is_setup()) ot.Setup(ch, rng);
+  BitVec choices = spec.Choices(row);
+  std::vector<Block> received;
+  if (choices.size() > 0) received = PooledOtRecv(ch, ot, choices, pads);
+  BitVec evaluator_bits = spec.EvaluatorBits(received);
+  BitVec out = GcRunEvaluator(ch, spec.argmax_circuit(), evaluator_bits, ot,
+                              rng, setup.scheme, nullptr, pads);
+  return serve::DecodeClassIndex(out, setup.num_classes);
+}
+
 // Channel decorator that forges the evaluator's output report as all-ones.
 // The report goes out as a u64 bit count, a u64 byte count, then the
 // bytes; the decorator matches it by that header, which no other frame
@@ -173,7 +193,7 @@ class ServeTest : public ::testing::Test {
     PipelineConfig config;
     config.classifier = kind;
     config.risk_budget = 0.08;
-    config.paillier_bits = 256;  // Keep kLinear keygen test-sized.
+    config.paillier_bits = 256;  // Keep the pipeline's kLinear keygen small.
     return std::make_unique<SecureClassificationPipeline>(data_, config);
   }
 
@@ -232,7 +252,7 @@ TEST_F(ServeTest, UnixDomainEndToEnd) {
 
 TEST_F(ServeTest, EveryClassifierKindServes) {
   // One query per remaining kind: covers the tree/forest per-query
-  // specialization and the client-side lazy Paillier keygen.
+  // specialization and the linear arm of the shared item loop.
   for (ClassifierKind kind :
        {ClassifierKind::kDecisionTree, ClassifierKind::kLinear,
         ClassifierKind::kForest}) {
@@ -817,7 +837,7 @@ TEST_F(ServeTest, ForgedOutputReportFailsSessionTyped) {
   // server process every other session lives in.
   for (ClassifierKind kind :
        {ClassifierKind::kNaiveBayes, ClassifierKind::kDecisionTree,
-        ClassifierKind::kForest}) {
+        ClassifierKind::kLinear, ClassifierKind::kForest}) {
     SCOPED_TRACE(ClassifierName(kind));
     auto pipeline = MakePipeline(kind);
     ClassificationServer server(ServingModel::FromPipeline(*pipeline),
@@ -842,7 +862,11 @@ TEST_F(ServeTest, ForgedOutputReportFailsSessionTyped) {
           }
           EXPECT_EQ(forged.RecvU64(),
                     static_cast<uint64_t>(serve::ReplyStatus::kOk));
-          RunRawGcClient(forged, setup, kind, row, ot, rng);
+          if (kind == ClassifierKind::kLinear) {
+            RunRawLinearClient(forged, setup, row, ot, rng);
+          } else {
+            RunRawGcClient(forged, setup, kind, row, ot, rng);
+          }
           forged.SendU64(0);  // Refill tail; the server has hung up.
           (void)forged.RecvU64();
         },
@@ -987,33 +1011,35 @@ TEST_F(ServeTest, ResumeDisabledClientAlwaysFullHandshakes) {
 }
 
 TEST_F(ServeTest, PooledLinearServingHitsPoolAndStaysCorrect) {
-  // Offline/online split through the whole serving stack: query 1 creates
-  // the session's pad pool (the modulus arrives in phase 0), idle workers
-  // fill it between queries, and query 2's Paillier randomness comes out
-  // of the pool on both ends — verified by the telemetry counters.
+  // Offline/online split through the whole serving stack on the linear
+  // path: query 1 registers the session's argmax circuit with the GC pool
+  // and stocks both ends' OT pad pools through the refill tail; idle
+  // workers pre-garble and expand between queries, so query 2 spends
+  // pooled OTs (phase 1 and argmax labels) and a pre-garbled argmax —
+  // verified by the telemetry counters.
   if (serve::PoolsDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_POOL set";
   PafsTelemetry::Enable();
   auto pipeline = MakePipeline(ClassifierKind::kLinear);
-  ServerConfig config;
-  config.pool_pad_depth = 16;
-  config.pool_refill_batch = 4;
-  ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
+  ClassificationServer server(ServingModel::FromPipeline(*pipeline),
+                              ServerConfig{});
   server.Start();
 
   ClassificationClient client(ClientFor(server));
   const std::vector<int>& row = data_.row(7);
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
-  ASSERT_TRUE(WaitFor(
-      [&] { return server.stats().pool_pads_precomputed >= 16; }));
+  ASSERT_TRUE(WaitFor([&] {
+    return server.stats().gc_pregarbled >= 1 &&
+           server.stats().ot_pads_precomputed >= 1;
+  }));
 
-  obs::Counter& hits = obs::GetCounter("paillier.pool.hit");
-  uint64_t hits_before = hits.value();
+  obs::Counter& ot_hits = obs::GetCounter("ot.pool.hit");
+  obs::Counter& gc_hits = obs::GetCounter("gc.pool.hit");
+  uint64_t ot_hits_before = ot_hits.value();
+  uint64_t gc_hits_before = gc_hits.value();
   const std::vector<int>& row2 = data_.row(207);
   EXPECT_EQ(client.Classify(row2), pipeline->PlaintextPredict(row2));
-  // Server pads for query 2: one encrypt + one rerandomize per class (the
-  // client's own pooled phase-1 hits land on top of these).
-  uint64_t server_pads = 2u * static_cast<uint64_t>(client.setup().num_classes);
-  EXPECT_GE(hits.value(), hits_before + server_pads);
+  EXPECT_GT(ot_hits.value(), ot_hits_before);
+  EXPECT_GT(gc_hits.value(), gc_hits_before);
 
   client.Close();
   server.Stop();
@@ -1033,75 +1059,48 @@ TEST_F(ServeTest, PoolsDisabledByConfigStillServes) {
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
   client.Close();
   server.Stop();
-  EXPECT_EQ(server.stats().pool_pads_precomputed, 0u);
+  EXPECT_EQ(server.stats().gc_pregarbled, 0u);
+  EXPECT_EQ(server.stats().ot_pads_precomputed, 0u);
   EXPECT_EQ(server.stats().sessions_failed, 0u);
 }
 
 TEST_F(ServeTest, StopMidRefillDrainsCleanly) {
-  // Drain vs. background filler (the TSan target): a pad target far past
-  // what one inter-query gap can fill guarantees a refill is in flight
-  // when Stop() lands. The stop flag is polled between pads, so the drain
-  // must come back without waiting for the full target.
+  // Drain vs. background filler (the TSan target): GC and OT pool targets
+  // far past what one inter-query gap can fill guarantee a filler is in
+  // flight when Stop() lands. The stop flag is polled between garbles, so
+  // the drain must come back without waiting for the full target.
   auto pipeline = MakePipeline(ClassifierKind::kLinear);
   ServerConfig config;
-  config.pool_pad_depth = 4096;
-  config.pool_refill_batch = 64;
+  config.gc_pool_depth = 1 << 20;
+  config.ot_pool_depth = 1 << 16;
   ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
   server.Start();
-  ClassificationClient client(ClientFor(server));
+  ClientConfig cc = ClientFor(server);
+  cc.ot_pool_depth = 1 << 16;  // Ask the refill tail for a large grant.
+  ClassificationClient client(cc);
   const std::vector<int>& row = data_.row(3);
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
   // The filler kicked off when the session went idle; stop under it.
   server.Stop();
   EXPECT_FALSE(server.running());
-  EXPECT_LT(server.stats().pool_pads_precomputed, 4096u);
+  EXPECT_LT(server.stats().gc_pregarbled, uint64_t{1} << 20);
   client.Close();
 }
 
-TEST(SessionPrecomputeTest, ModulusSwapDuringRefillKeepsOldPoolAlive) {
-  // Regression: RefillStep runs the long Refill outside the session lock,
-  // and a query announcing a different modulus (untrusted wire data, e.g.
-  // a key-rotating client) replaces the pool concurrently. The filler's
-  // shared_ptr copy must keep the displaced pool alive for the rest of its
-  // pass — the old raw-pointer copy was a use-after-free under this loop
-  // (caught by ASan/TSan).
-  Rng rng(5);
-  PaillierKeyPair k1 = GeneratePaillierKey(rng, 256);
-  PaillierKeyPair k2 = GeneratePaillierKey(rng, 256);
-  serve::PrecomputeConfig config;
-  config.paillier_pads = 64;
-  config.refill_batch = 64;
-  serve::SessionPrecompute pre(config, 77);
-  if (!pre.enabled()) GTEST_SKIP() << "PAFS_NO_POOL set";
-  pre.PadsFor(k1.public_key.n());
-
-  std::atomic<bool> stop{false};
-  std::thread filler([&] {
-    while (!stop.load(std::memory_order_relaxed)) pre.RefillStep(&stop);
-  });
-  for (int i = 0; i < 24; ++i) {
-    std::shared_ptr<PaillierPadPool> pool =
-        pre.PadsFor(i % 2 ? k2.public_key.n() : k1.public_key.n());
-    ASSERT_NE(pool, nullptr);
-    BigInt pad;
-    pool->TryTake(&pad);  // The query-side pointer must stay valid too.
-  }
-  stop.store(true);
-  filler.join();
-}
-
 TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
-  // The pool determinism contract, enforced by the server itself: the
-  // original query runs POOLED (pads drawn right after the snapshot), the
-  // retry reruns it UNPOOLED from the restored snapshot. The server
-  // replays the recorded transcript and fails the session on the first
-  // diverging byte — so this passes only if pooled and inline encryption
-  // are bit-identical over the same rng stream.
+  // At-most-once on the pooled linear path, enforced by the server itself:
+  // a raw client built from the protocol pieces spends pooled OT pads in
+  // query 2, loses the reply, restores its post-query-1 snapshot (pads
+  // included) and retries the same id. The server replays the recorded
+  // transcript and fails the session on the first diverging byte — so this
+  // passes only if the restored pads reproduce the original corrections.
+  const bool pooled = !serve::PoolsDisabledByEnv();
   auto pipeline = MakePipeline(ClassifierKind::kLinear);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
                               ServerConfig{});
   server.Start();
   const std::vector<int>& row = data_.row(5);
+  const std::vector<int>& row2 = data_.row(402);
 
   auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
   socket->set_recv_timeout_seconds(30 * kTimeScale);
@@ -1109,52 +1108,63 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
   std::vector<uint8_t> ticket;
   serve::SessionSetup setup = RawHandshake(framed, &ticket);
   ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
-  std::map<int, int> key_map;
-  for (int f : setup.plan_features) key_map.emplace(f, 0);
-  SecureLinearProtocol spec(setup.features, setup.num_classes, key_map);
-  Rng key_rng(0x4E75);
-  PaillierKeyPair keys = GeneratePaillierKey(key_rng, setup.paillier_bits);
 
+  auto run_query = [&](FramedChannel& ch, uint64_t id,
+                       const std::vector<int>& r_row, OtExtReceiver& o,
+                       Rng& r, OtReceiverPadPool& pads) {
+    ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+    ch.SendU64(id);
+    for (int f : setup.plan_features) {
+      ch.SendU64(static_cast<uint64_t>(r_row[f]));
+    }
+    EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+    int pred = RunRawLinearClient(ch, setup, r_row, o, r, &pads);
+    // The v4 refill tail: ask for the pool's deficit, absorb the grant.
+    uint64_t wanted = pads.Deficit();
+    ch.SendU64(wanted);
+    uint64_t granted = ch.RecvU64();
+    EXPECT_LE(granted, wanted);
+    if (granted > 0) pads.Append(o.RecvRandom(ch, r, granted));
+    EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+    return pred;
+  };
+
+  // Query 1 runs unpooled and stocks both ends' pad pools.
   OtExtReceiver ot;
   Rng rng(0xABCD);
+  OtReceiverPadPool pads(4096);
+  EXPECT_EQ(run_query(framed, 1, row, ot, rng, pads),
+            pipeline->PlaintextPredict(row));
+  if (pooled) {
+    EXPECT_EQ(pads.depth(), 4096u);
+  }
+
+  // Snapshot the post-query-1 client state — exactly what a crashed
+  // client would restore before retrying query 2.
   std::vector<uint8_t> ot_snapshot = ot.Serialize();
   std::vector<uint8_t> rng_snapshot;
+  std::vector<uint8_t> pads_snapshot;
   {
     ByteWriter writer(&rng_snapshot);
     rng.Serialize(writer);
+    ByteWriter pads_writer(&pads_snapshot);
+    pads.Serialize(pads_writer);
   }
+  int first = run_query(framed, 2, row2, ot, rng, pads);
+  EXPECT_EQ(first, pipeline->PlaintextPredict(row2));
+  if (pooled) {
+    EXPECT_GT(pads.stats().hits, 0u);
+  }
+  ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 2; }));
 
-  auto run_query = [&](FramedChannel& ch, OtExtReceiver& o, Rng& r,
-                       PaillierPadPool* pool) {
-    ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
-    ch.SendU64(1);  // Same id both times: this is "the" query.
-    for (int f : setup.plan_features) {
-      ch.SendU64(static_cast<uint64_t>(row[f]));
-    }
-    EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-    SmcRunStats stats =
-        spec.RunClient(ch, keys, row, o, r, setup.scheme, pool);
-    // The v4 refill tail (unpooled raw client: ask 0, granted 0).
-    ch.SendU64(0);
-    EXPECT_EQ(ch.RecvU64(), 0u);
-    EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-    return stats;
-  };
-
-  // Original: pooled, pads drawn post-snapshot in FIFO order.
-  PaillierPadPool pool(keys.public_key,
-                       static_cast<size_t>(spec.NumClientCiphertexts()));
-  pool.Refill(rng, static_cast<size_t>(spec.NumClientCiphertexts()));
-  SmcRunStats first = run_query(framed, ot, rng, &pool);
-  EXPECT_EQ(pool.stats().misses, 0u);
-  ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 1; }));
-
-  // "Crash": rewind to the snapshot and retry the same id with the ticket,
-  // this time with no pool — every pad base is drawn inline.
+  // "Crash": rewind to the snapshot and retry query 2 with the ticket.
   socket->Close();
   OtExtReceiver ot_retry = OtExtReceiver::Deserialize(ot_snapshot);
   ByteReader rng_reader(rng_snapshot);
   Rng rng_retry = Rng::Deserialize(rng_reader);
+  OtReceiverPadPool pads_retry(4096);
+  ByteReader pads_reader(pads_snapshot);
+  pads_retry.Restore(pads_reader);
   auto socket2 = SocketConnect(server.address(), 2.0 * kTimeScale);
   socket2->set_recv_timeout_seconds(30 * kTimeScale);
   FramedChannel framed2(*socket2);
@@ -1165,50 +1175,60 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
             static_cast<uint64_t>(serve::ReplyStatus::kResumed));
   (void)serve::RecvTicketFrame(framed2);
 
-  SmcRunStats retry = run_query(framed2, ot_retry, rng_retry, nullptr);
-  EXPECT_EQ(retry.predicted_class, first.predicted_class);
+  int retry = run_query(framed2, 2, row2, ot_retry, rng_retry, pads_retry);
+  EXPECT_EQ(retry, first);
+  if (pooled) {
+    EXPECT_GT(pads_retry.stats().hits, 0u);
+  }
   ASSERT_TRUE(WaitFor([&] { return server.stats().replay_hits >= 1; }));
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.replay_hits, 1u);
-  // Executed exactly once; a divergence would have failed the retry's
-  // recvs above instead of replaying to completion.
-  EXPECT_EQ(stats.queries_served, 1u);
+  // Query 2 executed exactly once; a divergence would have failed the
+  // retry's recvs above instead of replaying to completion.
+  EXPECT_EQ(stats.queries_served, 2u);
 }
 
 TEST_F(ServeTest, ResumedSessionCarriesPrecomputedPads) {
-  // The pool snapshot rides the resumption ticket: after a crash-like
-  // reconnect, the restored session's first query still finds the pads
-  // the fillers computed before the drop.
+  // The pool snapshot rides the resumption ticket on the linear path too:
+  // after a crash-like reconnect, the restored session's first query still
+  // finds the pre-garbled argmax and the OT pads computed before the drop.
   if (serve::PoolsDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_POOL set";
   PafsTelemetry::Enable();
   auto pipeline = MakePipeline(ClassifierKind::kLinear);
   ServerConfig config;
-  config.pool_pad_depth = 12;
+  config.gc_pool_depth = 2;
   ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
   server.Start();
 
   ClassificationClient client(ClientFor(server));
   const std::vector<int>& row = data_.row(42);
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
-  // Wait for the filler to stock the pool, then one more query so the
-  // resume snapshot (refreshed post-query) includes a non-empty pool.
-  ASSERT_TRUE(WaitFor(
-      [&] { return server.stats().pool_pads_precomputed >= 12; }));
+  // Wait for the fillers to stock the pools, then one more query so the
+  // resume snapshot (refreshed post-query) includes non-empty pools.
+  ASSERT_TRUE(WaitFor([&] {
+    return server.stats().gc_pregarbled >= 2 &&
+           server.stats().ot_pads_precomputed >= 1;
+  }));
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
   ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 2; }));
 
+  obs::Counter& gc_hits = obs::GetCounter("gc.pool.hit");
+  obs::Counter& gc_misses = obs::GetCounter("gc.pool.miss");
+  obs::Counter& ot_hits = obs::GetCounter("ot.pool.hit");
+  obs::Counter& ot_misses = obs::GetCounter("ot.pool.miss");
+  uint64_t gc_hits_before = gc_hits.value();
+  uint64_t gc_misses_before = gc_misses.value();
+  uint64_t ot_hits_before = ot_hits.value();
+  uint64_t ot_misses_before = ot_misses.value();
+
   client.DropConnection();
-  obs::Counter& hits = obs::GetCounter("paillier.pool.hit");
-  obs::Counter& misses = obs::GetCounter("paillier.pool.miss");
-  uint64_t hits_before = hits.value();
-  uint64_t misses_before = misses.value();
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
   EXPECT_EQ(client.resumes(), 1u);
-  // The resumed query's server pads came from the restored pool — enough
-  // pads survived the snapshot on both ends that nothing ran online.
-  uint64_t server_pads = 2u * static_cast<uint64_t>(client.setup().num_classes);
-  EXPECT_GE(hits.value(), hits_before + server_pads);
-  EXPECT_EQ(misses.value(), misses_before);
+  // The resumed query's argmax and every OT came out of the restored pools.
+  EXPECT_GT(gc_hits.value(), gc_hits_before);
+  EXPECT_EQ(gc_misses.value(), gc_misses_before);
+  EXPECT_GT(ot_hits.value(), ot_hits_before);
+  EXPECT_EQ(ot_misses.value(), ot_misses_before);
   client.Close();
   server.Stop();
   PafsTelemetry::Disable();
@@ -1254,18 +1274,11 @@ TEST_F(ServeTest, BatchMatchesPlaintextAcrossClassifiers) {
     EXPECT_GT(stats.bytes, 0u);
     EXPECT_GT(stats.and_gates, 0u) << ClassifierName(kind);
 
-    if (kind == ClassifierKind::kLinear) {
-      // Linear rows go out as single queries, one per row.
-      ASSERT_TRUE(WaitFor(
-          [&] { return server.stats().queries_served >= rows.size(); }));
-      EXPECT_EQ(server.stats().batches_served, 0u);
-    } else {
-      // One kBatch request carried all seven records.
-      ASSERT_TRUE(WaitFor([&] { return server.stats().batches_served >= 1; }));
-      ServerStats ss = server.stats();
-      EXPECT_EQ(ss.batches_served, 1u);
-      EXPECT_EQ(ss.batch_records, rows.size());
-    }
+    // One kBatch request carried all seven records.
+    ASSERT_TRUE(WaitFor([&] { return server.stats().batches_served >= 1; }));
+    ServerStats ss = server.stats();
+    EXPECT_EQ(ss.batches_served, 1u) << ClassifierName(kind);
+    EXPECT_EQ(ss.batch_records, rows.size()) << ClassifierName(kind);
 
     // A batch answers exactly as per-row queries do, and a one-row batch
     // reports the same circuit size as the query for that row.
@@ -1309,9 +1322,9 @@ TEST_F(ServeTest, BatchChunksAtClientCap) {
   EXPECT_EQ(server.stats().sessions_failed, 0u);
 }
 
-TEST_F(ServeTest, LinearBatchFallsBackPerRow) {
-  // The Paillier protocol has no batched shape; ClassifyBatch on a linear
-  // session must transparently run per-row queries instead.
+TEST_F(ServeTest, LinearBatchRunsAsOneExchange) {
+  // Linear rows batch like the GC kinds: every record's phase-1 OTs go in
+  // one correlated transfer and every argmax in one garbled exchange.
   auto pipeline = MakePipeline(ClassifierKind::kLinear);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
                               ServerConfig{});
@@ -1327,10 +1340,14 @@ TEST_F(ServeTest, LinearBatchFallsBackPerRow) {
     EXPECT_EQ(preds[i], pipeline->PlaintextPredict(rows[i]));
   }
   EXPECT_GT(stats.bytes, 0u);
-  ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 3; }));
-  EXPECT_EQ(server.stats().batches_served, 0u);
+  ASSERT_TRUE(WaitFor([&] { return server.stats().batches_served >= 1; }));
+  ServerStats ss = server.stats();
+  EXPECT_EQ(ss.batches_served, 1u);
+  EXPECT_EQ(ss.batch_records, rows.size());
+  EXPECT_EQ(ss.queries_served, 1u);
   client.Close();
   server.Stop();
+  EXPECT_EQ(server.stats().sessions_failed, 0u);
 }
 
 TEST_F(ServeTest, OversizedBatchHeaderFailsTyped) {

@@ -42,6 +42,14 @@ class SmcTest : public ::testing::Test {
     return out;
   }
 
+  // Base OTs on the fixture's endpoints, for runners that take them set up.
+  void SetUpOt() {
+    std::thread peer(
+        [&] { ot_sender_.Setup(channel_.endpoint(0), server_rng_); });
+    ot_receiver_.Setup(channel_.endpoint(1), client_rng_);
+    peer.join();
+  }
+
   Rng rng_;
   Dataset data_;
   NaiveBayes nb_;
@@ -340,6 +348,7 @@ TEST_F(SmcTest, SecureLinearWithDisclosure) {
 
 TEST_F(SmcTest, AbyLinearMatchesFixedPointPlaintext) {
   SecureLinearAbyProtocol protocol(data_.features(), data_.num_classes(), {});
+  SetUpOt();
   for (size_t i = 0; i < 8; ++i) {
     const std::vector<int>& row = data_.row(i * 83);
     SmcRunStats server_stats, client_stats;
@@ -376,6 +385,7 @@ TEST_F(SmcTest, AbyLinearWithDisclosureAgreesWithPaillierHybrid) {
   PaillierKeyPair keys = GeneratePaillierKey(key_rng, 256);
   std::vector<int> disclosure = {WarfarinSchema::kAge, WarfarinSchema::kRace,
                                  WarfarinSchema::kWeight};
+  SetUpOt();
   for (size_t i = 0; i < 4; ++i) {
     const std::vector<int>& row = data_.row(i * 139);
     std::map<int, int> disclosed = DiscloseFor(row, disclosure);
