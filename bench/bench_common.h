@@ -6,14 +6,18 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "core/selection.h"
 #include "data/hypertension_gen.h"
 #include "data/warfarin_gen.h"
+#include "net/channel.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "serve/engine.h"
 #include "util/random.h"
 
 namespace pafs::bench {
@@ -89,6 +93,38 @@ inline const std::vector<ClassifierKind>& AllClassifiers() {
       ClassifierKind::kDecisionTree, ClassifierKind::kNaiveBayes,
       ClassifierKind::kLinear};
   return kAll;
+}
+
+// A deployable model over `data`'s schema with `plan` disclosed; the
+// caller fills in the trained model for `kind`.
+inline serve::ServingModel SchemaModel(const Dataset& data, ClassifierKind kind,
+                                       std::vector<int> plan = {}) {
+  serve::ServingModel model;
+  model.setup.features = data.features();
+  model.setup.num_classes = data.num_classes();
+  model.setup.classifier = kind;
+  model.setup.plan_features = std::move(plan);
+  return model;
+}
+
+// One secure classification of `row` through the serving protocol drivers
+// with both parties in this process: the garbler on a second thread over
+// channel end 0, the evaluator here over end 1. Base OTs run on the
+// sessions' first query; null pools keep it fully online.
+inline serve::EvaluatorResult RunDrivers(
+    MemChannelPair& channel, const serve::GarblerDriver& garbler,
+    const serve::GarblerSession& garbler_session,
+    const serve::EvaluatorDriver& evaluator,
+    const serve::EvaluatorSession& evaluator_session,
+    const std::vector<int>& row) {
+  std::vector<int> key;
+  for (int f : evaluator.setup().plan_features) key.push_back(row[f]);
+  std::thread server(
+      [&] { garbler.Run(channel.endpoint(0), {key}, garbler_session); });
+  serve::EvaluatorResult result =
+      evaluator.Run(channel.endpoint(1), {row}, evaluator_session);
+  server.join();
+  return result;
 }
 
 }  // namespace pafs::bench

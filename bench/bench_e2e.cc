@@ -3,8 +3,9 @@
 // input-independent — Paillier keygen, the 128 base OTs, and the r^n
 // pad pool — has been hoisted into an offline phase. Two protocols:
 //
-//   forest  garbled-circuit only. Offline = base-OT Setup; online = one
-//           warm SecureForest query. cold_query_ms re-times the pre-split
+//   forest  garbled-circuit only, through the serving protocol drivers
+//           (serve/engine.h), unpooled. Offline = base-OT Setup; online =
+//           one warm forest query. cold_query_ms re-times the pre-split
 //           shape (fresh OT session per query, base OTs inside the timed
 //           region) for comparison against the historical
 //           forest_query_ms baseline in BENCH_kernels.json.
@@ -77,12 +78,15 @@ ForestSplit RunForest(const E2eOptions& opt) {
   // cohort) so cold_query_ms lines up with the historical baseline.
   Rng rng(21);
   Dataset train = GenerateWarfarinCohort(2000, rng);
-  RandomForest forest;
   ForestParams params;
   params.num_trees = 9;
   params.tree.max_depth = 6;
-  forest.Train(train, params, rng);
-  SecureForestCircuit spec(forest, train.features(), train.num_classes(), {});
+  serve::ServingModel model =
+      bench::SchemaModel(train, ClassifierKind::kForest);
+  model.forest.Train(train, params, rng);
+  serve::GarblerDriver garbler(model, model.setup.plan_features);
+  serve::EvaluatorDriver evaluator(model.setup);
+  serve::SpecMap specs;
 
   ForestSplit r;
 
@@ -96,16 +100,12 @@ ForestSplit RunForest(const E2eOptions& opt) {
     Rng rng_g(1), rng_e(2);
     const std::vector<int>& row = train.row(7);
     Timer timer;
-    std::thread server([&] {
-      SecureForestRunServer(channel.endpoint(0), spec, forest, s, rng_g);
-    });
-    SmcRunStats stats =
-        SecureForestRunClient(channel.endpoint(1), train.features(),
-                              train.num_classes(), row, recv, rng_e);
-    server.join();
+    serve::EvaluatorResult result = bench::RunDrivers(
+        channel, garbler, serve::GarblerSession{s, rng_g, specs}, evaluator,
+        serve::EvaluatorSession{recv, rng_e}, row);
     double ms = timer.ElapsedMillis();
     if (i == 0 || ms < r.cold_query_ms) r.cold_query_ms = ms;
-    if (stats.predicted_class != forest.Predict(row)) ++r.mismatches;
+    if (result.classes[0] != model.forest.Predict(row)) ++r.mismatches;
   }
 
   // Offline once, then only transfer+garble+evaluate per query.
@@ -118,17 +118,13 @@ ForestSplit RunForest(const E2eOptions& opt) {
   for (int i = 0; i < opt.reps; ++i) {
     const std::vector<int>& row = train.row((7 + i * 211) % train.size());
     Timer timer;
-    std::thread server([&] {
-      SecureForestRunServer(channel.endpoint(0), spec, forest, sender, rng_g);
-    });
-    SmcRunStats stats =
-        SecureForestRunClient(channel.endpoint(1), train.features(),
-                              train.num_classes(), row, receiver, rng_e);
-    server.join();
+    serve::EvaluatorResult result = bench::RunDrivers(
+        channel, garbler, serve::GarblerSession{sender, rng_g, specs},
+        evaluator, serve::EvaluatorSession{receiver, rng_e}, row);
     double ms = timer.ElapsedMillis();
     sum += ms;
     if (i == 0 || ms < r.online_query_ms) r.online_query_ms = ms;
-    if (stats.predicted_class != forest.Predict(row)) ++r.mismatches;
+    if (result.classes[0] != model.forest.Predict(row)) ++r.mismatches;
   }
   r.online_mean_ms = sum / opt.reps;
   return r;
@@ -332,8 +328,8 @@ LinearSplit RunLinear(const E2eOptions& opt) {
 
   LinearSplit r;
 
-  // Offline phase, piece by piece. 512-bit keys match the serving-layer
-  // default (core/pipeline.h).
+  // Offline phase, piece by piece. 512-bit keys match the size the cost
+  // model prices (PipelineConfig::paillier_bits).
   Rng key_rng(0x0FF1);
   Timer keygen_timer;
   PaillierKeyPair keys = GeneratePaillierKey(key_rng, 512);

@@ -23,9 +23,17 @@ struct BackendRun {
   uint64_t rounds = 0;
 };
 
-BackendRun RunGc(const SecureNbCircuit& spec, const NaiveBayes& nb,
+BackendRun RunGc(const NaiveBayes& nb, const Dataset& cohort,
                  const std::map<int, int>& disclosed,
                  const std::vector<int>& row) {
+  std::vector<int> plan;
+  for (const auto& [f, v] : disclosed) plan.push_back(f);
+  serve::ServingModel model =
+      SchemaModel(cohort, ClassifierKind::kNaiveBayes, plan);
+  model.nb = nb;
+  serve::GarblerDriver garbler(model, model.setup.plan_features);
+  serve::EvaluatorDriver evaluator(model.setup);
+  serve::SpecMap specs;
   MemChannelPair channel;
   OtExtSender s;
   OtExtReceiver r;
@@ -37,13 +45,8 @@ BackendRun RunGc(const SecureNbCircuit& spec, const NaiveBayes& nb,
   channel.ResetStats();
 
   Timer timer;
-  SmcRunStats server_stats;
-  std::thread server([&] {
-    server_stats = SecureNbRunServer(channel.endpoint(0), spec, nb, disclosed,
-                                     s, rng_g);
-  });
-  SecureNbRunClient(channel.endpoint(1), spec, row, r, rng_e);
-  server.join();
+  RunDrivers(channel, garbler, serve::GarblerSession{s, rng_g, specs},
+             evaluator, serve::EvaluatorSession{r, rng_e}, row);
   return BackendRun{timer.ElapsedMillis(), channel.TotalBytes(),
                     channel.TotalRounds()};
 }
@@ -103,7 +106,7 @@ int main(int argc, char** argv) {
   for (const Scenario& scenario : scenarios) {
     SecureNbCircuit spec(cohort.features(), cohort.num_classes(),
                          scenario.disclosed);
-    BackendRun gc = RunGc(spec, nb, scenario.disclosed, row);
+    BackendRun gc = RunGc(nb, cohort, scenario.disclosed, row);
     BackendRun gmw = RunGmw(spec, nb, scenario.disclosed, row);
     for (const auto& [name, run] :
          {std::pair<const char*, BackendRun>{"GC", gc}, {"GMW", gmw}}) {

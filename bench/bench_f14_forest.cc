@@ -3,8 +3,6 @@
 // cost scales with ensemble size, and (c) that disclosure-driven
 // specialization prunes every member tree, preserving the paper's speedup
 // story for ensembles.
-#include <thread>
-
 #include "bench_common.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
@@ -61,32 +59,27 @@ int main(int argc, char** argv) {
 
   // (b) one measured end-to-end secure forest classification.
   {
-    RandomForest forest;
     ForestParams params;
     params.num_trees = 9;
     params.tree.max_depth = 6;
-    forest.Train(train, params, rng);
+    serve::ServingModel model = SchemaModel(train, ClassifierKind::kForest);
+    model.forest.Train(train, params, rng);
+    serve::GarblerDriver garbler(model, model.setup.plan_features);
+    serve::EvaluatorDriver evaluator(model.setup);
+    serve::SpecMap specs;
     MemChannelPair channel;
     OtExtSender s;
     OtExtReceiver r;
     Rng rng_g(1), rng_e(2);
     const std::vector<int>& row = train.row(7);
-    SecureForestCircuit spec(forest, train.features(), train.num_classes(),
-                             {});
     Timer timer;
-    SmcRunStats server_stats, client_stats;
-    std::thread server([&] {
-      server_stats = SecureForestRunServer(channel.endpoint(0), spec, forest,
-                                           s, rng_g);
-    });
-    client_stats = SecureForestRunClient(channel.endpoint(1),
-                                         train.features(),
-                                         train.num_classes(), row, r, rng_e);
-    server.join();
+    serve::EvaluatorResult result =
+        RunDrivers(channel, garbler, serve::GarblerSession{s, rng_g, specs},
+                   evaluator, serve::EvaluatorSession{r, rng_e}, row);
     std::printf("\nmeasured secure forest (9 trees, pure SMC): %.1f ms, "
                 "%.1f KiB, class %d (plaintext %d)\n",
                 timer.ElapsedMillis(), channel.TotalBytes() / 1024.0,
-                client_stats.predicted_class, forest.Predict(row));
+                result.classes[0], model.forest.Predict(row));
   }
   PrintTelemetryBreakdown();
   return 0;

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "bignum/modmath.h"
 #include "bignum/prime.h"
 #include "circuit/builder.h"
@@ -23,7 +24,6 @@
 #include "net/channel.h"
 #include "ot/iknp.h"
 #include "ot/transpose.h"
-#include "smc/secure_forest.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -196,12 +196,15 @@ double PaillierEncryptPerS() {
 double ForestQueryMs() {
   Rng rng(21);
   Dataset train = GenerateWarfarinCohort(2000, rng);
-  RandomForest forest;
   ForestParams params;
   params.num_trees = 9;
   params.tree.max_depth = 6;
-  forest.Train(train, params, rng);
-  SecureForestCircuit spec(forest, train.features(), train.num_classes(), {});
+  serve::ServingModel model =
+      bench::SchemaModel(train, ClassifierKind::kForest);
+  model.forest.Train(train, params, rng);
+  serve::GarblerDriver garbler(model, model.setup.plan_features);
+  serve::EvaluatorDriver evaluator(model.setup);
+  serve::SpecMap specs;
   const std::vector<int>& row = train.row(7);
 
   double best = 0;
@@ -211,12 +214,8 @@ double ForestQueryMs() {
     OtExtReceiver recv;
     Rng rng_g(1), rng_e(2);
     Timer timer;
-    std::thread server([&] {
-      SecureForestRunServer(channel.endpoint(0), spec, forest, s, rng_g);
-    });
-    SecureForestRunClient(channel.endpoint(1), train.features(),
-                          train.num_classes(), row, recv, rng_e);
-    server.join();
+    bench::RunDrivers(channel, garbler, serve::GarblerSession{s, rng_g, specs},
+                      evaluator, serve::EvaluatorSession{recv, rng_e}, row);
     double ms = timer.ElapsedMillis();
     if (r == 0 || ms < best) best = ms;
   }

@@ -5,9 +5,7 @@
 #include <thread>
 
 #include "bench_common.h"
-#include "ml/naive_bayes.h"
 #include "net/throttle.h"
-#include "smc/secure_nb.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -56,9 +54,12 @@ int main(int argc, char** argv) {
   // one secure NB query over throttled channels, WAN emulated at 20x speed.
   {
     Dataset small = WarfarinCohort(1500);
-    NaiveBayes nb;
-    nb.Train(small);
-    SecureNbCircuit spec(small.features(), small.num_classes(), {});
+    serve::ServingModel model =
+        SchemaModel(small, ClassifierKind::kNaiveBayes);
+    model.nb.Train(small);
+    serve::GarblerDriver garbler(model, model.setup.plan_features);
+    serve::EvaluatorDriver evaluator(model.setup);
+    serve::SpecMap specs;
     MemChannelPair pair;
     const double kScale = 20.0;
     ThrottledChannel server_ch(pair.endpoint(0), WanProfile(), kScale);
@@ -71,15 +72,13 @@ int main(int argc, char** argv) {
     setup.join();
 
     Timer timer;
-    SmcRunStats server_stats;
     std::thread server([&] {
-      server_stats =
-          SecureNbRunServer(server_ch, spec, nb, {}, s, rng_g);
+      garbler.Run(server_ch, {{}}, serve::GarblerSession{s, rng_g, specs});
     });
-    SmcRunStats client_stats =
-        SecureNbRunClient(client_ch, spec, small.row(1), r, rng_e);
+    serve::EvaluatorResult result = evaluator.Run(
+        client_ch, {small.row(1)}, serve::EvaluatorSession{r, rng_e});
     server.join();
-    PAFS_CHECK_EQ(client_stats.predicted_class, nb.Predict(small.row(1)));
+    PAFS_CHECK_EQ(result.classes[0], model.nb.Predict(small.row(1)));
     double measured_ms = timer.ElapsedMillis();
     double emulated_ms = (server_ch.emulated_delay_seconds() +
                           client_ch.emulated_delay_seconds()) *
@@ -111,9 +110,9 @@ int main(int argc, char** argv) {
   }
   std::printf("\nMeasured per-phase breakdown (ms per query, steady "
               "state):\n");
-  std::printf("%-14s %-9s %-9s %-9s %-9s %-10s %-9s %-9s %-9s %-9s %s\n",
-              "classifier", "garble", "eval", "ot.base", "ot.ext", "paillier",
-              "network", "other", "sum", "wall", "coverage");
+  std::printf("%-14s %-9s %-9s %-9s %-9s %-9s %-9s %-9s %-9s %s\n",
+              "classifier", "garble", "eval", "ot.base", "ot.ext", "network",
+              "other", "sum", "wall", "coverage");
   for (ClassifierKind kind : AllClassifiers()) {
     PipelineConfig config;
     config.classifier = kind;
@@ -129,8 +128,8 @@ int main(int argc, char** argv) {
     }
     double wall_ms = timer.ElapsedMillis() / kQueries;
 
-    double garble = 0, eval = 0, ot_base = 0, ot_ext = 0, paillier = 0,
-           network = 0, other = 0;
+    double garble = 0, eval = 0, ot_base = 0, ot_ext = 0, network = 0,
+           other = 0;
     obs::VisitPhases([&](const std::string& party, int depth,
                          const obs::PhaseNode& node) {
       (void)party;
@@ -145,19 +144,17 @@ int main(int argc, char** argv) {
         ot_base += self_ms;
       } else if (node.name.rfind("ot.ext", 0) == 0) {
         ot_ext += self_ms;
-      } else if (node.name.rfind("paillier", 0) == 0) {
-        paillier += self_ms;
       } else if (node.name == "gc.transfer" || node.name == "disclose") {
         network += self_ms;
       } else {
         other += self_ms;  // smc.encode, smc.build, glue.
       }
     });
-    double sum = garble + eval + ot_base + ot_ext + paillier + network + other;
-    std::printf("%-14s %-9.3f %-9.3f %-9.3f %-9.3f %-10.3f %-9.3f %-9.3f "
-                "%-9.3f %-9.3f %.0f%%\n",
-                ClassifierName(kind), garble, eval, ot_base, ot_ext, paillier,
-                network, other, sum, wall_ms, 100.0 * sum / wall_ms);
+    double sum = garble + eval + ot_base + ot_ext + network + other;
+    std::printf("%-14s %-9.3f %-9.3f %-9.3f %-9.3f %-9.3f %-9.3f %-9.3f "
+                "%-9.3f %.0f%%\n",
+                ClassifierName(kind), garble, eval, ot_base, ot_ext, network,
+                other, sum, wall_ms, 100.0 * sum / wall_ms);
     PafsTelemetry::Reset();
   }
   std::printf("\n'network' = serialization onto the in-process channel "

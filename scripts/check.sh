@@ -37,11 +37,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build "$TSAN_BUILD" -j "$(nproc)"
   # The concurrency-bearing suites: socket transport + cross-thread close,
   # event loop + serving layer, chaos watchdogs, thread pool, telemetry,
-  # parallel kernels, concurrent pad-pool refillers (crypto_test), and the
-  # end-to-end serving smoke. The remaining numeric/protocol suites are
-  # single-threaded and covered by the ASan gate.
+  # parallel kernels, concurrent pad-pool refillers (crypto_test), the
+  # pipeline (core_test: both serving drivers on two threads, garbling on
+  # the global pool), and the end-to-end serving smoke. The remaining
+  # numeric/protocol suites are single-threaded and covered by the ASan
+  # gate.
   ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-    -R '^(net_test|serve_test|chaos_test|util_test|obs_test|kernel_test|crypto_test|bench_serving_smoke|bench_serving_smoke_linear|bench_e2e_smoke)$'
+    -R '^(net_test|serve_test|chaos_test|core_test|util_test|obs_test|kernel_test|crypto_test|bench_serving_smoke|bench_serving_smoke_linear|bench_e2e_smoke)$'
   echo "check.sh: tsan green"
   exit 0
 fi

@@ -1,6 +1,5 @@
 #include "core/pipeline.h"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <string>
@@ -8,44 +7,59 @@
 
 #include "net/framing.h"
 #include "obs/trace.h"
-#include "smc/secure_forest.h"
-#include "smc/secure_linear.h"
-#include "smc/secure_nb.h"
-#include "smc/secure_tree.h"
+#include "serve/engine.h"
 #include "util/check.h"
 #include "util/timer.h"
 
 namespace pafs {
 
-// NB / linear circuits depend only on which features are disclosed, so a
-// repeated disclosure set reuses the constructed spec.
-struct SecureClassificationPipeline::SpecCache {
-  std::vector<int> key;  // Sorted disclosure feature ids.
-  bool valid = false;
-  std::unique_ptr<SecureNbCircuit> nb;
-  std::unique_ptr<SecureLinearProtocol> linear;
+// The two parties' drivers over the pipeline's model with one disclosure
+// set as the plan. Tree/forest specs are keyed by disclosure values in
+// plan order, so the spec map belongs to the set too.
+struct SecureClassificationPipeline::Drivers {
+  Drivers(const serve::ServingModel& model, const std::vector<int>& plan)
+      : garbler(model, plan), evaluator(WithPlan(model.setup, plan)) {}
+
+  static serve::SessionSetup WithPlan(serve::SessionSetup setup,
+                                      const std::vector<int>& plan) {
+    setup.plan_features = plan;
+    return setup;
+  }
+
+  const std::vector<int>& plan() const {
+    return evaluator.setup().plan_features;
+  }
+
+  serve::GarblerDriver garbler;
+  serve::EvaluatorDriver evaluator;
+  serve::SpecMap specs;
 };
+
+serve::ServingModel serve::ServingModel::FromPipeline(
+    const SecureClassificationPipeline& p) {
+  return p.model_;
+}
 
 SecureClassificationPipeline::SecureClassificationPipeline(
     const Dataset& train, PipelineConfig config)
     : config_(config),
-      features_(train.features()),
-      num_classes_(train.num_classes()),
-      spec_cache_(std::make_unique<SpecCache>()),
       channel_(std::make_unique<MemChannelPair>()),
       server_rng_(config.seed * 2 + 1),
       client_rng_(config.seed * 2 + 2) {
   if (config.fault_plan.enabled()) {
     fault_injector_ = std::make_unique<FaultInjector>(config.fault_plan);
   }
+  model_.setup.features = train.features();
+  model_.setup.num_classes = train.num_classes();
+  model_.setup.classifier = config.classifier;
   {
     obs::TraceSpan span("train");
-    nb_.Train(train);
-    tree_.Train(train);
-    linear_.Train(train, LinearTrainParams());
+    model_.nb.Train(train);
+    model_.tree.Train(train);
+    model_.linear.Train(train, LinearTrainParams());
     if (config.classifier == ClassifierKind::kForest) {
       Rng forest_rng(config.seed + 17);
-      forest_.Train(train, ForestParams(), forest_rng);
+      model_.forest.Train(train, ForestParams(), forest_rng);
     }
   }
 
@@ -57,12 +71,13 @@ SecureClassificationPipeline::SecureClassificationPipeline(
   } else {
     calibration.paillier_bits = config.paillier_bits;
   }
-  cost_model_ = std::make_unique<SmcCostModel>(features_, num_classes_,
-                                               calibration);
+  cost_model_ = std::make_unique<SmcCostModel>(
+      model_.setup.features, model_.setup.num_classes, calibration);
   selector_ = std::make_unique<DisclosureSelector>(
       train, *cost_model_, config.classifier,
-      config.classifier == ClassifierKind::kDecisionTree ? &tree_ : nullptr,
-      config.classifier == ClassifierKind::kForest ? &forest_ : nullptr);
+      config.classifier == ClassifierKind::kDecisionTree ? &model_.tree
+                                                         : nullptr,
+      config.classifier == ClassifierKind::kForest ? &model_.forest : nullptr);
 
   Timer timer;
   {
@@ -70,11 +85,7 @@ SecureClassificationPipeline::SecureClassificationPipeline(
     plan_ = selector_->SelectGreedy(config.risk_budget);
   }
   selection_seconds_ = timer.ElapsedSeconds();
-
-  if (config.classifier == ClassifierKind::kLinear) {
-    obs::TraceSpan span("paillier.keygen");
-    client_keys_.emplace(GeneratePaillierKey(client_rng_, config.paillier_bits));
-  }
+  model_.setup.plan_features = plan_.features;
 }
 
 SecureClassificationPipeline::~SecureClassificationPipeline() = default;
@@ -83,13 +94,13 @@ int SecureClassificationPipeline::PlaintextPredict(
     const std::vector<int>& row) const {
   switch (config_.classifier) {
     case ClassifierKind::kNaiveBayes:
-      return nb_.Predict(row);
+      return model_.nb.Predict(row);
     case ClassifierKind::kDecisionTree:
-      return tree_.Predict(row);
+      return model_.tree.Predict(row);
     case ClassifierKind::kLinear:
-      return linear_.Predict(row);
+      return model_.linear.Predict(row);
     case ClassifierKind::kForest:
-      return forest_.Predict(row);
+      return model_.forest.Predict(row);
   }
   return -1;
 }
@@ -111,24 +122,8 @@ std::vector<SmcRunStats> SecureClassificationPipeline::ClassifyBatch(
 
 SmcRunStats SecureClassificationPipeline::ClassifyWithDisclosure(
     const std::vector<int>& row, const std::vector<int>& disclosure) {
-  // Refresh the spec cache when the disclosure set changes. The cached
-  // specs use placeholder values (the layout only depends on the keys).
-  std::vector<int> cache_key = disclosure;
-  std::sort(cache_key.begin(), cache_key.end());
-  if (!spec_cache_->valid || spec_cache_->key != cache_key) {
-    std::map<int, int> key_map;
-    for (int f : cache_key) key_map.emplace(f, 0);
-    spec_cache_->nb.reset();
-    spec_cache_->linear.reset();
-    if (config_.classifier == ClassifierKind::kNaiveBayes) {
-      spec_cache_->nb =
-          std::make_unique<SecureNbCircuit>(features_, num_classes_, key_map);
-    } else if (config_.classifier == ClassifierKind::kLinear) {
-      spec_cache_->linear = std::make_unique<SecureLinearProtocol>(
-          features_, num_classes_, key_map);
-    }
-    spec_cache_->key = std::move(cache_key);
-    spec_cache_->valid = true;
+  if (drivers_ == nullptr || drivers_->plan() != disclosure) {
+    drivers_ = std::make_unique<Drivers>(model_, disclosure);
   }
 
   // Supervision: transport faults tear the session down and retry on a
@@ -136,7 +131,7 @@ SmcRunStats SecureClassificationPipeline::ClassifyWithDisclosure(
   // (it is a bug, not an environment failure).
   for (int attempt = 1;; ++attempt) {
     try {
-      return RunProtocolOnce(row, disclosure);
+      return RunProtocolOnce(row);
     } catch (const TransportError& e) {
       static obs::Counter& failures = obs::GetCounter("pipeline.failures");
       failures.Add();
@@ -158,7 +153,9 @@ SmcRunStats SecureClassificationPipeline::ClassifyWithDisclosure(
 }
 
 SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
-    const std::vector<int>& row, const std::vector<int>& disclosure) {
+    const std::vector<int>& row) {
+  const std::vector<int>& disclosure = drivers_->plan();
+  const std::vector<FeatureSpec>& features = model_.setup.features;
   // Per-attempt channel stack. Under fault injection both sides speak CRC
   // framing (so mangled frames become typed errors, not silent garbage)
   // and the client side additionally passes through the injector.
@@ -191,68 +188,28 @@ SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
   // party tags its thread so spans land in the right phase tree; the root
   // classify spans absorb the time each side spends blocked on the other
   // as self-time, keeping the leaf phases double-count free.
-  SmcRunStats server_stats, client_stats;
+  std::vector<int> server_classes;
+  serve::EvaluatorResult client_result;
   std::exception_ptr server_error, client_error;
   std::thread server([&] {
     obs::SetThreadParty("server");
     obs::TraceSpan root("classify");
     try {
-      std::map<int, int> disclosed;
+      std::vector<int> key;
       for (int f : disclosure) {
         uint64_t v = server_channel->RecvU64();
         // Disclosed values are wire data: validate against the schema
         // before they parameterize model specialization.
-        if (v >= static_cast<uint64_t>(features_[f].cardinality)) {
+        if (v >= static_cast<uint64_t>(features[f].cardinality)) {
           throw ProtocolError("pipeline: disclosed value " +
                               std::to_string(v) + " out of range for " +
-                              features_[f].name);
+                              features[f].name);
         }
-        disclosed[f] = static_cast<int>(v);
+        key.push_back(static_cast<int>(v));
       }
-      switch (config_.classifier) {
-        case ClassifierKind::kNaiveBayes: {
-          server_stats = SecureNbRunServer(*server_channel, *spec_cache_->nb,
-                                           nb_, disclosed, ot_sender_,
-                                           server_rng_, config_.scheme);
-          break;
-        }
-        case ClassifierKind::kDecisionTree: {
-          std::unique_ptr<DecisionTree> specialized;
-          std::unique_ptr<SecureTreeCircuit> spec;
-          {
-            obs::TraceSpan build("smc.build");
-            specialized =
-                std::make_unique<DecisionTree>(tree_.Specialize(disclosed));
-            spec = std::make_unique<SecureTreeCircuit>(
-                *specialized, features_, num_classes_, disclosed);
-          }
-          server_stats = SecureTreeRunServer(*server_channel, *spec,
-                                             *specialized, ot_sender_,
-                                             server_rng_, config_.scheme);
-          break;
-        }
-        case ClassifierKind::kLinear: {
-          server_stats = spec_cache_->linear->RunServer(
-              *server_channel, linear_, disclosed, ot_sender_, server_rng_,
-              config_.scheme);
-          break;
-        }
-        case ClassifierKind::kForest: {
-          std::unique_ptr<RandomForest> specialized;
-          std::unique_ptr<SecureForestCircuit> spec;
-          {
-            obs::TraceSpan build("smc.build");
-            specialized =
-                std::make_unique<RandomForest>(forest_.Specialize(disclosed));
-            spec = std::make_unique<SecureForestCircuit>(
-                *specialized, features_, num_classes_, disclosed);
-          }
-          server_stats = SecureForestRunServer(*server_channel, *spec,
-                                               *specialized, ot_sender_,
-                                               server_rng_, config_.scheme);
-          break;
-        }
-      }
+      server_classes = drivers_->garbler.Run(
+          *server_channel, {key},
+          serve::GarblerSession{ot_sender_, server_rng_, drivers_->specs});
     } catch (...) {
       server_error = std::current_exception();
       channel_->Close();  // Unblock the peer; it fails with kClosed.
@@ -268,32 +225,9 @@ SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
         client_channel->SendU64(static_cast<uint64_t>(row[f]));
       }
     }
-    switch (config_.classifier) {
-      case ClassifierKind::kNaiveBayes: {
-        client_stats = SecureNbRunClient(*client_channel, *spec_cache_->nb,
-                                         row, ot_receiver_, client_rng_,
-                                         config_.scheme);
-        break;
-      }
-      case ClassifierKind::kDecisionTree: {
-        client_stats = SecureTreeRunClient(*client_channel, features_,
-                                           num_classes_, row, ot_receiver_,
-                                           client_rng_, config_.scheme);
-        break;
-      }
-      case ClassifierKind::kLinear: {
-        client_stats = spec_cache_->linear->RunClient(
-            *client_channel, *client_keys_, row, ot_receiver_, client_rng_,
-            config_.scheme);
-        break;
-      }
-      case ClassifierKind::kForest: {
-        client_stats = SecureForestRunClient(*client_channel, features_,
-                                             num_classes_, row, ot_receiver_,
-                                             client_rng_, config_.scheme);
-        break;
-      }
-    }
+    client_result = drivers_->evaluator.Run(
+        *client_channel, {row},
+        serve::EvaluatorSession{ot_receiver_, client_rng_});
   } catch (...) {
     client_error = std::current_exception();
     channel_->Close();
@@ -324,8 +258,10 @@ SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
                                : client_error);
   }
 
-  PAFS_CHECK_EQ(server_stats.predicted_class, client_stats.predicted_class);
-  SmcRunStats stats = client_stats;
+  PAFS_CHECK_EQ(server_classes[0], client_result.classes[0]);
+  SmcRunStats stats;
+  stats.predicted_class = client_result.classes[0];
+  stats.and_gates = client_result.and_gates;
   stats.bytes = channel_->TotalBytes() - bytes_before;
   stats.rounds = channel_->TotalRounds() - rounds_before;
   stats.wall_seconds = timer.ElapsedSeconds();

@@ -4,25 +4,25 @@
 //   2. Select the disclosure plan under the privacy budget (src/core).
 //   3. Per patient: client reveals the plan's features in plaintext, the
 //      server specializes the model, and the residual secure protocol
-//      (src/smc) classifies the hidden remainder.
+//      classifies the hidden remainder.
 //
 // The pipeline runs both parties in-process on two threads over the
-// simulated network, measuring real compute and exact traffic.
+// simulated network, measuring real compute and exact traffic. Step 3 is
+// the serving engine's two protocol drivers (serve/engine.h) with no
+// pools: the same online path an unpooled server and client run.
 #ifndef PAFS_CORE_PIPELINE_H_
 #define PAFS_CORE_PIPELINE_H_
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 
 #include "core/selection.h"
-#include "crypto/paillier.h"
-#include "gc/protocol.h"
 #include "ml/linear_model.h"
 #include "ml/naive_bayes.h"
 #include "net/channel.h"
 #include "net/fault.h"
 #include "ot/iknp.h"
+#include "serve/model.h"
 #include "smc/common.h"
 #include "util/random.h"
 
@@ -31,8 +31,9 @@ namespace pafs {
 struct PipelineConfig {
   ClassifierKind classifier = ClassifierKind::kNaiveBayes;
   double risk_budget = 0.05;  // Max posterior lift for any sensitive attr.
-  int paillier_bits = 512;    // Linear-protocol key size.
-  GarblingScheme scheme = GarblingScheme::kHalfGates;
+  // Paillier modulus size the cost model prices the linear protocol at
+  // (and CostCalibration::Measure times); no key is generated.
+  int paillier_bits = 512;
   bool measure_calibration = false;  // Defaults are fine for tests.
   uint64_t seed = 42;
 
@@ -69,14 +70,16 @@ class SecureClassificationPipeline {
   // Schema and configuration, exposed so the serving layer (src/serve) can
   // lift a trained pipeline into a deployable ServingModel.
   const PipelineConfig& config() const { return config_; }
-  const std::vector<FeatureSpec>& features() const { return features_; }
-  int num_classes() const { return num_classes_; }
+  const std::vector<FeatureSpec>& features() const {
+    return model_.setup.features;
+  }
+  int num_classes() const { return model_.setup.num_classes; }
 
   // Secure classification of one patient row: runs both parties, returns
   // the client-observed stats (bytes/rounds cover the whole exchange).
   SmcRunStats Classify(const std::vector<int>& row);
   // Classifies a batch of rows; returns per-row stats. The OT session and
-  // (for NB/linear) the circuit specs amortize across the batch.
+  // the circuit specs amortize across the batch.
   std::vector<SmcRunStats> ClassifyBatch(
       const std::vector<std::vector<int>>& rows);
   // Like Classify but with an explicit disclosure set (e.g. empty set =
@@ -93,35 +96,32 @@ class SecureClassificationPipeline {
     return fault_injector_ ? fault_injector_->injected() : 0;
   }
 
-  const NaiveBayes& naive_bayes() const { return nb_; }
-  const DecisionTree& tree() const { return tree_; }
-  const LinearModel& linear() const { return linear_; }
-  const RandomForest& forest() const { return forest_; }
+  const NaiveBayes& naive_bayes() const { return model_.nb; }
+  const DecisionTree& tree() const { return model_.tree; }
+  const LinearModel& linear() const { return model_.linear; }
+  const RandomForest& forest() const { return model_.forest; }
 
  private:
-  PipelineConfig config_;
-  std::vector<FeatureSpec> features_;
-  int num_classes_;
+  friend struct serve::ServingModel;  // FromPipeline copies model_.
 
-  NaiveBayes nb_;
-  DecisionTree tree_;
-  LinearModel linear_;
-  RandomForest forest_;  // Trained only for ClassifierKind::kForest.
+  PipelineConfig config_;
+  // The trained models, with the schema and the selected plan as setup.
+  // The forest is trained only for ClassifierKind::kForest.
+  serve::ServingModel model_;
 
   std::unique_ptr<SmcCostModel> cost_model_;
   std::unique_ptr<DisclosureSelector> selector_;
   DisclosurePlan plan_;
   double selection_seconds_ = 0;
 
-  // Circuit-spec caches for the disclosure-set-only protocols (NB and the
-  // linear argmax): rebuilt only when the disclosure set changes.
-  struct SpecCache;
-  std::unique_ptr<SpecCache> spec_cache_;
+  // The protocol drivers for the last disclosure set used, rebuilt only
+  // when the set changes.
+  struct Drivers;
+  std::unique_ptr<Drivers> drivers_;
 
-  // One protocol attempt over the current session; throws TransportError
-  // on channel/peer faults.
-  SmcRunStats RunProtocolOnce(const std::vector<int>& row,
-                              const std::vector<int>& disclosure);
+  // One protocol attempt over the current session with the current
+  // drivers; throws TransportError on channel/peer faults.
+  SmcRunStats RunProtocolOnce(const std::vector<int>& row);
   // Discards the (possibly wedged) session: fresh channel pair, fresh OT
   // endpoints. Base OTs re-run on the next attempt.
   void ResetSession();
@@ -136,7 +136,6 @@ class SecureClassificationPipeline {
   OtExtReceiver ot_receiver_;
   Rng server_rng_;
   Rng client_rng_;
-  std::optional<PaillierKeyPair> client_keys_;
 };
 
 }  // namespace pafs

@@ -368,21 +368,16 @@ std::vector<BitVec> GcRunEvaluatorBatch(Channel& channel,
 
 BitVec GcRunGarbler(Channel& channel, const Circuit& circuit,
                     const BitVec& garbler_bits, OtExtSender& ot, Rng& rng,
-                    GarblingScheme scheme, ThreadPool* pool,
-                    GarbledCircuit* pregarbled, OtSenderPadPool* ot_pads) {
-  std::vector<GcGarbleItem> items = {
-      GcGarbleItem{&circuit, &garbler_bits, pregarbled}};
-  return GcRunGarblerBatch(channel, items, ot, rng, scheme, pool,
-                           ot_pads)[0];
+                    GarblingScheme scheme, ThreadPool* pool) {
+  std::vector<GcGarbleItem> items = {GcGarbleItem{&circuit, &garbler_bits}};
+  return GcRunGarblerBatch(channel, items, ot, rng, scheme, pool)[0];
 }
 
 BitVec GcRunEvaluator(Channel& channel, const Circuit& circuit,
                       const BitVec& evaluator_bits, OtExtReceiver& ot,
-                      Rng& rng, GarblingScheme scheme, ThreadPool* pool,
-                      OtReceiverPadPool* ot_pads) {
+                      Rng& rng, GarblingScheme scheme, ThreadPool* pool) {
   std::vector<GcEvalItem> items = {GcEvalItem{&circuit, &evaluator_bits}};
-  return GcRunEvaluatorBatch(channel, items, ot, rng, scheme, pool,
-                             ot_pads)[0];
+  return GcRunEvaluatorBatch(channel, items, ot, rng, scheme, pool)[0];
 }
 
 }  // namespace pafs

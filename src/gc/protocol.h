@@ -130,20 +130,18 @@ std::vector<BitVec> GcRunEvaluatorBatch(
     Rng& rng, GarblingScheme scheme = GarblingScheme::kHalfGates,
     ThreadPool* pool = nullptr, OtReceiverPadPool* ot_pads = nullptr);
 
-// Single-circuit wrappers (1-item batches, same wire format).
+// Single-circuit wrappers (1-item batches, same wire format), fully
+// online: a fresh garble and an unpooled label OT.
 BitVec GcRunGarbler(Channel& channel, const Circuit& circuit,
                     const BitVec& garbler_bits, OtExtSender& ot, Rng& rng,
                     GarblingScheme scheme = GarblingScheme::kHalfGates,
-                    ThreadPool* pool = nullptr,
-                    GarbledCircuit* pregarbled = nullptr,
-                    OtSenderPadPool* ot_pads = nullptr);
+                    ThreadPool* pool = nullptr);
 
 BitVec GcRunEvaluator(Channel& channel, const Circuit& circuit,
                       const BitVec& evaluator_bits, OtExtReceiver& ot,
                       Rng& rng,
                       GarblingScheme scheme = GarblingScheme::kHalfGates,
-                      ThreadPool* pool = nullptr,
-                      OtReceiverPadPool* ot_pads = nullptr);
+                      ThreadPool* pool = nullptr);
 
 }  // namespace pafs
 

@@ -24,9 +24,10 @@
 #include "privacy/chow_liu.h"        // Adversary model.
 #include "privacy/inference_attack.h"
 #include "privacy/risk.h"            // Disclosure risk metrics.
+#include "serve/engine.h"            // Protocol drivers, one per party.
 #include "sharing/gmw.h"             // GMW backend.
 #include "smc/cost_model.h"          // SMC cost prediction.
-#include "smc/secure_forest.h"       // Secure protocols.
+#include "smc/secure_forest.h"       // Secure classifier circuits.
 #include "smc/secure_linear.h"
 #include "smc/secure_linear_aby.h"   // OT-based linear backend.
 #include "smc/secure_nb.h"

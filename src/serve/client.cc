@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <map>
 #include <string>
 #include <thread>
 
@@ -12,7 +11,6 @@
 #include "obs/trace.h"
 #include "serve/precompute.h"
 #include "util/check.h"
-#include "util/parallel.h"
 #include "util/serial.h"
 #include "util/timer.h"
 
@@ -84,23 +82,13 @@ void ClassificationClient::ConnectOnce() {
   if (status != static_cast<uint64_t>(ReplyStatus::kOk)) {
     throw ProtocolError("serve client: server refused the session");
   }
-  setup_ = RecvSessionSetup(*framed_);
-  std::map<int, int> key_map;
-  for (int f : setup_.plan_features) {
-    if (f < 0 || f >= static_cast<int>(setup_.features.size())) {
+  SessionSetup setup = RecvSessionSetup(*framed_);
+  for (int f : setup.plan_features) {
+    if (f < 0 || f >= static_cast<int>(setup.features.size())) {
       throw ProtocolError("serve client: plan feature out of schema");
     }
-    key_map.emplace(f, 0);
   }
-  nb_spec_.reset();
-  linear_spec_.reset();
-  if (setup_.classifier == ClassifierKind::kNaiveBayes) {
-    nb_spec_ = std::make_unique<SecureNbCircuit>(setup_.features,
-                                                 setup_.num_classes, key_map);
-  } else if (setup_.classifier == ClassifierKind::kLinear) {
-    linear_spec_ = std::make_unique<SecureLinearAbyProtocol>(
-        setup_.features, setup_.num_classes, key_map);
-  }
+  driver_ = std::make_unique<EvaluatorDriver>(std::move(setup));
   // A new server session means new base OTs: the old extension state is
   // bound to the dead session's sender. Same for OT pads: the pool's
   // entries pair with the dead session's sender stream, so a fresh session
@@ -228,10 +216,11 @@ void ClassificationClient::WithRetry(const std::function<void()>& op) {
 }
 
 void ClassificationClient::CheckRow(const std::vector<int>& row) const {
-  PAFS_CHECK_EQ(row.size(), setup_.features.size());
+  const std::vector<FeatureSpec>& features = setup().features;
+  PAFS_CHECK_EQ(row.size(), features.size());
   for (size_t f = 0; f < row.size(); ++f) {
     PAFS_CHECK_GE(row[f], 0);
-    PAFS_CHECK_LT(row[f], setup_.features[f].cardinality);
+    PAFS_CHECK_LT(row[f], features[f].cardinality);
   }
 }
 
@@ -277,93 +266,23 @@ void ClassificationClient::RunOnce(const std::vector<std::vector<int>>& rows,
   const ChannelStats& wire = socket_->stats();
   const uint64_t bytes_before = wire.bytes_sent + wire.bytes_received;
   const uint64_t rounds_before = wire.direction_flips;
-  const size_t n = rows.size();
   Channel& ch = *framed_;
   ch.SendU64(static_cast<uint64_t>(tag));
   // The id makes retries idempotent: a resend of an already-executed id is
   // answered from the server's reply cache, never executed twice.
   ch.SendU64(next_query_id_);
-  if (batch) ch.SendU64(static_cast<uint64_t>(n));
+  if (batch) ch.SendU64(static_cast<uint64_t>(rows.size()));
   {
     obs::TraceSpan disclose("disclose");
     for (const std::vector<int>& row : rows) {
-      for (int f : setup_.plan_features) {
+      for (int f : setup().plan_features) {
         ch.SendU64(static_cast<uint64_t>(row[f]));
       }
     }
   }
   RecvAdmissionAck(ch);
-  // Per-record eval items. Tree/forest records sharing a disclosure set
-  // share one circuit prelude — the server sends one per distinct set in
-  // first-occurrence order, which both sides derive independently from the
-  // rows, so the wire carries no index frames. NB and linear records all
-  // use the session circuit; linear records first gather their phase-1
-  // choice bits for one combined correlated-OT transfer.
-  const char* what = setup_.classifier == ClassifierKind::kForest
-                         ? "secure forest"
-                         : "secure tree";
-  const Circuit* session_circuit =
-      nb_spec_ != nullptr       ? &nb_spec_->circuit()
-      : linear_spec_ != nullptr ? &linear_spec_->argmax_circuit()
-                                : nullptr;
-  const size_t session_gates =
-      session_circuit != nullptr ? session_circuit->Stats().and_gates : 0;
-  std::vector<CircuitPrelude> preludes;
-  preludes.reserve(n);  // Items point into it: no reallocation.
-  std::vector<size_t> prelude_gates;
-  std::vector<std::vector<int>> seen;
-  std::vector<BitVec> evaluator_bits(n);
-  std::vector<GcEvalItem> items(n);
-  BitVec choices;
-  size_t and_gates = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (session_circuit != nullptr) {
-      if (nb_spec_ != nullptr) {
-        evaluator_bits[i] = nb_spec_->EncodeRow(rows[i]);
-      } else {
-        BitVec record = linear_spec_->Choices(rows[i]);
-        for (size_t j = 0; j < record.size(); ++j) {
-          choices.PushBack(record.Get(j));
-        }
-      }
-      items[i] = {session_circuit, &evaluator_bits[i]};
-      and_gates += session_gates;
-      continue;
-    }
-    std::vector<int> key;
-    key.reserve(setup_.plan_features.size());
-    for (int f : setup_.plan_features) key.push_back(rows[i][f]);
-    size_t k = std::find(seen.begin(), seen.end(), key) - seen.begin();
-    if (k == seen.size()) {
-      seen.push_back(std::move(key));
-      preludes.push_back(RecvCircuitPrelude(ch, setup_.features, what));
-      prelude_gates.push_back(preludes.back().circuit.Stats().and_gates);
-    }
-    evaluator_bits[i] = preludes[k].layout.EncodeRow(rows[i]);
-    items[i] = {&preludes[k].circuit, &evaluator_bits[i]};
-    and_gates += prelude_gates[k];
-  }
-  // Base OTs on the session's first request, ahead of linear phase 1.
-  if (!ot_.is_setup()) ot_.Setup(ch, rng_);
-  if (linear_spec_ != nullptr) {
-    std::vector<Block> received;
-    if (choices.size() > 0) {
-      received = PooledOtRecv(ch, ot_, choices, ot_pads_.get());
-    }
-    const size_t per_record = linear_spec_->NumProductOts();
-    for (size_t i = 0; i < n; ++i) {
-      evaluator_bits[i] = linear_spec_->EvaluatorBits(std::vector<Block>(
-          received.begin() + i * per_record,
-          received.begin() + (i + 1) * per_record));
-    }
-  }
-  std::vector<BitVec> outputs =
-      GcRunEvaluatorBatch(ch, items, ot_, rng_, setup_.scheme,
-                          ThreadPool::Global(), ot_pads_.get());
-  std::vector<int> answers(n);
-  for (size_t i = 0; i < n; ++i) {
-    answers[i] = DecodeClassIndex(outputs[i], setup_.num_classes);
-  }
+  EvaluatorResult result =
+      driver_->Run(ch, rows, EvaluatorSession{ot_, rng_, ot_pads_.get()});
   // Refill tail (v4): top the receiver pad pool up while the round trip is
   // already paid, before the commit point so the snapshot below covers the
   // refilled pool.
@@ -372,13 +291,13 @@ void ClassificationClient::RunOnce(const std::vector<std::vector<int>>& rows,
   stats->bytes += wire.bytes_sent + wire.bytes_received - bytes_before;
   stats->rounds += wire.direction_flips - rounds_before;
   stats->wall_seconds += timer.ElapsedSeconds();
-  stats->and_gates += and_gates;
-  stats->predicted_class = answers.back();
+  stats->and_gates += result.and_gates;
+  stats->predicted_class = result.classes.back();
   ++next_query_id_;
   // Checkpoint post-success state: a reconnect-with-ticket rewinds here,
   // exactly matching the server's refreshed cache entry.
   if (!ticket_.empty()) SnapshotState();
-  preds->insert(preds->end(), answers.begin(), answers.end());
+  preds->insert(preds->end(), result.classes.begin(), result.classes.end());
 }
 
 void ClassificationClient::RecvAdmissionAck(Channel& ch) {

@@ -27,9 +27,8 @@
 #include "net/socket.h"
 #include "ot/iknp.h"
 #include "ot/ot_pool.h"
+#include "serve/engine.h"
 #include "serve/model.h"
-#include "smc/secure_linear_aby.h"
-#include "smc/secure_nb.h"
 #include "util/random.h"
 
 namespace pafs::serve {
@@ -87,9 +86,9 @@ class ClassificationClient {
   ClassificationClient(const ClassificationClient&) = delete;
   ClassificationClient& operator=(const ClassificationClient&) = delete;
 
-  // Schema, plan, classifier kind, and scheme announced by the server
-  // (refreshed on every reconnect).
-  const SessionSetup& setup() const { return setup_; }
+  // Schema, plan and classifier kind announced by the server (refreshed
+  // on every fresh handshake).
+  const SessionSetup& setup() const { return driver_->setup(); }
 
   // One secure classification. `row` must hold a value in range for every
   // feature of the schema; the plan's features are disclosed in plaintext,
@@ -138,7 +137,7 @@ class ClassificationClient {
 
  private:
   // One connect + handshake on a fresh socket; replaces the session state
-  // (socket, framing, OT endpoints, circuit specs) on success.
+  // (socket, framing, OT endpoints, protocol driver) on success.
   void ConnectOnce();
   // Tears the current session down and marks it closed.
   void Abandon() noexcept;
@@ -176,13 +175,13 @@ class ClassificationClient {
   void ForgetResumeState();
 
   ClientConfig config_;
-  SessionSetup setup_;
   std::optional<FaultInjector> injector_;  // Engaged iff fault_plan set.
   std::unique_ptr<SocketChannel> socket_;
   std::unique_ptr<FaultInjectingChannel> faulty_;
   std::unique_ptr<FramedChannel> framed_;
-  std::unique_ptr<SecureNbCircuit> nb_spec_;
-  std::unique_ptr<SecureLinearAbyProtocol> linear_spec_;
+  // The evaluator driver for the announced setup; rebuilt on every fresh
+  // handshake, kept across resumes.
+  std::unique_ptr<EvaluatorDriver> driver_;
   // Receiver-side OT pad pool (v4 refill tail). Rebuilt on every fresh
   // handshake (pads are bound to the dead session's sender state) and
   // covered by the resumption snapshot so replayed retries re-spend the

@@ -28,33 +28,8 @@ uint64_t RecvBounded(Channel& channel, uint64_t max, const char* what) {
 
 }  // namespace
 
-ServingModel ServingModel::FromPipeline(const SecureClassificationPipeline& p) {
-  ServingModel model;
-  model.setup.features = p.features();
-  model.setup.num_classes = p.num_classes();
-  model.setup.classifier = p.config().classifier;
-  model.setup.scheme = p.config().scheme;
-  model.setup.plan_features = p.plan().features;
-  switch (model.setup.classifier) {
-    case ClassifierKind::kNaiveBayes:
-      model.nb = p.naive_bayes();
-      break;
-    case ClassifierKind::kDecisionTree:
-      model.tree = p.tree();
-      break;
-    case ClassifierKind::kLinear:
-      model.linear = p.linear();
-      break;
-    case ClassifierKind::kForest:
-      model.forest = p.forest();
-      break;
-  }
-  return model;
-}
-
 void SendSessionSetup(Channel& channel, const SessionSetup& setup) {
   channel.SendU64(static_cast<uint64_t>(setup.classifier));
-  channel.SendU64(static_cast<uint64_t>(setup.scheme));
   channel.SendU64(static_cast<uint64_t>(setup.num_classes));
   channel.SendU64(setup.features.size());
   for (const FeatureSpec& f : setup.features) {
@@ -72,8 +47,6 @@ SessionSetup RecvSessionSetup(Channel& channel) {
   SessionSetup setup;
   uint64_t classifier = RecvBounded(channel, 3, "classifier kind");
   setup.classifier = static_cast<ClassifierKind>(classifier);
-  uint64_t scheme = RecvBounded(channel, 1, "garbling scheme");
-  setup.scheme = static_cast<GarblingScheme>(scheme);
   setup.num_classes =
       static_cast<int>(RecvBounded(channel, kMaxClasses, "class count"));
   if (setup.num_classes < 2) {

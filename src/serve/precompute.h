@@ -58,7 +58,7 @@ struct PrecomputeConfig {
 // recently used.
 //
 // Restore (session resumption) brings back the garbled material but not
-// the circuits, which live in the serving layer's spec cache; a restored
+// the circuits, which live in the serving layer's spec map; a restored
 // key serves TryTake immediately and resumes refilling once RegisterKey
 // re-attaches its circuit. Telemetry: gc.pool.hit / .miss / .refill
 // counters and a gc.pool.depth histogram.
@@ -67,8 +67,8 @@ class GcPool {
   GcPool(size_t depth, size_t max_keys);
 
   // Registers (or re-attaches) the circuit for a key and bumps its LRU
-  // stamp. The circuit must stay alive while registered — the serving
-  // layer's spec cache and the pool evict in lockstep via shared_ptr.
+  // stamp. The pool holds the circuit by shared_ptr, so it stays alive
+  // while registered.
   void RegisterKey(const std::vector<int>& key,
                    std::shared_ptr<const Circuit> circuit);
 

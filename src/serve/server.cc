@@ -13,10 +13,7 @@
 #include "net/error.h"
 #include "net/framing.h"
 #include "obs/trace.h"
-#include "smc/secure_forest.h"
-#include "smc/secure_tree.h"
 #include "util/check.h"
-#include "util/parallel.h"
 #include "util/serial.h"
 #include "util/timer.h"
 
@@ -30,21 +27,6 @@ namespace {
 constexpr uint64_t kListenerToken = 0;
 constexpr uint64_t kReaperToken = ~0ull - 1;
 constexpr uint64_t kWatchdogToken = ~0ull - 2;
-
-std::map<int, int> PlaceholderDisclosure(const std::vector<int>& plan) {
-  std::map<int, int> key_map;
-  for (int f : plan) key_map.emplace(f, 0);
-  return key_map;
-}
-
-// A record's disclosure values in plan order (its GC pool key) as the
-// feature -> value map the model encoders take.
-std::map<int, int> DisclosureMap(const std::vector<int>& plan,
-                                 const std::vector<int>& key) {
-  std::map<int, int> disclosed;
-  for (size_t i = 0; i < plan.size(); ++i) disclosed.emplace(plan[i], key[i]);
-  return disclosed;
-}
 
 // Reads a request's records after its query id: kBatch sends a count
 // (1..max_records) first, kQuery is one record with no count frame. Each
@@ -175,7 +157,9 @@ ClassificationServer::Session::Session(uint64_t id,
 
 ClassificationServer::ClassificationServer(ServingModel model,
                                            ServerConfig config)
-    : model_(std::move(model)), config_(std::move(config)) {
+    : model_(std::move(model)),
+      config_(std::move(config)),
+      driver_(model_, model_.setup.plan_features) {
   config_.num_threads =
       config_.num_threads > 0
           ? config_.num_threads
@@ -208,16 +192,6 @@ ClassificationServer::ClassificationServer(ServingModel model,
       return (static_cast<uint64_t>(rd()) << 32) | static_cast<uint64_t>(rd());
     };
     ticket_prg_.emplace(Block(word(), word()));
-  }
-  const auto& setup = model_.setup;
-  if (setup.classifier == ClassifierKind::kNaiveBayes) {
-    nb_spec_ = std::make_unique<SecureNbCircuit>(
-        setup.features, setup.num_classes,
-        PlaceholderDisclosure(setup.plan_features));
-  } else if (setup.classifier == ClassifierKind::kLinear) {
-    linear_spec_ = std::make_unique<SecureLinearAbyProtocol>(
-        setup.features, setup.num_classes,
-        PlaceholderDisclosure(setup.plan_features));
   }
 }
 
@@ -304,11 +278,7 @@ void ClassificationServer::AdmitSession(std::unique_ptr<SocketChannel> socket) {
     socket->set_recv_timeout_seconds(config_.recv_timeout_seconds);
     PrecomputeConfig pads;
     pads.enabled = config_.enable_pools;
-    // Pre-garbled material is half-gates-shaped; a classic-scheme model
-    // would never take from the pool, so don't fill it either.
-    pads.gc_depth = model_.setup.scheme == GarblingScheme::kHalfGates
-                        ? config_.gc_pool_depth
-                        : 0;
+    pads.gc_depth = config_.gc_pool_depth;
     pads.gc_max_keys = config_.gc_pool_max_keys;
     pads.ot_pads = config_.ot_pool_depth;
     session =
@@ -591,9 +561,8 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
   transcript->query_id = query_id;
   RecordingChannel rec(ch, transcript.get(), config_.max_replay_bytes);
   Channel& qch = rec;
-  const SessionSetup& setup = model_.setup;
   const std::vector<std::vector<int>> keys =
-      RecvRequest(qch, setup, batch, config_.batch_max_records);
+      RecvRequest(qch, model_.setup, batch, config_.batch_max_records);
   const size_t n = keys.size();
   // Admission ack: the request was read and a worker is running it. The
   // shed path answers the same slot in the conversation with kBusy, so a
@@ -610,68 +579,12 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
       std::lock_guard<std::mutex> lock(mu_);
       stats_.ot_pads_precomputed += added;
     }
-    // Resolve each record's circuit. Tree/forest records with the same
-    // disclosure key share one SpecData (one circuit, one garbler-bits
-    // encoding, one prelude on the wire); the client derives the same
-    // first-occurrence order from its own rows, so no index frames are
-    // needed. NB and linear records share the session-wide circuit (one
-    // pool key) but each fold their disclosure values into their own
-    // garbler bits; linear records also append their phase-1 OT messages.
-    GcPool* gc_pool = setup.scheme == GarblingScheme::kHalfGates
-                          ? s.precompute.gc_pool()
-                          : nullptr;
-    const Circuit* session_circuit =
-        nb_spec_ != nullptr       ? &nb_spec_->circuit()
-        : linear_spec_ != nullptr ? &linear_spec_->argmax_circuit()
-                                  : nullptr;
-    const std::vector<int> session_key;
-    if (gc_pool != nullptr && session_circuit != nullptr) {
-      gc_pool->RegisterKey(session_key, std::shared_ptr<const Circuit>(
-                                            std::shared_ptr<const Circuit>(),
-                                            session_circuit));
-    }
-    std::vector<std::shared_ptr<Session::SpecData>> specs(n);
-    std::vector<BitVec> garbler_bits(n);
-    std::vector<std::array<Block, 2>> messages;
-    std::vector<GcGarbleItem> items(n);
-    std::vector<GarbledCircuit> pre(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (nb_spec_ != nullptr) {
-        garbler_bits[i] = nb_spec_->EncodeModel(
-            model_.nb, DisclosureMap(setup.plan_features, keys[i]));
-        items[i] = {session_circuit, &garbler_bits[i]};
-      } else if (linear_spec_ != nullptr) {
-        std::vector<std::array<Block, 2>> shares = linear_spec_->ShareMessages(
-            model_.linear, DisclosureMap(setup.plan_features, keys[i]), s.rng,
-            &garbler_bits[i]);
-        messages.insert(messages.end(), shares.begin(), shares.end());
-        items[i] = {session_circuit, &garbler_bits[i]};
-      } else {
-        specs[i] = SpecFor(s, keys[i]);
-        if (std::find(keys.begin(), keys.begin() + i, keys[i]) ==
-            keys.begin() + i) {
-          SendCircuitPrelude(qch, *specs[i]->layout, *specs[i]->circuit);
-        }
-        items[i] = {specs[i]->circuit, &specs[i]->garbler_bits};
-      }
-      const std::vector<int>& pool_key =
-          session_circuit != nullptr ? session_key : keys[i];
-      if (gc_pool != nullptr && gc_pool->TryTake(pool_key, &pre[i])) {
-        items[i].pregarbled = &pre[i];
-      }
-    }
-    // Base OTs on the session's first request, ahead of linear phase 1
-    // (one correlated OT per message, all records at once).
-    if (!s.ot.is_setup()) s.ot.Setup(qch, s.rng);
-    if (!messages.empty()) PooledOtSend(qch, s.ot, messages, ot_pads);
-    std::vector<BitVec> outputs =
-        GcRunGarblerBatch(qch, items, s.ot, s.rng, setup.scheme,
-                          ThreadPool::Global(), ot_pads);
     // The outputs are the client's report: a forged class index fails the
-    // session typed.
-    for (const BitVec& out : outputs) {
-      (void)DecodeClassIndex(out, setup.num_classes);
-    }
+    // session typed inside the driver.
+    driver_.Run(qch, keys,
+                GarblerSession{s.ot, s.rng, s.specs,
+                               static_cast<size_t>(config_.gc_pool_max_keys),
+                               s.precompute.gc_pool(), ot_pads});
     ServerOtRefillTail(s, qch);
   }
   ++s.queries;
@@ -706,61 +619,6 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
   served.Add();
   if (batch) batches.Add();
   (batch ? batch_latency : query_latency).Record(timer.ElapsedSeconds());
-}
-
-std::shared_ptr<ClassificationServer::Session::SpecData>
-ClassificationServer::SpecFor(Session& s, const std::vector<int>& key) {
-  const SessionSetup& setup = model_.setup;
-  std::shared_ptr<Session::SpecData> data;
-  auto it = s.spec_cache.find(key);
-  if (it != s.spec_cache.end()) {
-    data = it->second;
-  } else {
-    data = std::make_shared<Session::SpecData>();
-    std::map<int, int> disclosed = DisclosureMap(setup.plan_features, key);
-    if (setup.classifier == ClassifierKind::kForest) {
-      RandomForest specialized = model_.forest.Specialize(disclosed);
-      auto spec = std::make_shared<SecureForestCircuit>(
-          specialized, setup.features, setup.num_classes, disclosed);
-      data->garbler_bits = spec->EncodeModel(specialized);
-      data->layout = &spec->layout();
-      data->circuit = &spec->circuit();
-      data->owner = std::move(spec);
-    } else {
-      DecisionTree specialized = model_.tree.Specialize(disclosed);
-      auto spec = std::make_shared<SecureTreeCircuit>(
-          specialized, setup.features, setup.num_classes, disclosed);
-      data->garbler_bits = spec->EncodeModel(specialized);
-      data->layout = &spec->layout();
-      data->circuit = &spec->circuit();
-      data->owner = std::move(spec);
-    }
-    s.spec_cache[key] = data;
-    // LRU-bound the cache to the GC pool's key budget so the two track the
-    // same working set. Callers hold SpecData by shared_ptr, so a batch
-    // with more distinct keys than the budget survives mid-call eviction.
-    while (s.spec_cache.size() >
-           static_cast<size_t>(config_.gc_pool_max_keys)) {
-      auto victim = s.spec_cache.begin();
-      for (auto jt = s.spec_cache.begin(); jt != s.spec_cache.end(); ++jt) {
-        if (jt->second->last_used < victim->second->last_used) victim = jt;
-      }
-      s.spec_cache.erase(victim);
-    }
-  }
-  data->last_used = ++s.spec_clock;
-  // (Re-)register with the GC pool on every lookup: the bump keeps the
-  // pool's LRU in step with the spec cache, and re-attaches the circuit if
-  // the pool restored this key's material from a resumption snapshot. The
-  // aliasing shared_ptr keeps the circuit alive while the pool holds it.
-  GcPool* gc_pool = setup.scheme == GarblingScheme::kHalfGates
-                        ? s.precompute.gc_pool()
-                        : nullptr;
-  if (gc_pool != nullptr) {
-    gc_pool->RegisterKey(key,
-                         std::shared_ptr<const Circuit>(data, data->circuit));
-  }
-  return data;
 }
 
 void ClassificationServer::ServerOtRefillTail(Session& s, Channel& ch) {

@@ -48,10 +48,9 @@
 #include "net/framing.h"
 #include "net/socket.h"
 #include "ot/iknp.h"
+#include "serve/engine.h"
 #include "serve/model.h"
 #include "serve/precompute.h"
-#include "smc/secure_linear_aby.h"
-#include "smc/secure_nb.h"
 #include "util/parallel.h"
 
 namespace pafs::serve {
@@ -113,11 +112,12 @@ struct ServerConfig {
   bool enable_pools = true;
   // Pre-garbled circuits kept per disclosure set per session (GcPool); a
   // warm entry removes the whole online Garble from a query's critical
-  // path. 0 disables (falls back to online garbling). Half-gates only —
-  // classic-scheme sessions always garble online.
+  // path. 0 disables (falls back to online garbling).
   int gc_pool_depth = 2;
-  // Distinct disclosure sets tracked per session (GcPool + spec cache).
-  int gc_pool_max_keys = 8;
+  // Distinct disclosure sets per session: the GcPool's LRU bound, and how
+  // many tree/forest specs the session keeps (the first ones, never
+  // evicted).
+  int gc_pool_max_keys = kDefaultMaxSpecKeys;
   // Target depth of the per-session sender-side OT pad pool. Clients top
   // it up through the in-query refill tail; 0 disables.
   int ot_pool_depth = 4096;
@@ -221,21 +221,9 @@ class ClassificationServer {
     // try_locks it to materialize pending pad batches, so background
     // expansion never interleaves with a live transfer.
     std::mutex ot_mu;
-    // Per-disclosure-set circuit specs with their encoded garbler bits
-    // (tree/forest sessions). Only the session's single in-flight task
-    // touches this, so it needs no lock; entries are shared_ptr so a batch
-    // holding several outlives an LRU eviction mid-call.
-    struct SpecData {
-      // The SecureTreeCircuit or SecureForestCircuit that layout and
-      // circuit point into.
-      std::shared_ptr<const void> owner;
-      const HiddenLayout* layout = nullptr;
-      const Circuit* circuit = nullptr;
-      BitVec garbler_bits;  // EncodeModel of the specialized model.
-      uint64_t last_used = 0;
-    };
-    std::map<std::vector<int>, std::shared_ptr<SpecData>> spec_cache;
-    uint64_t spec_clock = 0;
+    // Tree/forest circuit specs per disclosure set: the first
+    // gc_pool_max_keys sets stay cached, none is evicted.
+    SpecMap specs;
 
     Session(uint64_t id, std::unique_ptr<SocketChannel> sock, uint64_t seed,
             const PrecomputeConfig& pads);
@@ -280,10 +268,6 @@ class ClassificationServer {
   // resume-cache entry. A single query is the N = 1 case.
   void ExecuteRequest(Session& session, Channel& channel, uint64_t query_id,
                       bool batch);
-  // The session's cached spec for a disclosure set (tree/forest), built on
-  // first use and registered with the GC pool so fillers garble for it.
-  std::shared_ptr<Session::SpecData> SpecFor(Session& session,
-                                             const std::vector<int>& key);
   // In-query OT pad refill (caller holds ot_mu, channel is the recording
   // channel): answers the client's `wanted` announcement with a grant and
   // parks the received columns for idle materialization.
@@ -310,11 +294,9 @@ class ClassificationServer {
 
   ServingModel model_;
   ServerConfig config_;
-
-  // Disclosure-set-only circuit specs shared by all sessions (the plan is
-  // fixed, so the layout is too); tree/forest specialize per query.
-  std::unique_ptr<SecureNbCircuit> nb_spec_;
-  std::unique_ptr<SecureLinearAbyProtocol> linear_spec_;
+  // Every session's requests run through this one driver; the NB/linear
+  // session circuit inside it is shared (the plan is fixed).
+  GarblerDriver driver_;
 
   std::optional<SocketListener> listener_;
   std::unique_ptr<EventLoop> loop_;

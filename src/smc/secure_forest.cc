@@ -1,17 +1,11 @@
 #include "smc/secure_forest.h"
 
 #include <algorithm>
-#include <set>
-#include <string>
 
 #include "circuit/builder.h"
 #include "circuit/optimizer.h"
-#include "circuit/serialize.h"
-#include "obs/trace.h"
 #include "smc/secure_tree.h"
 #include "util/check.h"
-#include "util/parallel.h"
-#include "util/timer.h"
 
 namespace pafs {
 
@@ -93,78 +87,6 @@ int SecureForestCircuit::DecodeOutput(const BitVec& output) const {
   int c = static_cast<int>(output.ToU64(0, index_bits_));
   PAFS_CHECK_LT(c, num_classes_);
   return c;
-}
-
-SmcRunStats SecureForestRunServer(Channel& channel,
-                                  const SecureForestCircuit& spec,
-                                  const RandomForest& forest, OtExtSender& ot,
-                                  Rng& rng, GarblingScheme scheme,
-                                  GarbledCircuit* pregarbled,
-                                  OtSenderPadPool* ot_pads) {
-  Timer timer;
-  uint64_t bytes_before = channel.stats().bytes_sent;
-  uint64_t rounds_before = channel.stats().direction_flips;
-
-  SendCircuitPrelude(channel, spec.layout(), spec.circuit());
-
-  BitVec garbler_bits;
-  {
-    obs::TraceSpan encode("smc.encode");
-    garbler_bits = spec.EncodeModel(forest);
-  }
-  // Forest circuits are wide — member trees are independent until the vote
-  // aggregation — so their gate levels fan out well across the worker pool.
-  BitVec out = GcRunGarbler(channel, spec.circuit(), garbler_bits, ot, rng,
-                            scheme, ThreadPool::Global(), pregarbled, ot_pads);
-  SmcRunStats stats;
-  stats.predicted_class = spec.DecodeOutput(out);
-  stats.bytes = channel.stats().bytes_sent - bytes_before;
-  stats.rounds = channel.stats().direction_flips - rounds_before;
-  stats.wall_seconds = timer.ElapsedSeconds();
-  stats.and_gates = spec.circuit().Stats().and_gates;
-  return stats;
-}
-
-SmcRunStats SecureForestRunClient(Channel& channel,
-                                  const std::vector<FeatureSpec>& features,
-                                  int num_classes,
-                                  const std::vector<int>& row,
-                                  OtExtReceiver& ot, Rng& rng,
-                                  GarblingScheme scheme,
-                                  OtReceiverPadPool* ot_pads) {
-  Timer timer;
-  uint64_t bytes_before = channel.stats().bytes_sent;
-  uint64_t rounds_before = channel.stats().direction_flips;
-
-  CircuitPrelude prelude =
-      RecvCircuitPrelude(channel, features, "secure forest");
-
-  BitVec evaluator_bits;
-  {
-    obs::TraceSpan encode("smc.encode");
-    evaluator_bits = prelude.layout.EncodeRow(row);
-  }
-  BitVec out = GcRunEvaluator(channel, prelude.circuit, evaluator_bits, ot,
-                              rng, scheme, ThreadPool::Global(), ot_pads);
-  uint32_t index_bits = static_cast<uint32_t>(BitsFor(num_classes));
-  if (out.size() != index_bits) {
-    throw ProtocolError("secure forest: circuit produced " +
-                        std::to_string(out.size()) + " index bits, want " +
-                        std::to_string(index_bits));
-  }
-
-  SmcRunStats stats;
-  stats.predicted_class = static_cast<int>(out.ToU64(0, index_bits));
-  if (stats.predicted_class >= num_classes) {
-    throw ProtocolError("secure forest: decoded class " +
-                        std::to_string(stats.predicted_class) +
-                        " out of range");
-  }
-  stats.bytes = channel.stats().bytes_sent - bytes_before;
-  stats.rounds = channel.stats().direction_flips - rounds_before;
-  stats.wall_seconds = timer.ElapsedSeconds();
-  stats.and_gates = prelude.circuit.Stats().and_gates;
-  return stats;
 }
 
 }  // namespace pafs

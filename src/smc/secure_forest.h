@@ -9,15 +9,10 @@
 #include <map>
 
 #include "circuit/circuit.h"
-#include "gc/protocol.h"
 #include "ml/random_forest.h"
-#include "net/channel.h"
-#include "ot/iknp.h"
 #include "smc/common.h"
 
 namespace pafs {
-
-class Rng;
 
 class SecureForestCircuit {
  public:
@@ -44,24 +39,6 @@ class SecureForestCircuit {
   size_t total_leaves_ = 0;
   Circuit circuit_;
 };
-
-// Same wire protocol shape as the secure tree: the server ships the
-// (specialized, value-dependent) circuit description first. `pregarbled`
-// (single-use, from serve/precompute's GcPool) and `ot_pads` plug in the
-// offline/online split; nullptr keeps the fully online behavior.
-SmcRunStats SecureForestRunServer(Channel& channel,
-                                  const SecureForestCircuit& spec,
-                                  const RandomForest& forest, OtExtSender& ot,
-                                  Rng& rng,
-                                  GarblingScheme scheme = GarblingScheme::kHalfGates,
-                                  GarbledCircuit* pregarbled = nullptr,
-                                  OtSenderPadPool* ot_pads = nullptr);
-SmcRunStats SecureForestRunClient(Channel& channel,
-                                  const std::vector<FeatureSpec>& features,
-                                  int num_classes, const std::vector<int>& row,
-                                  OtExtReceiver& ot, Rng& rng,
-                                  GarblingScheme scheme = GarblingScheme::kHalfGates,
-                                  OtReceiverPadPool* ot_pads = nullptr);
 
 }  // namespace pafs
 

@@ -1,9 +1,7 @@
 #include "smc/secure_nb.h"
 
 #include "circuit/builder.h"
-#include "obs/trace.h"
 #include "util/check.h"
-#include "util/timer.h"
 
 namespace pafs {
 
@@ -96,54 +94,6 @@ int SecureNbCircuit::DecodeOutput(const BitVec& output) const {
   int c = static_cast<int>(output.ToU64(0, index_bits_));
   PAFS_CHECK_LT(c, num_classes_);
   return c;
-}
-
-SmcRunStats SecureNbRunServer(Channel& channel, const SecureNbCircuit& spec,
-                              const NaiveBayes& model,
-                              const std::map<int, int>& disclosed,
-                              OtExtSender& ot, Rng& rng,
-                              GarblingScheme scheme, GarbledCircuit* pregarbled,
-                              OtSenderPadPool* ot_pads) {
-  Timer timer;
-  uint64_t bytes_before = channel.stats().bytes_sent;
-  uint64_t rounds_before = channel.stats().direction_flips;
-  BitVec garbler_bits;
-  {
-    obs::TraceSpan encode("smc.encode");
-    garbler_bits = spec.EncodeModel(model, disclosed);
-  }
-  BitVec out = GcRunGarbler(channel, spec.circuit(), garbler_bits, ot, rng,
-                            scheme, /*pool=*/nullptr, pregarbled, ot_pads);
-  SmcRunStats stats;
-  stats.predicted_class = spec.DecodeOutput(out);
-  stats.bytes = channel.stats().bytes_sent - bytes_before;
-  stats.rounds = channel.stats().direction_flips - rounds_before;
-  stats.wall_seconds = timer.ElapsedSeconds();
-  stats.and_gates = spec.circuit().Stats().and_gates;
-  return stats;
-}
-
-SmcRunStats SecureNbRunClient(Channel& channel, const SecureNbCircuit& spec,
-                              const std::vector<int>& row, OtExtReceiver& ot,
-                              Rng& rng, GarblingScheme scheme,
-                              OtReceiverPadPool* ot_pads) {
-  Timer timer;
-  uint64_t bytes_before = channel.stats().bytes_sent;
-  uint64_t rounds_before = channel.stats().direction_flips;
-  BitVec evaluator_bits;
-  {
-    obs::TraceSpan encode("smc.encode");
-    evaluator_bits = spec.EncodeRow(row);
-  }
-  BitVec out = GcRunEvaluator(channel, spec.circuit(), evaluator_bits, ot,
-                              rng, scheme, /*pool=*/nullptr, ot_pads);
-  SmcRunStats stats;
-  stats.predicted_class = spec.DecodeOutput(out);
-  stats.bytes = channel.stats().bytes_sent - bytes_before;
-  stats.rounds = channel.stats().direction_flips - rounds_before;
-  stats.wall_seconds = timer.ElapsedSeconds();
-  stats.and_gates = spec.circuit().Stats().and_gates;
-  return stats;
 }
 
 }  // namespace pafs

@@ -16,15 +16,10 @@
 #include <map>
 
 #include "circuit/circuit.h"
-#include "gc/protocol.h"
 #include "ml/naive_bayes.h"
-#include "net/channel.h"
-#include "ot/iknp.h"
 #include "smc/common.h"
 
 namespace pafs {
-
-class Rng;
 
 // Public circuit description both parties agree on.
 class SecureNbCircuit {
@@ -53,23 +48,6 @@ class SecureNbCircuit {
   uint32_t index_bits_;
   Circuit circuit_;
 };
-
-// One end-to-end secure classification (blocking; run the two calls on two
-// threads sharing a channel pair). Both return the predicted class.
-// `pregarbled` (single-use, from serve/precompute's GcPool) and `ot_pads`
-// plug in the offline/online split; nullptr keeps the online behavior.
-SmcRunStats SecureNbRunServer(Channel& channel, const SecureNbCircuit& spec,
-                              const NaiveBayes& model,
-                              const std::map<int, int>& disclosed,
-                              OtExtSender& ot, Rng& rng,
-                              GarblingScheme scheme = GarblingScheme::kHalfGates,
-                              GarbledCircuit* pregarbled = nullptr,
-                              OtSenderPadPool* ot_pads = nullptr);
-SmcRunStats SecureNbRunClient(Channel& channel, const SecureNbCircuit& spec,
-                              const std::vector<int>& row, OtExtReceiver& ot,
-                              Rng& rng,
-                              GarblingScheme scheme = GarblingScheme::kHalfGates,
-                              OtReceiverPadPool* ot_pads = nullptr);
 
 }  // namespace pafs
 

@@ -2,15 +2,9 @@
 
 #include <algorithm>
 
-#include <set>
-#include <string>
-
 #include "circuit/builder.h"
 #include "circuit/optimizer.h"
-#include "circuit/serialize.h"
-#include "obs/trace.h"
 #include "util/check.h"
-#include "util/timer.h"
 
 namespace pafs {
 
@@ -146,78 +140,6 @@ int SecureTreeCircuit::DecodeOutput(const BitVec& output) const {
   int c = static_cast<int>(output.ToU64(0, label_bits_));
   PAFS_CHECK_LT(c, num_classes_);
   return c;
-}
-
-SmcRunStats SecureTreeRunServer(Channel& channel,
-                                const SecureTreeCircuit& spec,
-                                const DecisionTree& tree, OtExtSender& ot,
-                                Rng& rng, GarblingScheme scheme,
-                                GarbledCircuit* pregarbled,
-                                OtSenderPadPool* ot_pads) {
-  Timer timer;
-  uint64_t bytes_before = channel.stats().bytes_sent;
-  uint64_t rounds_before = channel.stats().direction_flips;
-
-  // Ship the public circuit description: which hidden features it reads,
-  // then the gate list.
-  SendCircuitPrelude(channel, spec.layout(), spec.circuit());
-
-  BitVec garbler_bits;
-  {
-    obs::TraceSpan encode("smc.encode");
-    garbler_bits = spec.EncodeModel(tree);
-  }
-  BitVec out = GcRunGarbler(channel, spec.circuit(), garbler_bits, ot, rng,
-                            scheme, /*pool=*/nullptr, pregarbled, ot_pads);
-  SmcRunStats stats;
-  stats.predicted_class = spec.DecodeOutput(out);
-  stats.bytes = channel.stats().bytes_sent - bytes_before;
-  stats.rounds = channel.stats().direction_flips - rounds_before;
-  stats.wall_seconds = timer.ElapsedSeconds();
-  stats.and_gates = spec.circuit().Stats().and_gates;
-  return stats;
-}
-
-SmcRunStats SecureTreeRunClient(Channel& channel,
-                                const std::vector<FeatureSpec>& features,
-                                int num_classes, const std::vector<int>& row,
-                                OtExtReceiver& ot, Rng& rng,
-                                GarblingScheme scheme,
-                                OtReceiverPadPool* ot_pads) {
-  Timer timer;
-  uint64_t bytes_before = channel.stats().bytes_sent;
-  uint64_t rounds_before = channel.stats().direction_flips;
-
-  // Reconstruct the evaluator-input layout from the announced feature ids;
-  // RecvCircuitPrelude validates the untrusted announcement.
-  CircuitPrelude prelude = RecvCircuitPrelude(channel, features, "secure tree");
-
-  BitVec evaluator_bits;
-  {
-    obs::TraceSpan encode("smc.encode");
-    evaluator_bits = prelude.layout.EncodeRow(row);
-  }
-  BitVec out = GcRunEvaluator(channel, prelude.circuit, evaluator_bits, ot,
-                              rng, scheme, /*pool=*/nullptr, ot_pads);
-  uint32_t label_bits = static_cast<uint32_t>(BitsFor(num_classes));
-  if (out.size() != label_bits) {
-    throw ProtocolError("secure tree: circuit produced " +
-                        std::to_string(out.size()) + " label bits, want " +
-                        std::to_string(label_bits));
-  }
-
-  SmcRunStats stats;
-  stats.predicted_class = static_cast<int>(out.ToU64(0, label_bits));
-  if (stats.predicted_class >= num_classes) {
-    throw ProtocolError("secure tree: decoded class " +
-                        std::to_string(stats.predicted_class) +
-                        " out of range");
-  }
-  stats.bytes = channel.stats().bytes_sent - bytes_before;
-  stats.rounds = channel.stats().direction_flips - rounds_before;
-  stats.wall_seconds = timer.ElapsedSeconds();
-  stats.and_gates = prelude.circuit.Stats().and_gates;
-  return stats;
 }
 
 }  // namespace pafs

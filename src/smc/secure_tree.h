@@ -19,15 +19,11 @@
 #include <map>
 
 #include "circuit/circuit.h"
-#include "gc/protocol.h"
 #include "ml/decision_tree.h"
-#include "net/channel.h"
-#include "ot/iknp.h"
 #include "smc/common.h"
 
 namespace pafs {
 
-class Rng;
 class CircuitBuilder;
 
 namespace internal_secure_tree {
@@ -77,24 +73,6 @@ class SecureTreeCircuit {
   size_t num_leaves_;
   Circuit circuit_;
 };
-
-// The server derives the (value-dependent) specialized circuit and ships
-// its public description to the client first; the client therefore only
-// needs the schema, not the tree. `pregarbled` (single-use, from
-// serve/precompute's GcPool) and `ot_pads` plug in the offline/online
-// split; nullptr keeps the fully online behavior.
-SmcRunStats SecureTreeRunServer(Channel& channel, const SecureTreeCircuit& spec,
-                                const DecisionTree& tree, OtExtSender& ot,
-                                Rng& rng,
-                                GarblingScheme scheme = GarblingScheme::kHalfGates,
-                                GarbledCircuit* pregarbled = nullptr,
-                                OtSenderPadPool* ot_pads = nullptr);
-SmcRunStats SecureTreeRunClient(Channel& channel,
-                                const std::vector<FeatureSpec>& features,
-                                int num_classes, const std::vector<int>& row,
-                                OtExtReceiver& ot, Rng& rng,
-                                GarblingScheme scheme = GarblingScheme::kHalfGates,
-                                OtReceiverPadPool* ot_pads = nullptr);
 
 }  // namespace pafs
 

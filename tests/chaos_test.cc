@@ -40,11 +40,11 @@
 #include "obs/trace.h"
 #include "ot/iknp.h"
 #include "serve/client.h"
+#include "serve/engine.h"
 #include "serve/model.h"
 #include "serve/server.h"
 #include "sharing/gmw.h"
 #include "smc/secure_linear.h"
-#include "smc/secure_nb.h"
 #include "util/serial.h"
 #include "util/bitvec.h"
 #include "util/check.h"
@@ -776,9 +776,7 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
   serve::SessionSetup setup = serve::RecvSessionSetup(framed);
   std::vector<uint8_t> ticket = serve::RecvTicketFrame(framed);
   ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
-  std::map<int, int> key_map;
-  for (int f : setup.plan_features) key_map.emplace(f, 0);
-  SecureNbCircuit spec(setup.features, setup.num_classes, key_map);
+  serve::EvaluatorDriver evaluator(setup);
 
   OtExtReceiver ot;
   Rng rng(0xC4A5);
@@ -797,10 +795,10 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
     EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
   };
   send_query_head(framed);
-  SmcRunStats first = SecureNbRunClient(framed, spec, row, ot, rng,
-                                        setup.scheme);
+  int first =
+      evaluator.Run(framed, {row}, serve::EvaluatorSession{ot, rng}).classes[0];
   framed.SendU64(0);  // v4 refill tail request (unpooled raw client).
-  EXPECT_EQ(first.predicted_class, pipeline.PlaintextPredict(row));
+  EXPECT_EQ(first, pipeline.PlaintextPredict(row));
   ASSERT_TRUE(
       WaitForStat([&] { return server.stats().queries_served >= 1; }));
   socket->Close();  // Crash without reading the grant or completion ack.
@@ -833,12 +831,14 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
   Rng rng_retry = Rng::Deserialize(rng_reader);
   auto [s3, ch3] = resume(&ticket);
   send_query_head(*ch3);
-  SmcRunStats retry = SecureNbRunClient(*ch3, spec, row, ot_retry, rng_retry,
-                                        setup.scheme);
+  int retry = evaluator
+                  .Run(*ch3, {row},
+                       serve::EvaluatorSession{ot_retry, rng_retry})
+                  .classes[0];
   ch3->SendU64(0);  // Replayed v4 refill tail: same request, same grant.
   EXPECT_EQ(ch3->RecvU64(), 0u);
   EXPECT_EQ(ch3->RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-  EXPECT_EQ(retry.predicted_class, first.predicted_class);
+  EXPECT_EQ(retry, first);
 
   ASSERT_TRUE(WaitForStat([&] { return server.stats().replay_hits >= 1; }));
   serve::ServerStats stats = server.stats();

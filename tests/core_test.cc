@@ -134,7 +134,6 @@ TEST_P(PipelineTest, SecureMatchesPlaintextUnderPlan) {
   PipelineConfig config;
   config.classifier = GetParam();
   config.risk_budget = 0.08;
-  config.paillier_bits = 256;  // Keep the test fast.
   SecureClassificationPipeline pipeline(train, config);
 
   EXPECT_LE(pipeline.plan().risk_lift, config.risk_budget + 1e-9);
@@ -148,8 +147,9 @@ TEST_P(PipelineTest, SecureMatchesPlaintextUnderPlan) {
     EXPECT_GT(stats.bytes, 0u);
     if (stats.predicted_class != pipeline.PlaintextPredict(row)) ++mismatches;
   }
-  // Linear tolerates rare fixed-point ties; GC classifiers must be exact.
-  EXPECT_LE(mismatches, GetParam() == ClassifierKind::kLinear ? 1 : 0);
+  // Every classifier, linear included, runs the serving drivers and must
+  // be exact.
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST_P(PipelineTest, DisclosureReducesMeasuredTraffic) {
@@ -158,7 +158,6 @@ TEST_P(PipelineTest, DisclosureReducesMeasuredTraffic) {
   PipelineConfig config;
   config.classifier = GetParam();
   config.risk_budget = 1.0;  // Disclose maximally.
-  config.paillier_bits = 256;
   SecureClassificationPipeline pipeline(train, config);
   const std::vector<int>& row = train.row(5);
 

@@ -8,6 +8,9 @@
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
 #include "net/channel.h"
+#include "ot/iknp.h"
+#include "serve/engine.h"
+#include "serve/model.h"
 #include "smc/secure_forest.h"
 #include "util/random.h"
 
@@ -103,22 +106,34 @@ TEST_F(ForestTest, AllowedFeaturesParamIsEnforced) {
 
 class SecureForestTest : public ForestTest {
  protected:
-  SmcRunStats RunSecure(const RandomForest& forest,
-                        const std::map<int, int>& disclosed,
-                        const std::vector<int>& row) {
-    SecureForestCircuit spec(forest, data_.features(), data_.num_classes(),
-                             disclosed);
-    SmcRunStats server_stats, client_stats;
+  // One secure classification of `row` through the serving protocol
+  // drivers, with the `plan` features disclosed and both parties in this
+  // process. The garbler's decoded class must match the evaluator's.
+  serve::EvaluatorResult RunSecure(std::vector<int> plan,
+                                   const std::vector<int>& row) {
+    serve::ServingModel model;
+    model.setup.features = data_.features();
+    model.setup.num_classes = data_.num_classes();
+    model.setup.classifier = ClassifierKind::kForest;
+    model.setup.plan_features = std::move(plan);
+    model.forest = forest_;
+    serve::GarblerDriver garbler(model, model.setup.plan_features);
+    serve::EvaluatorDriver evaluator(model.setup);
+    serve::SpecMap specs;
+    std::vector<int> key;
+    for (int f : model.setup.plan_features) key.push_back(row[f]);
+    std::vector<int> server_classes;
     std::thread server([&] {
-      server_stats = SecureForestRunServer(channel_.endpoint(0), spec, forest,
-                                           ot_sender_, server_rng_);
+      server_classes =
+          garbler.Run(channel_.endpoint(0), {key},
+                      serve::GarblerSession{ot_sender_, server_rng_, specs});
     });
-    client_stats = SecureForestRunClient(channel_.endpoint(1),
-                                         data_.features(), data_.num_classes(),
-                                         row, ot_receiver_, client_rng_);
+    serve::EvaluatorResult result =
+        evaluator.Run(channel_.endpoint(1), {row},
+                      serve::EvaluatorSession{ot_receiver_, client_rng_});
     server.join();
-    EXPECT_EQ(server_stats.predicted_class, client_stats.predicted_class);
-    return client_stats;
+    EXPECT_EQ(server_classes, result.classes);
+    return result;
   }
 
   MemChannelPair channel_;
@@ -130,21 +145,18 @@ class SecureForestTest : public ForestTest {
 TEST_F(SecureForestTest, MatchesPlaintextNoDisclosure) {
   for (size_t i = 0; i < 6; ++i) {
     const std::vector<int>& row = data_.row(i * 97);
-    SmcRunStats stats = RunSecure(forest_, {}, row);
-    EXPECT_EQ(stats.predicted_class, forest_.Predict(row)) << "row " << i;
+    serve::EvaluatorResult result = RunSecure({}, row);
+    EXPECT_EQ(result.classes[0], forest_.Predict(row)) << "row " << i;
   }
 }
 
 TEST_F(SecureForestTest, MatchesPlaintextWithSpecialization) {
   for (size_t i = 0; i < 5; ++i) {
     const std::vector<int>& row = data_.row(i * 113);
-    std::map<int, int> disclosed = {
-        {WarfarinSchema::kRace, row[WarfarinSchema::kRace]},
-        {WarfarinSchema::kAge, row[WarfarinSchema::kAge]},
-        {WarfarinSchema::kWeight, row[WarfarinSchema::kWeight]}};
-    RandomForest specialized = forest_.Specialize(disclosed);
-    SmcRunStats stats = RunSecure(specialized, disclosed, row);
-    EXPECT_EQ(stats.predicted_class, forest_.Predict(row)) << "row " << i;
+    serve::EvaluatorResult result = RunSecure(
+        {WarfarinSchema::kRace, WarfarinSchema::kAge, WarfarinSchema::kWeight},
+        row);
+    EXPECT_EQ(result.classes[0], forest_.Predict(row)) << "row " << i;
   }
 }
 

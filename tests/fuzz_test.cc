@@ -234,7 +234,6 @@ class ReplayChannel : public Channel {
 serve::SessionSetup ReferenceSetup() {
   serve::SessionSetup setup;
   setup.classifier = ClassifierKind::kNaiveBayes;
-  setup.scheme = GarblingScheme::kHalfGates;
   setup.num_classes = 3;
   setup.features = {{"age", 4, false},
                     {"dose", 8, false},

@@ -28,13 +28,10 @@
 #include "ot/iknp.h"
 #include "ot/ot_pool.h"
 #include "serve/client.h"
+#include "serve/engine.h"
 #include "serve/model.h"
 #include "serve/precompute.h"
 #include "serve/server.h"
-#include "smc/secure_forest.h"
-#include "smc/secure_linear_aby.h"
-#include "smc/secure_nb.h"
-#include "smc/secure_tree.h"
 #include "util/random.h"
 #include "util/serial.h"
 
@@ -94,43 +91,16 @@ serve::SessionSetup RawHandshake(FramedChannel& framed,
   return setup;
 }
 
-// The pipeline's standalone client for a GC classifier kind, run as the
-// client half of a raw kQuery on a serving session.
-SmcRunStats RunRawGcClient(Channel& ch, const serve::SessionSetup& setup,
-                           ClassifierKind kind, const std::vector<int>& row,
-                           OtExtReceiver& ot, Rng& rng) {
-  if (kind == ClassifierKind::kDecisionTree) {
-    return SecureTreeRunClient(ch, setup.features, setup.num_classes, row, ot,
-                               rng, setup.scheme);
-  }
-  if (kind == ClassifierKind::kForest) {
-    return SecureForestRunClient(ch, setup.features, setup.num_classes, row,
-                                 ot, rng, setup.scheme);
-  }
-  std::map<int, int> key_map;
-  for (int f : setup.plan_features) key_map.emplace(f, 0);
-  SecureNbCircuit spec(setup.features, setup.num_classes, key_map);
-  return SecureNbRunClient(ch, spec, row, ot, rng, setup.scheme);
-}
-
-// The serving linear client, built from SecureLinearAbyProtocol's pieces:
-// base OTs on the session's first request, phase 1 on correlated OTs
-// (pooled when `pads` holds enough), then the garbled argmax. Returns the
-// decoded class.
-int RunRawLinearClient(Channel& ch, const serve::SessionSetup& setup,
-                       const std::vector<int>& row, OtExtReceiver& ot,
-                       Rng& rng, OtReceiverPadPool* pads = nullptr) {
-  std::map<int, int> key_map;
-  for (int f : setup.plan_features) key_map.emplace(f, 0);
-  SecureLinearAbyProtocol spec(setup.features, setup.num_classes, key_map);
-  if (!ot.is_setup()) ot.Setup(ch, rng);
-  BitVec choices = spec.Choices(row);
-  std::vector<Block> received;
-  if (choices.size() > 0) received = PooledOtRecv(ch, ot, choices, pads);
-  BitVec evaluator_bits = spec.EvaluatorBits(received);
-  BitVec out = GcRunEvaluator(ch, spec.argmax_circuit(), evaluator_bits, ot,
-                              rng, setup.scheme, nullptr, pads);
-  return serve::DecodeClassIndex(out, setup.num_classes);
+// The client half of a raw request on a serving session: the evaluator
+// driver for the announced setup, on a caller-held OT stream (and pad pool,
+// when given) so tests can snapshot and rewind it. Returns each row's class.
+std::vector<int> RunRawClient(Channel& ch, const serve::SessionSetup& setup,
+                              const std::vector<std::vector<int>>& rows,
+                              OtExtReceiver& ot, Rng& rng,
+                              OtReceiverPadPool* pads = nullptr) {
+  return serve::EvaluatorDriver(setup)
+      .Run(ch, rows, serve::EvaluatorSession{ot, rng, pads})
+      .classes;
 }
 
 // Channel decorator that forges the evaluator's output report as all-ones.
@@ -193,7 +163,6 @@ class ServeTest : public ::testing::Test {
     PipelineConfig config;
     config.classifier = kind;
     config.risk_budget = 0.08;
-    config.paillier_bits = 256;  // Keep the pipeline's kLinear keygen small.
     return std::make_unique<SecureClassificationPipeline>(data_, config);
   }
 
@@ -750,8 +719,7 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
   // At-most-once: a client that loses the reply retries the same query id
   // from its last snapshot; the server answers from the recorded
   // transcript without executing the query a second time. The raw client
-  // is the pipeline's standalone client for each GC kind, so this also
-  // pins that the serving executor speaks their wire format byte for byte.
+  // is the evaluator driver on an OT stream the test snapshots and rewinds.
   for (ClassifierKind kind :
        {ClassifierKind::kNaiveBayes, ClassifierKind::kDecisionTree,
         ClassifierKind::kForest}) {
@@ -787,18 +755,18 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
         ch.SendU64(static_cast<uint64_t>(row[f]));
       }
       EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-      SmcRunStats stats = RunRawGcClient(ch, setup, kind, row, o, r);
+      int pred = RunRawClient(ch, setup, {row}, o, r)[0];
       // The v4 refill tail: this raw client runs unpooled, so it asks for 0
       // and the server must grant 0.
       ch.SendU64(0);
       EXPECT_EQ(ch.RecvU64(), 0u);
       // Completion ack: the client-side commit point for the query.
       EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-      return stats;
+      return pred;
     };
 
-    SmcRunStats first = run_query(framed, ot, rng);
-    EXPECT_EQ(first.predicted_class, pipeline->PlaintextPredict(row));
+    int first = run_query(framed, ot, rng);
+    EXPECT_EQ(first, pipeline->PlaintextPredict(row));
     ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 1; }));
 
     // The reply is "lost": drop the connection, rewind to the snapshot, and
@@ -819,8 +787,8 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
     EXPECT_EQ(rotated.size(), serve::kResumeTicketBytes);
     EXPECT_NE(rotated, ticket);  // Tickets are consumed and rotated.
 
-    SmcRunStats retry = run_query(framed2, ot_retry, rng_retry);
-    EXPECT_EQ(retry.predicted_class, first.predicted_class);
+    int retry = run_query(framed2, ot_retry, rng_retry);
+    EXPECT_EQ(retry, first);
 
     ASSERT_TRUE(WaitFor([&] { return server.stats().replay_hits >= 1; }));
     ServerStats stats = server.stats();
@@ -862,11 +830,7 @@ TEST_F(ServeTest, ForgedOutputReportFailsSessionTyped) {
           }
           EXPECT_EQ(forged.RecvU64(),
                     static_cast<uint64_t>(serve::ReplyStatus::kOk));
-          if (kind == ClassifierKind::kLinear) {
-            RunRawLinearClient(forged, setup, row, ot, rng);
-          } else {
-            RunRawGcClient(forged, setup, kind, row, ot, rng);
-          }
+          RunRawClient(forged, setup, {row}, ot, rng);
           forged.SendU64(0);  // Refill tail; the server has hung up.
           (void)forged.RecvU64();
         },
@@ -1118,7 +1082,7 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
       ch.SendU64(static_cast<uint64_t>(r_row[f]));
     }
     EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-    int pred = RunRawLinearClient(ch, setup, r_row, o, r, &pads);
+    int pred = RunRawClient(ch, setup, {r_row}, o, r, &pads)[0];
     // The v4 refill tail: ask for the pool's deficit, absorb the grant.
     uint64_t wanted = pads.Deficit();
     ch.SendU64(wanted);
@@ -1290,6 +1254,12 @@ TEST_F(ServeTest, BatchMatchesPlaintextAcrossClassifiers) {
     client.ClassifyBatch({rows[1]}, &one_row);
     EXPECT_EQ(one_row.and_gates, client.ClassifyWithStats(rows[1]).and_gates)
         << ClassifierName(kind);
+    // The pipeline runs the same two drivers in process: the same answer
+    // over the same circuit.
+    SmcRunStats piped = pipeline->Classify(rows[1]);
+    EXPECT_EQ(piped.predicted_class, preds[1]) << ClassifierName(kind);
+    EXPECT_EQ(piped.and_gates, client.ClassifyWithStats(rows[1]).and_gates)
+        << ClassifierName(kind);
     client.Close();
     server.Stop();
     EXPECT_EQ(server.stats().sessions_failed, 0u);
@@ -1452,10 +1422,6 @@ TEST_F(ServeTest, RetriedBatchIsReplayedNotReExecuted) {
   std::vector<uint8_t> ticket;
   serve::SessionSetup setup = RawHandshake(framed, &ticket);
   ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
-  std::map<int, int> key_map;
-  for (int f : setup.plan_features) key_map.emplace(f, 0);
-  SecureNbCircuit spec(setup.features, setup.num_classes, key_map);
-
   OtExtReceiver ot;
   Rng rng(0xBA7C);
   std::vector<uint8_t> ot_snapshot = ot.Serialize();
@@ -1475,19 +1441,7 @@ TEST_F(ServeTest, RetriedBatchIsReplayedNotReExecuted) {
       }
     }
     EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-    std::vector<BitVec> evaluator_bits(rows.size());
-    std::vector<GcEvalItem> items(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      evaluator_bits[i] = spec.EncodeRow(rows[i]);
-      items[i].circuit = &spec.circuit();
-      items[i].evaluator_bits = &evaluator_bits[i];
-    }
-    std::vector<BitVec> outputs =
-        GcRunEvaluatorBatch(ch, items, o, r, setup.scheme);
-    std::vector<int> preds(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      preds[i] = spec.DecodeOutput(outputs[i]);
-    }
+    std::vector<int> preds = RunRawClient(ch, setup, rows, o, r);
     // The v4 refill tail (unpooled raw client: ask 0, granted 0).
     ch.SendU64(0);
     EXPECT_EQ(ch.RecvU64(), 0u);

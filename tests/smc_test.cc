@@ -17,6 +17,8 @@
 #include "ml/naive_bayes.h"
 #include "net/channel.h"
 #include "ot/iknp.h"
+#include "serve/engine.h"
+#include "serve/model.h"
 #include "smc/cost_model.h"
 #include "smc/secure_linear.h"
 #include "smc/secure_linear_aby.h"
@@ -40,6 +42,43 @@ class SmcTest : public ::testing::Test {
     std::map<int, int> out;
     for (int f : features) out[f] = row[f];
     return out;
+  }
+
+  serve::ServingModel ModelFor(ClassifierKind kind,
+                               std::vector<int> plan) const {
+    serve::ServingModel model;
+    model.setup.features = data_.features();
+    model.setup.num_classes = data_.num_classes();
+    model.setup.classifier = kind;
+    model.setup.plan_features = std::move(plan);
+    model.nb = nb_;
+    model.tree = tree_;
+    return model;
+  }
+
+  // One secure classification of `row` through the serving protocol
+  // drivers, both parties in this process over the fixture's channel and
+  // OT sessions (base OTs run on the first query). The garbler's decoded
+  // class must match the evaluator's.
+  serve::EvaluatorResult RunDrivers(const serve::ServingModel& model,
+                                    const std::vector<int>& row) {
+    serve::GarblerDriver garbler(model, model.setup.plan_features);
+    serve::EvaluatorDriver evaluator(model.setup);
+    serve::SpecMap specs;
+    std::vector<int> key;
+    for (int f : model.setup.plan_features) key.push_back(row[f]);
+    std::vector<int> server_classes;
+    std::thread server([&] {
+      server_classes =
+          garbler.Run(channel_.endpoint(0), {key},
+                      serve::GarblerSession{ot_sender_, server_rng_, specs});
+    });
+    serve::EvaluatorResult result =
+        evaluator.Run(channel_.endpoint(1), {row},
+                      serve::EvaluatorSession{ot_receiver_, client_rng_});
+    server.join();
+    EXPECT_EQ(server_classes, result.classes);
+    return result;
   }
 
   // Base OTs on the fixture's endpoints, for runners that take them set up.
@@ -94,38 +133,23 @@ TEST_F(SmcTest, HiddenLayoutSkipsDisclosed) {
 }
 
 TEST_F(SmcTest, SecureNbMatchesPlaintextNoDisclosure) {
-  SecureNbCircuit spec(data_.features(), data_.num_classes(), {});
+  serve::ServingModel model = ModelFor(ClassifierKind::kNaiveBayes, {});
   for (size_t i = 0; i < 12; ++i) {
     const std::vector<int>& row = data_.row(i * 37);
-    SmcRunStats server_stats, client_stats;
-    std::thread server([&] {
-      server_stats = SecureNbRunServer(channel_.endpoint(0), spec, nb_, {},
-                                       ot_sender_, server_rng_);
-    });
-    client_stats = SecureNbRunClient(channel_.endpoint(1), spec, row,
-                                     ot_receiver_, client_rng_);
-    server.join();
-    EXPECT_EQ(client_stats.predicted_class, nb_.Predict(row)) << "row " << i;
-    EXPECT_EQ(server_stats.predicted_class, client_stats.predicted_class);
+    serve::EvaluatorResult result = RunDrivers(model, row);
+    EXPECT_EQ(result.classes[0], nb_.Predict(row)) << "row " << i;
   }
 }
 
 TEST_F(SmcTest, SecureNbMatchesPlaintextWithDisclosure) {
-  std::vector<int> disclosure = {WarfarinSchema::kRace, WarfarinSchema::kAge,
-                                 WarfarinSchema::kWeight};
+  serve::ServingModel model =
+      ModelFor(ClassifierKind::kNaiveBayes,
+               {WarfarinSchema::kRace, WarfarinSchema::kAge,
+                WarfarinSchema::kWeight});
   for (size_t i = 0; i < 10; ++i) {
     const std::vector<int>& row = data_.row(i * 53);
-    std::map<int, int> disclosed = DiscloseFor(row, disclosure);
-    SecureNbCircuit spec(data_.features(), data_.num_classes(), disclosed);
-    SmcRunStats server_stats, client_stats;
-    std::thread server([&] {
-      server_stats = SecureNbRunServer(channel_.endpoint(0), spec, nb_,
-                                       disclosed, ot_sender_, server_rng_);
-    });
-    client_stats = SecureNbRunClient(channel_.endpoint(1), spec, row,
-                                     ot_receiver_, client_rng_);
-    server.join();
-    EXPECT_EQ(client_stats.predicted_class, nb_.Predict(row)) << "row " << i;
+    serve::EvaluatorResult result = RunDrivers(model, row);
+    EXPECT_EQ(result.classes[0], nb_.Predict(row)) << "row " << i;
   }
 }
 
@@ -143,42 +167,23 @@ TEST_F(SmcTest, SecureNbDisclosureShrinksCircuit) {
 }
 
 TEST_F(SmcTest, SecureTreeMatchesPlaintext) {
+  serve::ServingModel model = ModelFor(ClassifierKind::kDecisionTree, {});
   for (size_t i = 0; i < 10; ++i) {
     const std::vector<int>& row = data_.row(i * 61);
-    SecureTreeCircuit spec(tree_, data_.features(), data_.num_classes(), {});
-    SmcRunStats server_stats, client_stats;
-    std::thread server([&] {
-      server_stats = SecureTreeRunServer(channel_.endpoint(0), spec, tree_,
-                                         ot_sender_, server_rng_);
-    });
-    client_stats =
-        SecureTreeRunClient(channel_.endpoint(1), data_.features(),
-                            data_.num_classes(), row, ot_receiver_, client_rng_);
-    server.join();
-    EXPECT_EQ(client_stats.predicted_class, tree_.Predict(row)) << "row " << i;
-    EXPECT_EQ(server_stats.predicted_class, client_stats.predicted_class);
+    serve::EvaluatorResult result = RunDrivers(model, row);
+    EXPECT_EQ(result.classes[0], tree_.Predict(row)) << "row " << i;
   }
 }
 
 TEST_F(SmcTest, SecureTreeWithSpecialization) {
-  std::vector<int> disclosure = {WarfarinSchema::kRace, WarfarinSchema::kAge,
-                                 WarfarinSchema::kAmiodarone};
+  serve::ServingModel model =
+      ModelFor(ClassifierKind::kDecisionTree,
+               {WarfarinSchema::kRace, WarfarinSchema::kAge,
+                WarfarinSchema::kAmiodarone});
   for (size_t i = 0; i < 10; ++i) {
     const std::vector<int>& row = data_.row(i * 79);
-    std::map<int, int> disclosed = DiscloseFor(row, disclosure);
-    DecisionTree specialized = tree_.Specialize(disclosed);
-    SecureTreeCircuit spec(specialized, data_.features(), data_.num_classes(),
-                           disclosed);
-    SmcRunStats server_stats, client_stats;
-    std::thread server([&] {
-      server_stats = SecureTreeRunServer(channel_.endpoint(0), spec,
-                                         specialized, ot_sender_, server_rng_);
-    });
-    client_stats =
-        SecureTreeRunClient(channel_.endpoint(1), data_.features(),
-                            data_.num_classes(), row, ot_receiver_, client_rng_);
-    server.join();
-    EXPECT_EQ(client_stats.predicted_class, tree_.Predict(row)) << "row " << i;
+    serve::EvaluatorResult result = RunDrivers(model, row);
+    EXPECT_EQ(result.classes[0], tree_.Predict(row)) << "row " << i;
   }
 }
 
@@ -191,16 +196,10 @@ TEST_F(SmcTest, SecureTreeFullDisclosureOfUsedFeatures) {
   SecureTreeCircuit spec(specialized, data_.features(), data_.num_classes(),
                          disclosed);
   EXPECT_EQ(spec.circuit().evaluator_inputs(), 0u);
-  SmcRunStats server_stats, client_stats;
-  std::thread server([&] {
-    server_stats = SecureTreeRunServer(channel_.endpoint(0), spec, specialized,
-                                       ot_sender_, server_rng_);
-  });
-  client_stats =
-      SecureTreeRunClient(channel_.endpoint(1), data_.features(),
-                          data_.num_classes(), row, ot_receiver_, client_rng_);
-  server.join();
-  EXPECT_EQ(client_stats.predicted_class, tree_.Predict(row));
+  serve::EvaluatorResult result = RunDrivers(
+      ModelFor(ClassifierKind::kDecisionTree, tree_.UsedFeatures()), row);
+  EXPECT_EQ(result.classes[0], tree_.Predict(row));
+  EXPECT_EQ(result.and_gates, spec.circuit().Stats().and_gates);
 }
 
 TEST_F(SmcTest, SecureLinearMatchesPlaintext) {
