@@ -17,8 +17,10 @@
 #include "net/channel.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "ot/iknp.h"
 #include "serve/engine.h"
 #include "util/random.h"
+#include "util/timer.h"
 
 namespace pafs::bench {
 
@@ -107,10 +109,23 @@ inline serve::ServingModel SchemaModel(const Dataset& data, ClassifierKind kind,
   return model;
 }
 
+// Opens an OT session over `channel` the way a serving session's
+// handshake does: both parties' base OTs concurrently, sender on end 0.
+// Returns the wall time in milliseconds.
+inline double BaseOtSetupMs(OtExtSender& sender, OtExtReceiver& receiver,
+                            MemChannelPair& channel) {
+  Rng rng_s(101), rng_r(102);
+  Timer timer;
+  std::thread server([&] { sender.Setup(channel.endpoint(0), rng_s); });
+  receiver.Setup(channel.endpoint(1), rng_r);
+  server.join();
+  return timer.ElapsedMillis();
+}
+
 // One secure classification of `row` through the serving protocol drivers
 // with both parties in this process: the garbler on a second thread over
-// channel end 0, the evaluator here over end 1. Base OTs run on the
-// sessions' first query; null pools keep it fully online.
+// channel end 0, the evaluator here over end 1. The sessions' OT endpoints
+// must already be set up (BaseOtSetupMs); null pools keep it fully online.
 inline serve::EvaluatorResult RunDrivers(
     MemChannelPair& channel, const serve::GarblerDriver& garbler,
     const serve::GarblerSession& garbler_session,

@@ -53,18 +53,6 @@ struct E2eOptions {
   bool smoke = false;
 };
 
-// Base-OT handshake on its own channel pair; both directions run
-// concurrently exactly like a serving-layer session setup.
-double BaseOtSetupMs(OtExtSender& sender, OtExtReceiver& receiver,
-                     MemChannelPair& channel) {
-  Rng rng_s(101), rng_r(102);
-  Timer timer;
-  std::thread server([&] { sender.Setup(channel.endpoint(0), rng_s); });
-  receiver.Setup(channel.endpoint(1), rng_r);
-  server.join();
-  return timer.ElapsedMillis();
-}
-
 struct ForestSplit {
   double offline_base_ot_ms = 0;
   double cold_query_ms = 0;    // Fresh OT session inside the timed region.
@@ -97,12 +85,13 @@ ForestSplit RunForest(const E2eOptions& opt) {
     MemChannelPair channel;
     OtExtSender s;
     OtExtReceiver recv;
-    Rng rng_g(1), rng_e(2);
+    Rng rng_g(1);
     const std::vector<int>& row = train.row(7);
     Timer timer;
+    bench::BaseOtSetupMs(s, recv, channel);
     serve::EvaluatorResult result = bench::RunDrivers(
         channel, garbler, serve::GarblerSession{s, rng_g, specs}, evaluator,
-        serve::EvaluatorSession{recv, rng_e}, row);
+        serve::EvaluatorSession{recv}, row);
     double ms = timer.ElapsedMillis();
     if (i == 0 || ms < r.cold_query_ms) r.cold_query_ms = ms;
     if (result.classes[0] != model.forest.Predict(row)) ++r.mismatches;
@@ -112,15 +101,15 @@ ForestSplit RunForest(const E2eOptions& opt) {
   MemChannelPair channel;
   OtExtSender sender;
   OtExtReceiver receiver;
-  r.offline_base_ot_ms = BaseOtSetupMs(sender, receiver, channel);
-  Rng rng_g(1), rng_e(2);
+  r.offline_base_ot_ms = bench::BaseOtSetupMs(sender, receiver, channel);
+  Rng rng_g(1);
   double sum = 0;
   for (int i = 0; i < opt.reps; ++i) {
     const std::vector<int>& row = train.row((7 + i * 211) % train.size());
     Timer timer;
     serve::EvaluatorResult result = bench::RunDrivers(
         channel, garbler, serve::GarblerSession{sender, rng_g, specs},
-        evaluator, serve::EvaluatorSession{receiver, rng_e}, row);
+        evaluator, serve::EvaluatorSession{receiver}, row);
     double ms = timer.ElapsedMillis();
     sum += ms;
     if (i == 0 || ms < r.online_query_ms) r.online_query_ms = ms;
@@ -167,7 +156,7 @@ BatchSplit RunBatched(const E2eOptions& opt, int records) {
   MemChannelPair channel;
   OtExtSender sender;
   OtExtReceiver receiver;
-  BaseOtSetupMs(sender, receiver, channel);  // Offline, reported by forest.
+  bench::BaseOtSetupMs(sender, receiver, channel);  // Reported by forest.
 
   BitVec garbler_bits = spec.EncodeModel(forest);
   size_t eval_bits_per_record = spec.EncodeRow(train.row(0)).size();
@@ -227,7 +216,7 @@ BatchSplit RunBatched(const E2eOptions& opt, int records) {
     Timer timer;
     std::thread server([&] {
       GcGarblerOnlineBatch(channel.endpoint(0), std::move(pushed), sender,
-                           rng_g, &spool);
+                           &spool);
     });
     std::vector<BitVec> evaluator_bits(records);
     std::vector<GcEvalItem> items(records);
@@ -237,7 +226,7 @@ BatchSplit RunBatched(const E2eOptions& opt, int records) {
       items[i].evaluator_bits = &evaluator_bits[i];
     }
     std::vector<BitVec> outputs = GcEvaluatorOnlineBatch(
-        channel.endpoint(1), std::move(pulled), items, receiver, rng_e,
+        channel.endpoint(1), std::move(pulled), items, receiver,
         ThreadPool::Global(), &rpool);
     server.join();
     double ms = timer.ElapsedMillis();
@@ -338,7 +327,7 @@ LinearSplit RunLinear(const E2eOptions& opt) {
   MemChannelPair channel;
   OtExtSender sender;
   OtExtReceiver receiver;
-  r.offline_base_ot_ms = BaseOtSetupMs(sender, receiver, channel);
+  r.offline_base_ot_ms = bench::BaseOtSetupMs(sender, receiver, channel);
 
   // Pools sized for every rep up front, so the online loop never refills:
   // the client spends NumClientCiphertexts pads per query, the server one

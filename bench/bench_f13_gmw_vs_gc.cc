@@ -37,16 +37,14 @@ BackendRun RunGc(const NaiveBayes& nb, const Dataset& cohort,
   MemChannelPair channel;
   OtExtSender s;
   OtExtReceiver r;
-  Rng rng_g(1), rng_e(2);
+  Rng rng_g(1);
   // Session setup out of band (amortized in both backends).
-  std::thread setup([&] { s.Setup(channel.endpoint(0), rng_g); });
-  r.Setup(channel.endpoint(1), rng_e);
-  setup.join();
+  BaseOtSetupMs(s, r, channel);
   channel.ResetStats();
 
   Timer timer;
   RunDrivers(channel, garbler, serve::GarblerSession{s, rng_g, specs},
-             evaluator, serve::EvaluatorSession{r, rng_e}, row);
+             evaluator, serve::EvaluatorSession{r}, row);
   return BackendRun{timer.ElapsedMillis(), channel.TotalBytes(),
                     channel.TotalRounds()};
 }

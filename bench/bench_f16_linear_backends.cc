@@ -51,9 +51,7 @@ int main(int argc, char** argv) {
       OtExtSender s;
       OtExtReceiver r;
       Rng rng_g(1), rng_e(2);
-      std::thread setup([&] { s.Setup(channel.endpoint(0), rng_g); });
-      r.Setup(channel.endpoint(1), rng_e);
-      setup.join();
+      BaseOtSetupMs(s, r, channel);
       channel.ResetStats();
       SecureLinearProtocol protocol(cohort.features(), cohort.num_classes(),
                                     scenario.disclosed);
@@ -73,10 +71,8 @@ int main(int argc, char** argv) {
       MemChannelPair channel;
       OtExtSender s;
       OtExtReceiver r;
-      Rng rng_g(3), rng_e(4);
-      std::thread setup([&] { s.Setup(channel.endpoint(0), rng_g); });
-      r.Setup(channel.endpoint(1), rng_e);
-      setup.join();
+      Rng rng_g(3);
+      BaseOtSetupMs(s, r, channel);
       channel.ResetStats();
       SecureLinearAbyProtocol protocol(cohort.features(),
                                        cohort.num_classes(),
@@ -86,8 +82,7 @@ int main(int argc, char** argv) {
         protocol.RunServer(channel.endpoint(0), model, scenario.disclosed, s,
                            rng_g);
       });
-      SmcRunStats stats = protocol.RunClient(channel.endpoint(1), row, r,
-                                             rng_e);
+      SmcRunStats stats = protocol.RunClient(channel.endpoint(1), row, r);
       server.join();
       aby_ms = timer.ElapsedMillis();
       aby_bytes = channel.TotalBytes();

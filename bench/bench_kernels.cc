@@ -131,7 +131,6 @@ double OtExtRowsPerS() {
   MemChannelPair channel;
   OtExtSender sender;
   OtExtReceiver receiver;
-  Rng rng_s(11), rng_r(12);
   std::vector<std::array<Block, 2>> messages(kRows);
   for (size_t j = 0; j < kRows; ++j) {
     messages[j] = {Block(j, 1), Block(j, 2)};
@@ -139,9 +138,7 @@ double OtExtRowsPerS() {
   BitVec choices(kRows);
   for (size_t j = 0; j < kRows; ++j) choices.Set(j, (j * 7) & 1);
 
-  std::thread setup([&] { sender.Setup(channel.endpoint(0), rng_s); });
-  receiver.Setup(channel.endpoint(1), rng_r);
-  setup.join();
+  bench::BaseOtSetupMs(sender, receiver, channel);
 
   Timer t;
   std::thread send([&] {
@@ -212,10 +209,11 @@ double ForestQueryMs() {
     MemChannelPair channel;
     OtExtSender s;
     OtExtReceiver recv;
-    Rng rng_g(1), rng_e(2);
+    Rng rng_g(1);
     Timer timer;
+    bench::BaseOtSetupMs(s, recv, channel);
     bench::RunDrivers(channel, garbler, serve::GarblerSession{s, rng_g, specs},
-                      evaluator, serve::EvaluatorSession{recv, rng_e}, row);
+                      evaluator, serve::EvaluatorSession{recv}, row);
     double ms = timer.ElapsedMillis();
     if (r == 0 || ms < best) best = ms;
   }

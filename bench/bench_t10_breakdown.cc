@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       garbler.Run(server_ch, {{}}, serve::GarblerSession{s, rng_g, specs});
     });
     serve::EvaluatorResult result = evaluator.Run(
-        client_ch, {small.row(1)}, serve::EvaluatorSession{r, rng_e});
+        client_ch, {small.row(1)}, serve::EvaluatorSession{r});
     server.join();
     PAFS_CHECK_EQ(result.classes[0], model.nb.Predict(small.row(1)));
     double measured_ms = timer.ElapsedMillis();

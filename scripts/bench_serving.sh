@@ -54,7 +54,10 @@ out = {
     "description": "Session-multiplexed secure classification under "
                    "concurrent load (bench/bench_serving.cc). Latency "
                    "percentiles are nearest-rank over every per-query "
-                   "client-side sample; QPS is total completed queries "
+                   "client-side sample; open_p50_ms/open_p95_ms time "
+                   "each session's open (the client constructor: the "
+                   "handshake with its 128 base OTs) apart from its "
+                   "queries. QPS is total completed queries "
                    "over client wall time. Queueing behind the worker "
                    "pool dominates tails when sessions >> cores. The "
                    "overload block is the resilience scenario: an "

@@ -38,12 +38,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # The concurrency-bearing suites: socket transport + cross-thread close,
   # event loop + serving layer, chaos watchdogs, thread pool, telemetry,
   # parallel kernels, concurrent pad-pool refillers (crypto_test), the
-  # pipeline (core_test: both serving drivers on two threads, garbling on
-  # the global pool), and the end-to-end serving smoke. The remaining
-  # numeric/protocol suites are single-threaded and covered by the ASan
-  # gate.
+  # pipeline (core_test) and the driver-level protocol suites (smc_test,
+  # forest_test): both serving drivers and two-thread base-OT opens on
+  # two threads, garbling on the global pool; and the end-to-end serving
+  # smoke. The remaining numeric/protocol suites are single-threaded and
+  # covered by the ASan gate.
   ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-    -R '^(net_test|serve_test|chaos_test|core_test|util_test|obs_test|kernel_test|crypto_test|bench_serving_smoke|bench_serving_smoke_linear|bench_e2e_smoke)$'
+    -R '^(net_test|serve_test|chaos_test|core_test|smc_test|forest_test|util_test|obs_test|kernel_test|crypto_test|bench_serving_smoke|bench_serving_smoke_linear|bench_e2e_smoke)$'
   echo "check.sh: tsan green"
   exit 0
 fi

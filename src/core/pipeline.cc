@@ -183,6 +183,10 @@ SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
   uint64_t bytes_before = channel_->TotalBytes();
   uint64_t rounds_before = channel_->TotalRounds();
   Timer timer;
+  // The first attempt on a fresh session (after construction or
+  // ResetSession) opens it: each party runs its base OTs before the
+  // disclosure, so that query's stats include the session setup.
+  const bool open_session = !ot_sender_.is_setup();
 
   // Disclosure phase: the client reveals the plan's feature values. Each
   // party tags its thread so spans land in the right phase tree; the root
@@ -195,6 +199,7 @@ SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
     obs::SetThreadParty("server");
     obs::TraceSpan root("classify");
     try {
+      if (open_session) ot_sender_.Setup(*server_channel, server_rng_);
       std::vector<int> key;
       for (int f : disclosure) {
         uint64_t v = server_channel->RecvU64();
@@ -219,6 +224,7 @@ SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
   obs::SetThreadParty("client");
   obs::TraceSpan root("classify");
   try {
+    if (open_session) ot_receiver_.Setup(*client_channel, client_rng_);
     {
       obs::TraceSpan disclose("disclose");
       for (int f : disclosure) {
@@ -226,8 +232,7 @@ SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
       }
     }
     client_result = drivers_->evaluator.Run(
-        *client_channel, {row},
-        serve::EvaluatorSession{ot_receiver_, client_rng_});
+        *client_channel, {row}, serve::EvaluatorSession{ot_receiver_});
   } catch (...) {
     client_error = std::current_exception();
     channel_->Close();

@@ -164,13 +164,12 @@ GcGarblerPushed GcGarblerPushBatch(Channel& channel,
 
 std::vector<BitVec> GcGarblerOnlineBatch(Channel& channel,
                                          GcGarblerPushed pushed,
-                                         OtExtSender& ot, Rng& rng,
+                                         OtExtSender& ot,
                                          OtSenderPadPool* ot_pads) {
   // Evaluator input labels, one combined OT across the whole batch, then
   // learn the results. The final receive stays unspanned: it waits on the
   // evaluator's gc.eval, which already owns that wall time.
   channel.ThrowIfCancelled("gc ot send");
-  if (!ot.is_setup()) ot.Setup(channel, rng);
   if (!pushed.ot_messages.empty()) {
     PooledOtSend(channel, ot, pushed.ot_messages, ot_pads);
   }
@@ -200,14 +199,9 @@ std::vector<BitVec> GcRunGarblerBatch(Channel& channel,
                                       OtExtSender& ot, Rng& rng,
                                       GarblingScheme scheme, ThreadPool* pool,
                                       OtSenderPadPool* ot_pads) {
-  // Cancellation checkpoints bracket the compute-heavy stretches (base
-  // OTs, garbling): a supervisor's token stops the run before the next
-  // expensive phase even when no socket IO would observe it.
-  channel.ThrowIfCancelled("gc garbler setup");
-  if (!ot.is_setup()) ot.Setup(channel, rng);
   GcGarblerPushed pushed =
       GcGarblerPushBatch(channel, items, rng, scheme, pool);
-  return GcGarblerOnlineBatch(channel, std::move(pushed), ot, rng, ot_pads);
+  return GcGarblerOnlineBatch(channel, std::move(pushed), ot, ot_pads);
 }
 
 GcEvaluatorPulled GcEvaluatorPullBatch(
@@ -253,8 +247,7 @@ GcEvaluatorPulled GcEvaluatorPullBatch(
 std::vector<BitVec> GcEvaluatorOnlineBatch(Channel& channel,
                                            GcEvaluatorPulled pulled,
                                            const std::vector<GcEvalItem>& items,
-                                           OtExtReceiver& ot, Rng& rng,
-                                           ThreadPool* pool,
+                                           OtExtReceiver& ot, ThreadPool* pool,
                                            OtReceiverPadPool* ot_pads) {
   const size_t n = items.size();
   PAFS_CHECK_EQ(n, pulled.circuits.size());
@@ -268,7 +261,6 @@ std::vector<BitVec> GcEvaluatorOnlineBatch(Channel& channel,
   std::vector<std::vector<Block>>& flats = pulled.flats;
   std::vector<std::vector<Block>>& garbler_labels = pulled.garbler_labels;
   BitVec& all_decode = pulled.all_decode;
-  if (!ot.is_setup()) ot.Setup(channel, rng);
 
   // Own labels via the combined batch OT.
   BitVec all_choices;
@@ -354,16 +346,15 @@ std::vector<BitVec> GcEvaluatorOnlineBatch(Channel& channel,
 
 std::vector<BitVec> GcRunEvaluatorBatch(Channel& channel,
                                         const std::vector<GcEvalItem>& items,
-                                        OtExtReceiver& ot, Rng& rng,
+                                        OtExtReceiver& ot,
                                         GarblingScheme scheme, ThreadPool* pool,
                                         OtReceiverPadPool* ot_pads) {
-  if (!ot.is_setup()) ot.Setup(channel, rng);
   std::vector<const Circuit*> circuits;
   circuits.reserve(items.size());
   for (const GcEvalItem& item : items) circuits.push_back(item.circuit);
   GcEvaluatorPulled pulled = GcEvaluatorPullBatch(channel, circuits, scheme);
-  return GcEvaluatorOnlineBatch(channel, std::move(pulled), items, ot, rng,
-                                pool, ot_pads);
+  return GcEvaluatorOnlineBatch(channel, std::move(pulled), items, ot, pool,
+                                ot_pads);
 }
 
 BitVec GcRunGarbler(Channel& channel, const Circuit& circuit,
@@ -375,9 +366,9 @@ BitVec GcRunGarbler(Channel& channel, const Circuit& circuit,
 
 BitVec GcRunEvaluator(Channel& channel, const Circuit& circuit,
                       const BitVec& evaluator_bits, OtExtReceiver& ot,
-                      Rng& rng, GarblingScheme scheme, ThreadPool* pool) {
+                      GarblingScheme scheme, ThreadPool* pool) {
   std::vector<GcEvalItem> items = {GcEvalItem{&circuit, &evaluator_bits}};
-  return GcRunEvaluatorBatch(channel, items, ot, rng, scheme, pool)[0];
+  return GcRunEvaluatorBatch(channel, items, ot, scheme, pool)[0];
 }
 
 }  // namespace pafs

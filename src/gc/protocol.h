@@ -13,6 +13,9 @@
 // serve/precompute's GcPool) skips the online Garble call, and an OT pad
 // pool turns the label transfer into the derandomized ot/ot_pool.h path.
 // Both are optional; nullptr means the original online behavior.
+//
+// Every entry point takes an OT endpoint that is already Setup: the base
+// OTs belong to whoever opens the session, never to a protocol run.
 #ifndef PAFS_GC_PROTOCOL_H_
 #define PAFS_GC_PROTOCOL_H_
 
@@ -93,7 +96,7 @@ GcGarblerPushed GcGarblerPushBatch(
 // bit, then the output frame back from the evaluator.
 std::vector<BitVec> GcGarblerOnlineBatch(Channel& channel,
                                          GcGarblerPushed pushed,
-                                         OtExtSender& ot, Rng& rng,
+                                         OtExtSender& ot,
                                          OtSenderPadPool* ot_pads = nullptr);
 
 // Receives the pushed material for `circuits` (sizes are demanded from the
@@ -107,16 +110,15 @@ GcEvaluatorPulled GcEvaluatorPullBatch(
 // `items` must name the same circuits, in order, as the pull.
 std::vector<BitVec> GcEvaluatorOnlineBatch(
     Channel& channel, GcEvaluatorPulled pulled,
-    const std::vector<GcEvalItem>& items, OtExtReceiver& ot, Rng& rng,
+    const std::vector<GcEvalItem>& items, OtExtReceiver& ot,
     ThreadPool* pool = nullptr, OtReceiverPadPool* ot_pads = nullptr);
 
 // Runs the garbler's side of a batch; returns each circuit's outputs (the
-// evaluator reports them back) in item order. The OT sender session must
-// already be Setup (or it is set up on first use, paying the base-OT
-// cost). A non-null `pool` parallelizes garbling — across the batch when
-// there are several fresh items, inside the circuit (e.g. the member trees
-// of a forest) for a single one. `ot_pads`, when non-null and warm,
-// derandomizes the label OT (see ot/ot_pool.h).
+// evaluator reports them back) in item order. A non-null `pool`
+// parallelizes garbling — across the batch when there are several fresh
+// items, inside the circuit (e.g. the member trees of a forest) for a
+// single one. `ot_pads`, when non-null and warm, derandomizes the label
+// OT (see ot/ot_pool.h).
 std::vector<BitVec> GcRunGarblerBatch(
     Channel& channel, const std::vector<GcGarbleItem>& items, OtExtSender& ot,
     Rng& rng, GarblingScheme scheme = GarblingScheme::kHalfGates,
@@ -127,7 +129,7 @@ std::vector<BitVec> GcRunGarblerBatch(
 // items when `pool` is non-null.
 std::vector<BitVec> GcRunEvaluatorBatch(
     Channel& channel, const std::vector<GcEvalItem>& items, OtExtReceiver& ot,
-    Rng& rng, GarblingScheme scheme = GarblingScheme::kHalfGates,
+    GarblingScheme scheme = GarblingScheme::kHalfGates,
     ThreadPool* pool = nullptr, OtReceiverPadPool* ot_pads = nullptr);
 
 // Single-circuit wrappers (1-item batches, same wire format), fully
@@ -139,7 +141,6 @@ BitVec GcRunGarbler(Channel& channel, const Circuit& circuit,
 
 BitVec GcRunEvaluator(Channel& channel, const Circuit& circuit,
                       const BitVec& evaluator_bits, OtExtReceiver& ot,
-                      Rng& rng,
                       GarblingScheme scheme = GarblingScheme::kHalfGates,
                       ThreadPool* pool = nullptr);
 

@@ -94,6 +94,7 @@ void ClassificationClient::ConnectOnce() {
   // entries pair with the dead session's sender stream, so a fresh session
   // starts from an empty pool (the first query's refill tail warms it).
   ot_ = OtExtReceiver();
+  ot_.Setup(*framed_, rng_);
   if (config_.ot_pool_depth > 0 && !PoolsDisabledByEnv()) {
     ot_pads_ = std::make_unique<OtReceiverPadPool>(
         static_cast<size_t>(config_.ot_pool_depth));
@@ -282,7 +283,7 @@ void ClassificationClient::RunOnce(const std::vector<std::vector<int>>& rows,
   }
   RecvAdmissionAck(ch);
   EvaluatorResult result =
-      driver_->Run(ch, rows, EvaluatorSession{ot_, rng_, ot_pads_.get()});
+      driver_->Run(ch, rows, EvaluatorSession{ot_, ot_pads_.get()});
   // Refill tail (v4): top the receiver pad pool up while the round trip is
   // already paid, before the commit point so the snapshot below covers the
   // refilled pool.
@@ -344,14 +345,10 @@ void ClassificationClient::RecvCompletionAck(Channel& ch) {
 }
 
 void ClassificationClient::ClientOtRefillTail(Channel& ch) {
-  // Receiver-driven: ask for the pool's deficit (0 when pooling is off or
-  // the OT stream is not yet set up — the server answers 0 in kind, so the
-  // tail costs two u64 frames on a cold session). The server may grant
-  // less, never more.
-  uint64_t wanted = 0;
-  if (ot_pads_ != nullptr && ot_.is_setup()) {
-    wanted = ot_pads_->Deficit();
-  }
+  // Receiver-driven: ask for the pool's deficit (0 when pooling is off —
+  // the server answers 0 in kind, so the tail costs two u64 frames). The
+  // server may grant less, never more.
+  uint64_t wanted = ot_pads_ != nullptr ? ot_pads_->Deficit() : 0;
   ch.SendU64(wanted);
   uint64_t granted = ch.RecvU64();
   if (granted > wanted) {

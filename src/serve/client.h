@@ -9,10 +9,11 @@
 // Resilience: every request runs under the config's RetryPolicy. A session
 // fault (peer died, deadline expired, corrupt frame) or a typed kBusy shed
 // from the server tears the session down, waits a jittered capped
-// exponential backoff, reconnects, re-handshakes (base OTs re-run on the
-// next query), and retries — transparently, up to max_attempts and the
-// overall deadline budget. Queries are pure functions of the row and the
-// model, so a retry can never double-apply anything.
+// exponential backoff, reconnects, re-handshakes (a fresh handshake re-runs
+// the base OTs, a resumed one skips them), and retries — transparently, up
+// to max_attempts and the overall deadline budget. Queries are pure
+// functions of the row and the model, so a retry can never double-apply
+// anything.
 #ifndef PAFS_SERVE_CLIENT_H_
 #define PAFS_SERVE_CLIENT_H_
 

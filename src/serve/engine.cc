@@ -152,9 +152,7 @@ std::vector<int> GarblerDriver::Run(Channel& channel,
       items[i].pregarbled = &pre[i];
     }
   }
-  // Base OTs on the session's first request, ahead of linear phase 1
-  // (one correlated OT per message, all records at once).
-  if (!session.ot.is_setup()) session.ot.Setup(channel, session.rng);
+  // Linear phase 1: one correlated OT per message, all records at once.
   if (!messages.empty()) {
     PooledOtSend(channel, session.ot, messages, session.ot_pads);
   }
@@ -224,8 +222,6 @@ EvaluatorResult EvaluatorDriver::Run(Channel& channel,
     items[i] = {&preludes[k].circuit, &evaluator_bits[i]};
     result.and_gates += prelude_gates[k];
   }
-  // Base OTs on the session's first request, ahead of linear phase 1.
-  if (!session.ot.is_setup()) session.ot.Setup(channel, session.rng);
   if (linear_ != nullptr) {
     std::vector<Block> received;
     if (choices.size() > 0) {
@@ -239,7 +235,7 @@ EvaluatorResult EvaluatorDriver::Run(Channel& channel,
     }
   }
   std::vector<BitVec> outputs = GcRunEvaluatorBatch(
-      channel, items, session.ot, session.rng, GarblingScheme::kHalfGates,
+      channel, items, session.ot, GarblingScheme::kHalfGates,
       ThreadPool::Global(), session.ot_pads);
   result.classes.resize(n);
   for (size_t i = 0; i < n; ++i) {

@@ -14,8 +14,8 @@
 //     key. The garbler ships one prelude per distinct key in
 //     first-occurrence order; both ends derive that order from their own
 //     records, so the wire carries no index frames.
-// Then one batched GC exchange and the decoded class indices. Base OTs run
-// lazily on the session's first request, ahead of linear phase 1.
+// Then one batched GC exchange and the decoded class indices. The OT
+// endpoints arrive set up: whoever opened the session ran the base OTs.
 //
 // The pools are optional: null GC and OT pools give the fully online path
 // (PAFS_NO_POOL=1 serving, and the pipeline). Bytes, rounds and wall time
@@ -65,8 +65,8 @@ using SpecMap = std::map<std::vector<int>, std::shared_ptr<const KeySpec>>;
 // size and the GC pool's key budget (ServerConfig::gc_pool_max_keys).
 inline constexpr int kDefaultMaxSpecKeys = 8;
 
-// One party's session state. `ot` and `rng` are the protocol streams the
-// request advances; the pools are null when the session runs unpooled.
+// One party's session state: its set-up OT stream, the garbler's rng, and
+// the pools (null when the session runs unpooled).
 struct GarblerSession {
   OtExtSender& ot;
   Rng& rng;
@@ -82,7 +82,6 @@ struct GarblerSession {
 
 struct EvaluatorSession {
   OtExtReceiver& ot;
-  Rng& rng;
   OtReceiverPadPool* ot_pads = nullptr;
 };
 

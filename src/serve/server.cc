@@ -420,9 +420,7 @@ void ClassificationServer::FillerStep(const std::shared_ptr<Session>& s) {
   if (ot_pads != nullptr && ot_pads->HasPending() &&
       !stop_fill_.load(std::memory_order_relaxed)) {
     std::unique_lock<std::mutex> ot_lock(s->ot_mu, std::try_to_lock);
-    if (ot_lock.owns_lock() && s->ot.is_setup()) {
-      ot_added = ot_pads->Materialize(s->ot);
-    }
+    if (ot_lock.owns_lock()) ot_added = ot_pads->Materialize(s->ot);
   }
   bool again = false;
   {
@@ -479,9 +477,11 @@ bool ClassificationServer::ServeOne(Session& s) {
       IssueTicket(s, ch);
     } else {
       // Fresh session, or a ticket that expired/was evicted/was forged:
-      // transparently degrade to the full handshake.
+      // transparently degrade to the full handshake. The base OTs run
+      // before the ticket so its snapshot holds a ready OT stream.
       ch.SendU64(static_cast<uint64_t>(ReplyStatus::kOk));
       SendSessionSetup(ch, model_.setup);
+      s.ot.Setup(ch, s.rng);
       IssueTicket(s, ch);
     }
     s.handshaken = true;
@@ -569,12 +569,13 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
   // client always learns its request's fate from this one frame.
   qch.SendU64(static_cast<uint64_t>(ReplyStatus::kOk));
   {
-    // The protocol region owns the OT stream end to end (transfers plus
-    // the refill tail); any columns parked by a previous refill must
-    // expand before the next transfer advances the stream past them.
+    // The protocol region owns the OT stream end to end (transfers, the
+    // refill tail and the resume snapshot); any columns parked by a
+    // previous refill must expand before the next transfer advances the
+    // stream past them.
     std::lock_guard<std::mutex> ot_lock(s.ot_mu);
     OtSenderPadPool* ot_pads = s.precompute.ot_pads();
-    if (ot_pads != nullptr && s.ot.is_setup() && ot_pads->HasPending()) {
+    if (ot_pads != nullptr && ot_pads->HasPending()) {
       size_t added = ot_pads->Materialize(s.ot);
       std::lock_guard<std::mutex> lock(mu_);
       stats_.ot_pads_precomputed += added;
@@ -586,16 +587,16 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
                                static_cast<size_t>(config_.gc_pool_max_keys),
                                s.precompute.gc_pool(), ot_pads});
     ServerOtRefillTail(s, qch);
+    ++s.queries;
+    s.next_query_id = query_id + 1;
+    s.transcript = rec.overflowed() ? nullptr : transcript;
+    // Refresh the snapshot (covering this request's OT/RNG advancement)
+    // before the completion ack releases the client: an acked client may
+    // instantly reconnect with the ticket and must hit the post-request
+    // entry. The entry shares this transcript object, so the ack recorded
+    // below is replayed too.
+    RefreshResumeEntry(s);
   }
-  ++s.queries;
-  s.next_query_id = query_id + 1;
-  s.transcript = rec.overflowed() ? nullptr : transcript;
-  // Refresh the snapshot (covering this request's OT/RNG advancement)
-  // before the completion ack releases the client: an acked client may
-  // instantly reconnect with the ticket and must hit the post-request
-  // entry. The entry shares this transcript object, so the ack recorded
-  // below is replayed too.
-  RefreshResumeEntry(s);
   // Completion ack — the client's commit point. Because the server commits
   // strictly first, its state is never *behind* the client's: a lost ack
   // leaves the server exactly one request ahead, which the retry of the
@@ -631,7 +632,7 @@ void ClassificationServer::ServerOtRefillTail(Session& s, Channel& ch) {
   uint64_t wanted = ch.RecvU64();
   OtSenderPadPool* pool = s.precompute.ot_pads();
   uint64_t granted = 0;
-  if (wanted > 0 && pool != nullptr && s.ot.is_setup()) {
+  if (wanted > 0 && pool != nullptr) {
     granted = std::min<uint64_t>(wanted, pool->Deficit());
     granted = std::min<uint64_t>(granted, uint64_t{1} << 16);
   }
@@ -730,6 +731,7 @@ void ClassificationServer::IssueTicket(Session& s, Channel& ch) {
   }
   s.has_ticket = true;
   ch.SendBytes(std::vector<uint8_t>(s.ticket.begin(), s.ticket.end()));
+  std::lock_guard<std::mutex> ot_lock(s.ot_mu);
   RefreshResumeEntry(s);
 }
 
@@ -739,10 +741,10 @@ void ClassificationServer::RefreshResumeEntry(Session& s) {
   entry.ot_state = s.ot.Serialize();
   ByteWriter rng_writer(&entry.rng_state);
   s.rng.Serialize(rng_writer);
-  // Snapshot the precompute pool only from the serving thread (post-query
-  // / post-handshake): a filler may be pushing pads concurrently, which the
-  // pool's lock makes safe — the entry just captures whichever depth the
-  // fill had reached.
+  // The caller's ot_mu keeps a filler from materializing between the OT
+  // and pad-pool serializations (it advances the OT stream, then appends
+  // the pads). GC pads a filler pushes meanwhile are safe under the pool's
+  // own lock; the entry captures whichever depth the fill had reached.
   ByteWriter pre_writer(&entry.precompute_state);
   s.precompute.Serialize(pre_writer);
   entry.next_query_id = s.next_query_id;

@@ -192,7 +192,7 @@ class ClassificationServer {
     std::unique_ptr<FramedChannel> framed;
     SessionState state = SessionState::kAwaitHello;
     bool handshaken = false;
-    OtExtSender ot;  // Base OTs amortize across the session's queries.
+    OtExtSender ot;  // Set up by the handshake, shared by every request.
     Rng rng;
     uint64_t queries = 0;
     // Last time the session finished a request (or was accepted); the
@@ -278,7 +278,8 @@ class ClassificationServer {
   bool TryResumeSession(Session& session, const std::vector<uint8_t>& ticket);
   void IssueTicket(Session& session, Channel& channel);
   // Re-snapshots the session's crypto state into the resume cache under its
-  // current ticket; evicts LRU entries beyond resume_cache_entries.
+  // current ticket; evicts LRU entries beyond resume_cache_entries. Caller
+  // holds s.ot_mu.
   void RefreshResumeEntry(Session& session);
   // Watchdog tick (event-loop thread): cancels sessions whose in-flight
   // query has exceeded query_budget_seconds.

@@ -193,8 +193,7 @@ SmcRunStats SecureLinearProtocol::RunClient(Channel& channel,
   }
 
   // Phase 2: garbled argmax.
-  BitVec out =
-      GcRunEvaluator(channel, circuit_, evaluator_bits, ot, rng, scheme);
+  BitVec out = GcRunEvaluator(channel, circuit_, evaluator_bits, ot, scheme);
 
   SmcRunStats stats;
   stats.predicted_class = static_cast<int>(out.ToU64(0, index_bits_));

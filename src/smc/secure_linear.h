@@ -58,10 +58,11 @@ class SecureLinearProtocol {
   // Total ciphertexts the client sends (sum of hidden cardinalities).
   int NumClientCiphertexts() const;
 
-  // `pool_for` / `pool` opt into pooled Paillier randomness: precomputed
-  // pads replace the online r^n modexps when available, with an inline
-  // fallback per op when the pool runs dry (bit-identical client output
-  // for the same rng stream either way; see crypto/paillier_pool.h).
+  // Both OT endpoints must already be Setup. `pool_for` / `pool` opt into
+  // pooled Paillier randomness: precomputed pads replace the online r^n
+  // modexps when available, with an inline fallback per op when the pool
+  // runs dry (bit-identical client output for the same rng stream either
+  // way; see crypto/paillier_pool.h).
   SmcRunStats RunServer(Channel& channel, const LinearModel& model,
                         const std::map<int, int>& disclosed, OtExtSender& ot,
                         Rng& rng,

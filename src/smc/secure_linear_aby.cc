@@ -138,7 +138,7 @@ SmcRunStats SecureLinearAbyProtocol::RunServer(
 
 SmcRunStats SecureLinearAbyProtocol::RunClient(Channel& channel,
                                                const std::vector<int>& row,
-                                               OtExtReceiver& ot, Rng& rng,
+                                               OtExtReceiver& ot,
                                                GarblingScheme scheme) const {
   Timer timer;
   uint64_t bytes_before = channel.stats().bytes_sent;
@@ -148,8 +148,7 @@ SmcRunStats SecureLinearAbyProtocol::RunClient(Channel& channel,
   std::vector<Block> received;
   if (choices.size() > 0) received = ot.Recv(channel, choices);
   BitVec evaluator_bits = EvaluatorBits(received);
-  BitVec out =
-      GcRunEvaluator(channel, circuit_, evaluator_bits, ot, rng, scheme);
+  BitVec out = GcRunEvaluator(channel, circuit_, evaluator_bits, ot, scheme);
 
   SmcRunStats stats;
   stats.predicted_class = static_cast<int>(out.ToU64(0, index_bits_));

@@ -65,7 +65,7 @@ class SecureLinearAbyProtocol {
                         Rng& rng,
                         GarblingScheme scheme = GarblingScheme::kHalfGates) const;
   SmcRunStats RunClient(Channel& channel, const std::vector<int>& row,
-                        OtExtReceiver& ot, Rng& rng,
+                        OtExtReceiver& ot,
                         GarblingScheme scheme = GarblingScheme::kHalfGates) const;
 
  private:

@@ -45,7 +45,6 @@
 #include "serve/server.h"
 #include "sharing/gmw.h"
 #include "smc/secure_linear.h"
-#include "util/serial.h"
 #include "util/bitvec.h"
 #include "util/check.h"
 #include "util/random.h"
@@ -81,6 +80,10 @@ namespace {
 // Generous enough that legitimate compute (base OTs under ASan) never
 // trips it; a fault that drops a message surfaces as this deadline.
 constexpr double kRecvTimeout = PAFS_CHAOS_TSAN ? 4.0 : 2.0;
+// Client sends beneath the CRC framing in a serving handshake's base OTs
+// (A as a length + bytes pair, then two blocks per base OT); serving fault
+// plans aimed past the handshake offset their first_op by it.
+constexpr uint64_t kBaseOtClientSends = 2 + 2 * kOtExtensionWidth;
 constexpr auto kWatchdogDeadline =
     std::chrono::seconds(PAFS_CHAOS_TSAN ? 240 : 30);
 
@@ -209,12 +212,14 @@ TEST(ChaosTest, GarbledCircuitSurvivesEveryFaultKind) {
         [&](Channel& ch) {
           OtExtSender ot;
           Rng rng(c.seed * 11 + 1);
+          ot.Setup(ch, rng);
           server_got = GcRunGarbler(ch, circuit, gbits, ot, rng);
         },
         [&](Channel& ch) {
           OtExtReceiver ot;
           Rng rng(c.seed * 13 + 2);
-          client_got = GcRunEvaluator(ch, circuit, ebits, ot, rng);
+          ot.Setup(ch, rng);
+          client_got = GcRunEvaluator(ch, circuit, ebits, ot);
         },
         &server, &client);
     ASSERT_TRUE(no_hang) << "run hung until the watchdog killed it";
@@ -319,11 +324,13 @@ TEST(ChaosTest, PaillierLinearSurvivesEveryFaultKind) {
         [&](Channel& ch) {
           OtExtSender ot;
           Rng rng(c.seed * 31 + 7);
+          ot.Setup(ch, rng);
           server_stats = protocol.RunServer(ch, model, {}, ot, rng);
         },
         [&](Channel& ch) {
           OtExtReceiver ot;
           Rng rng(c.seed * 37 + 8);
+          ot.Setup(ch, rng);
           client_stats = protocol.RunClient(ch, keys, row, ot, rng);
         },
         &server, &client);
@@ -488,12 +495,14 @@ TEST(SocketChaosTest, GarbledCircuitSurvivesFaultMatrixOverTcp) {
         [&](Channel& ch) {
           OtExtSender ot;
           Rng rng(c.seed * 41 + 1);
+          ot.Setup(ch, rng);
           server_got = GcRunGarbler(ch, circuit, gbits, ot, rng);
         },
         [&](Channel& ch) {
           OtExtReceiver ot;
           Rng rng(c.seed * 43 + 2);
-          client_got = GcRunEvaluator(ch, circuit, ebits, ot, rng);
+          ot.Setup(ch, rng);
+          client_got = GcRunEvaluator(ch, circuit, ebits, ot);
         },
         &server, &client);
     ASSERT_TRUE(no_hang) << "run hung until the watchdog killed it";
@@ -627,7 +636,8 @@ TEST(ServingChaosTest, OverloadedFaultyClientsSurviveServerRestart) {
         cc.retry.deadline_seconds = PAFS_CHAOS_SLOW ? 200 : 25;
         cc.fault_plan.kind = kKinds[t % 4];
         cc.fault_plan.seed = 100 + t;
-        cc.fault_plan.first_op = 15 + 3 * static_cast<uint64_t>(t);
+        cc.fault_plan.first_op =
+            kBaseOtClientSends + 15 + 3 * static_cast<uint64_t>(t);
         cc.fault_plan.max_faults = 2;
         serve::ClassificationClient client(cc);
         for (int q = 0; q < kQueriesEach; ++q) {
@@ -706,12 +716,12 @@ TEST(ServingChaosTest, MidQueryDisconnectsResumeViaTicketWithoutRerun) {
   cc.retry.max_attempts = 16;
   cc.retry.initial_backoff_seconds = 0.01;
   cc.retry.deadline_seconds = PAFS_CHAOS_SLOW ? 120 : 20;
-  // Both kills land past the handshake's few sends, so every recovery
-  // happens with a ticket in hand; where exactly inside a query they land
-  // is the chaos — the assertions below hold for all landing points.
+  // Both kills land past the handshake's sends, so every recovery happens
+  // with a ticket in hand; where exactly inside a query they land is the
+  // chaos — the assertions below hold for all landing points.
   cc.fault_plan.kind = FaultKind::kDisconnect;
   cc.fault_plan.seed = 11;
-  cc.fault_plan.first_op = 20;
+  cc.fault_plan.first_op = kBaseOtClientSends + 20;
   cc.fault_plan.max_faults = 2;
   serve::ClassificationClient client(cc);
 
@@ -765,27 +775,22 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
   server.Start();
   const std::vector<int>& row = data.row(41);
 
-  // Session 1: full handshake, snapshot the pre-query crypto state (what a
-  // crashed client restores), run query 1 completely except the final
-  // completion-ack read — then die.
+  // Session 1: full handshake (its base OTs included), snapshot the
+  // pre-query OT state (what a crashed client restores), run query 1
+  // completely except the final completion-ack read — then die.
   auto socket = SocketConnect(server.address(), 5.0);
   socket->set_recv_timeout_seconds(kRecvTimeout * 10);
   FramedChannel framed(*socket);
   serve::SendClientHello(framed, serve::ClientHello{});
   ASSERT_EQ(framed.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
   serve::SessionSetup setup = serve::RecvSessionSetup(framed);
+  OtExtReceiver ot;
+  Rng rng(0xC4A5);
+  ot.Setup(framed, rng);
   std::vector<uint8_t> ticket = serve::RecvTicketFrame(framed);
   ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
   serve::EvaluatorDriver evaluator(setup);
-
-  OtExtReceiver ot;
-  Rng rng(0xC4A5);
   std::vector<uint8_t> ot_snapshot = ot.Serialize();
-  std::vector<uint8_t> rng_snapshot;
-  {
-    ByteWriter writer(&rng_snapshot);
-    rng.Serialize(writer);
-  }
   auto send_query_head = [&](FramedChannel& ch) {
     ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
     ch.SendU64(1);  // Every attempt retries "the" query.
@@ -796,7 +801,7 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
   };
   send_query_head(framed);
   int first =
-      evaluator.Run(framed, {row}, serve::EvaluatorSession{ot, rng}).classes[0];
+      evaluator.Run(framed, {row}, serve::EvaluatorSession{ot}).classes[0];
   framed.SendU64(0);  // v4 refill tail request (unpooled raw client).
   EXPECT_EQ(first, pipeline.PlaintextPredict(row));
   ASSERT_TRUE(
@@ -827,14 +832,10 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
   // Final attempt: resume and drive the retry to completion from the
   // restored snapshot; the whole conversation is replayed.
   OtExtReceiver ot_retry = OtExtReceiver::Deserialize(ot_snapshot);
-  ByteReader rng_reader(rng_snapshot);
-  Rng rng_retry = Rng::Deserialize(rng_reader);
   auto [s3, ch3] = resume(&ticket);
   send_query_head(*ch3);
-  int retry = evaluator
-                  .Run(*ch3, {row},
-                       serve::EvaluatorSession{ot_retry, rng_retry})
-                  .classes[0];
+  int retry =
+      evaluator.Run(*ch3, {row}, serve::EvaluatorSession{ot_retry}).classes[0];
   ch3->SendU64(0);  // Replayed v4 refill tail: same request, same grant.
   EXPECT_EQ(ch3->RecvU64(), 0u);
   EXPECT_EQ(ch3->RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));

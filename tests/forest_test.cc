@@ -106,6 +106,14 @@ TEST_F(ForestTest, AllowedFeaturesParamIsEnforced) {
 
 class SecureForestTest : public ForestTest {
  protected:
+  SecureForestTest() {
+    // Open the OT session both parties' drivers run on.
+    std::thread peer(
+        [&] { ot_sender_.Setup(channel_.endpoint(0), server_rng_); });
+    ot_receiver_.Setup(channel_.endpoint(1), client_rng_);
+    peer.join();
+  }
+
   // One secure classification of `row` through the serving protocol
   // drivers, with the `plan` features disclosed and both parties in this
   // process. The garbler's decoded class must match the evaluator's.
@@ -130,7 +138,7 @@ class SecureForestTest : public ForestTest {
     });
     serve::EvaluatorResult result =
         evaluator.Run(channel_.endpoint(1), {row},
-                      serve::EvaluatorSession{ot_receiver_, client_rng_});
+                      serve::EvaluatorSession{ot_receiver_});
     server.join();
     EXPECT_EQ(server_classes, result.classes);
     return result;

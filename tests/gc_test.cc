@@ -245,9 +245,22 @@ TEST(GarbleTest, ParallelClassicMatchesSequential) {
             EvaluateClassic(c, serial.and_tables, active, &pool));
 }
 
+// Opens an OT session over `pair`: both parties' base OTs, concurrently.
+// Every protocol run takes its OT endpoints already set up.
+void SetUpOt(MemChannelPair& pair, OtExtSender& sender, Rng& sender_rng,
+             OtExtReceiver& receiver, Rng& receiver_rng) {
+  std::thread peer([&] { sender.Setup(pair.endpoint(0), sender_rng); });
+  receiver.Setup(pair.endpoint(1), receiver_rng);
+  peer.join();
+}
+
 // End-to-end protocol over channels + OT, both schemes.
 class GcProtocolTest : public ::testing::TestWithParam<GarblingScheme> {
  protected:
+  GcProtocolTest() {
+    SetUpOt(pair_, ot_sender_, garbler_rng_, ot_receiver_, evaluator_rng_);
+  }
+
   BitVec RunProtocol(const Circuit& circuit, const BitVec& garbler_bits,
                      const BitVec& evaluator_bits) {
     BitVec garbler_view;
@@ -256,8 +269,7 @@ class GcProtocolTest : public ::testing::TestWithParam<GarblingScheme> {
                                   ot_sender_, garbler_rng_, GetParam());
     });
     BitVec evaluator_view = GcRunEvaluator(
-        pair_.endpoint(1), circuit, evaluator_bits, ot_receiver_,
-        evaluator_rng_, GetParam());
+        pair_.endpoint(1), circuit, evaluator_bits, ot_receiver_, GetParam());
     garbler.join();
     EXPECT_TRUE(garbler_view == evaluator_view);
     return evaluator_view;
@@ -360,7 +372,7 @@ TEST_P(GcProtocolTest, BatchMatchesPerItemPlaintext) {
                                     garbler_rng_, GetParam());
   });
   evaluator_out = GcRunEvaluatorBatch(pair_.endpoint(1), eitems, ot_receiver_,
-                                      evaluator_rng_, GetParam());
+                                      GetParam());
   garbler.join();
 
   ASSERT_EQ(garbler_out.size(), circuits.size());
@@ -383,8 +395,7 @@ TEST_P(GcProtocolTest, BatchThenSingleSharesTheOtSession) {
     GcRunGarblerBatch(pair_.endpoint(0), gitems, ot_sender_, garbler_rng_,
                       GetParam());
   });
-  GcRunEvaluatorBatch(pair_.endpoint(1), eitems, ot_receiver_, evaluator_rng_,
-                      GetParam());
+  GcRunEvaluatorBatch(pair_.endpoint(1), eitems, ot_receiver_, GetParam());
   garbler.join();
   BitVec out = RunProtocol(adder, BitVec::FromU64(7, 6), BitVec::FromU64(8, 6));
   EXPECT_EQ(out.ToU64(0, 6), 15u);
@@ -404,21 +415,13 @@ TEST(GcBatchTest, PregarbledWireIsBitIdenticalToFresh) {
     OtExtSender s;
     OtExtReceiver r;
     Rng rng_g(909), rng_e(808);
+    SetUpOt(pair, s, rng_g, r, rng_e);
     GarbledCircuit pre;
     std::vector<GcGarbleItem> gitems = {{&c, &gbits, nullptr}};
     if (pregarble) {
-      // Draw the seed exactly where the fresh path would (after OT setup
-      // it reads the same stream: setup precedes garbling in both runs).
-      Rng seed_rng(909);
-      OtExtSender scratch_sender;
-      MemChannelPair scratch;
-      std::thread peer([&] {
-        OtExtReceiver scratch_receiver;
-        Rng scratch_rng(808);
-        scratch_receiver.Setup(scratch.endpoint(1), scratch_rng);
-      });
-      scratch_sender.Setup(scratch.endpoint(0), seed_rng);
-      peer.join();
+      // Draw the seed exactly where the fresh path would: from a copy of
+      // the garbler's stream at the point its garbling starts.
+      Rng seed_rng = rng_g;
       Prg prg(Block(seed_rng.NextU64(), seed_rng.NextU64()));
       pre = Garble(c, prg);
       gitems[0].pregarbled = &pre;
@@ -429,9 +432,8 @@ TEST(GcBatchTest, PregarbledWireIsBitIdenticalToFresh) {
                               GarblingScheme::kHalfGates);
     });
     std::vector<GcEvalItem> eitems = {{&c, &ebits}};
-    std::vector<BitVec> eval_out =
-        GcRunEvaluatorBatch(pair.endpoint(1), eitems, r, rng_e,
-                            GarblingScheme::kHalfGates);
+    std::vector<BitVec> eval_out = GcRunEvaluatorBatch(
+        pair.endpoint(1), eitems, r, GarblingScheme::kHalfGates);
     garbler.join();
     EXPECT_EQ(eval_out[0].ToU64(0, 16), (40000 + 25000) & 0xFFFF);
     return tap.sent();
@@ -449,9 +451,7 @@ TEST(GcBatchTest, PooledOtBatchMatchesPlaintext) {
   OtExtSender s;
   OtExtReceiver r;
   Rng rng_g(31), rng_e(32), choice_rng(33);
-  std::thread setup([&] { s.Setup(pair.endpoint(0), rng_g); });
-  r.Setup(pair.endpoint(1), rng_e);
-  setup.join();
+  SetUpOt(pair, s, rng_g, r, rng_e);
   OtSenderPadPool spool(64);
   OtReceiverPadPool rpool(64);
   std::thread fill([&] { spool.Append(s.SendRandom(pair.endpoint(0), 64)); });
@@ -467,7 +467,7 @@ TEST(GcBatchTest, PooledOtBatchMatchesPlaintext) {
     GcRunGarblerBatch(pair.endpoint(0), gitems, s, rng_g,
                       GarblingScheme::kHalfGates, nullptr, &spool);
   });
-  out = GcRunEvaluatorBatch(pair.endpoint(1), eitems, r, rng_e,
+  out = GcRunEvaluatorBatch(pair.endpoint(1), eitems, r,
                             GarblingScheme::kHalfGates, nullptr, &rpool);
   garbler.join();
   EXPECT_EQ(out[0].ToU64(0, 8), (99 + 101) & 255);
@@ -485,12 +485,13 @@ TEST(GcTrafficTest, HalfGatesHalvesTableTraffic) {
     OtExtSender s;
     OtExtReceiver r;
     Rng rng_g(1), rng_e(2);
+    SetUpOt(pair, s, rng_g, r, rng_e);
     BitVec out;
     std::thread garbler([&] {
       GcRunGarbler(pair.endpoint(0), c, BitVec::FromU64(1, 32), s, rng_g,
                    scheme);
     });
-    out = GcRunEvaluator(pair.endpoint(1), c, BitVec::FromU64(2, 32), r, rng_e,
+    out = GcRunEvaluator(pair.endpoint(1), c, BitVec::FromU64(2, 32), r,
                          scheme);
     garbler.join();
     EXPECT_EQ(out.ToU64(0, 32), 3u);

@@ -79,13 +79,23 @@ std::string UdsPath(const char* tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-// Scripted raw-wire v3 handshake: fresh hello (empty ticket), expect kOk,
-// then the setup and the server's ticket frame.
+// Client sends beneath the CRC framing in a v7 handshake's base OTs (A as
+// a length + bytes pair, then two blocks per base OT); client fault plans
+// aimed past the handshake offset their first_op by it.
+constexpr uint64_t kBaseOtClientSends = 2 + 2 * kOtExtensionWidth;
+
+// Scripted raw-wire v7 handshake: fresh hello (empty ticket), expect kOk,
+// then the setup, the base OTs that open `ot` (a throwaway receiver when
+// null) and the server's ticket frame.
 serve::SessionSetup RawHandshake(FramedChannel& framed,
+                                 OtExtReceiver* ot = nullptr,
                                  std::vector<uint8_t>* ticket = nullptr) {
   serve::SendClientHello(framed, serve::ClientHello{});
   EXPECT_EQ(framed.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
   serve::SessionSetup setup = serve::RecvSessionSetup(framed);
+  OtExtReceiver throwaway;
+  Rng rng(0x0BA5E);
+  (ot != nullptr ? *ot : throwaway).Setup(framed, rng);
   std::vector<uint8_t> issued = serve::RecvTicketFrame(framed);
   if (ticket != nullptr) *ticket = issued;
   return setup;
@@ -96,10 +106,10 @@ serve::SessionSetup RawHandshake(FramedChannel& framed,
 // when given) so tests can snapshot and rewind it. Returns each row's class.
 std::vector<int> RunRawClient(Channel& ch, const serve::SessionSetup& setup,
                               const std::vector<std::vector<int>>& rows,
-                              OtExtReceiver& ot, Rng& rng,
+                              OtExtReceiver& ot,
                               OtReceiverPadPool* pads = nullptr) {
   return serve::EvaluatorDriver(setup)
-      .Run(ch, rows, serve::EvaluatorSession{ot, rng, pads})
+      .Run(ch, rows, serve::EvaluatorSession{ot, pads})
       .classes;
 }
 
@@ -339,20 +349,35 @@ TEST_F(ServeTest, SilentPeerMidQueryDiesOnDeadline) {
   ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
   server.Start();
 
-  auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
-  socket->set_recv_timeout_seconds(5.0 * kTimeScale);
-  FramedChannel framed(*socket);
-  serve::SessionSetup setup = RawHandshake(framed);
-  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
-  // ... and then say nothing: the worker must be freed by the deadline.
-  ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 1; },
-                      10.0 * kTimeScale));
-  EXPECT_EQ(server.stats().sessions_active, 0);
+  // The peer goes silent inside the handshake's base OTs (right after the
+  // setup frames), or inside a query (right after the request tag).
+  for (bool in_base_ots : {true, false}) {
+    SCOPED_TRACE(in_base_ots ? "silent in the base OTs" : "silent in a query");
+    const uint64_t failed_before = server.stats().sessions_failed;
+    auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
+    socket->set_recv_timeout_seconds(5.0 * kTimeScale);
+    FramedChannel framed(*socket);
+    if (in_base_ots) {
+      serve::SendClientHello(framed, serve::ClientHello{});
+      ASSERT_EQ(framed.RecvU64(),
+                static_cast<uint64_t>(serve::ReplyStatus::kOk));
+      serve::RecvSessionSetup(framed);
+    } else {
+      RawHandshake(framed);
+      framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+    }
+    // ... and then say nothing: the worker must be freed by the deadline.
+    ASSERT_TRUE(WaitFor(
+        [&] { return server.stats().sessions_failed >= failed_before + 1; },
+        10.0 * kTimeScale));
+    ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_active == 0; }));
 
-  // The freed worker still serves real sessions.
-  ClassificationClient client(ClientFor(server));
-  const std::vector<int>& row = data_.row(3);
-  EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+    // The freed worker still serves real sessions.
+    ClassificationClient client(ClientFor(server));
+    const std::vector<int>& row = data_.row(3);
+    EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+    client.Close();
+  }
 }
 
 TEST_F(ServeTest, OutOfRangeDisclosureRejectedTyped) {
@@ -584,7 +609,8 @@ TEST_F(ServeTest, ClientRetryAbsorbsInjectedDisconnect) {
   ClientConfig cc = ClientFor(server);
   cc.fault_plan.kind = FaultKind::kDisconnect;
   cc.fault_plan.seed = 5;
-  cc.fault_plan.first_op = 12;  // Past the handshake, inside query 1.
+  // Past the handshake, inside query 1.
+  cc.fault_plan.first_op = kBaseOtClientSends + 12;
   cc.fault_plan.max_faults = 1;
   ClassificationClient client(cc);
   const std::vector<int>& row = data_.row(44);
@@ -683,36 +709,80 @@ TEST_F(ServeTest, RandomHelloBytesNeverKillTheServer) {
 }
 
 TEST_F(ServeTest, ResumedReconnectSkipsBaseOts) {
-  // The crash-recovery tentpole, counter-verified: a reconnect that
-  // presents the resumption ticket restores the session's OT extension
-  // state and never re-runs the (expensive) base OTs.
+  // The crash-recovery tentpole, counter-verified: the (expensive) base
+  // OTs run once per session, in the handshake that opens it, and a
+  // reconnect that presents the resumption ticket restores the session's
+  // OT extension state and never re-runs them.
   PafsTelemetry::Enable();
   auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
                               ServerConfig{});
   server.Start();
-
-  ClassificationClient client(ClientFor(server));
+  obs::Counter& setups = obs::GetCounter("ot.base.setups");
   const std::vector<int>& row = data_.row(9);
+
+  const uint64_t setups_before = setups.value();
+  ClassificationClient client(ClientFor(server));
+  const uint64_t setups_open = setups.value();
+  EXPECT_EQ(setups_open, setups_before + 2);  // Both OT endpoints.
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+  EXPECT_EQ(setups.value(), setups_open);  // None inside the first query.
   // Wait until the server has refreshed the resume snapshot (ordered
   // before the queries_served bump) so the reconnect below must hit it.
   ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 1; }));
-  obs::Counter& setups = obs::GetCounter("ot.base.setups");
-  uint64_t setups_after_first = setups.value();
-  EXPECT_GE(setups_after_first, 2u);  // Query 1 set up both OT endpoints.
 
   client.DropConnection();  // Crash, as far as both ends can tell.
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
 
   EXPECT_EQ(client.reconnects(), 1u);
   EXPECT_EQ(client.resumes(), 1u);
-  EXPECT_EQ(setups.value(), setups_after_first);  // ZERO base-OT re-runs.
+  EXPECT_EQ(setups.value(), setups_open);  // ZERO base-OT re-runs.
   ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 2; }));
+
+  // A session dropped before its first query resumes from the
+  // post-handshake snapshot, whose OT streams are already set up: its
+  // first query runs no base OTs either.
+  ClassificationClient early(ClientFor(server));
+  const uint64_t setups_early = setups.value();
+  early.DropConnection();
+  EXPECT_EQ(early.Classify(row), pipeline->PlaintextPredict(row));
+  EXPECT_EQ(early.resumes(), 1u);
+  EXPECT_EQ(setups.value(), setups_early);
+
+  ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 3; }));
   ServerStats stats = server.stats();
-  EXPECT_EQ(stats.resumptions, 1u);
+  EXPECT_EQ(stats.resumptions, 2u);
   EXPECT_EQ(stats.resume_misses, 0u);
   PafsTelemetry::Disable();
+}
+
+TEST_F(ServeTest, ResumeSnapshotsStayInStepWithOverlappingFillers) {
+  // The post-request resume snapshot serializes the OT stream and the pad
+  // pools while a filler that was in flight when the request arrived may
+  // materialize parked OT columns. Back-to-back pooled forest queries keep
+  // fillers overlapping requests, and every few queries a crash-like drop
+  // resumes from the latest snapshot: a snapshot that caught the OT
+  // stream and the pad pool on different sides of a materialize leaves
+  // the resumed session out of step with the client, and its answers
+  // wrong.
+  auto pipeline = MakePipeline(ClassifierKind::kForest);
+  ClassificationServer server(ServingModel::FromPipeline(*pipeline),
+                              ServerConfig{});
+  server.Start();
+  ClassificationClient client(ClientFor(server));
+  constexpr int kQueries = 24;
+  constexpr int kDropEvery = 4;
+  for (int q = 1; q <= kQueries; ++q) {
+    if (q % kDropEvery == 0) client.DropConnection();
+    const std::vector<int>& row = data_.row((q * 37) % data_.size());
+    EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row))
+        << "query " << q;
+  }
+  EXPECT_EQ(client.resumes(), static_cast<uint64_t>(kQueries / kDropEvery));
+  EXPECT_EQ(client.retries(), 0u);
+  client.Close();
+  server.Stop();
+  EXPECT_EQ(server.stats().resume_misses, 0u);
 }
 
 TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
@@ -734,28 +804,21 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
     socket->set_recv_timeout_seconds(30 * kTimeScale);
     FramedChannel framed(*socket);
     std::vector<uint8_t> ticket;
-    serve::SessionSetup setup = RawHandshake(framed, &ticket);
-    ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
-
     OtExtReceiver ot;
-    Rng rng(0x5EED);
+    serve::SessionSetup setup = RawHandshake(framed, &ot, &ticket);
+    ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
     // Snapshot the pre-query client state — exactly what a crashed client
     // would restore before retrying.
     std::vector<uint8_t> ot_snapshot = ot.Serialize();
-    std::vector<uint8_t> rng_snapshot;
-    {
-      ByteWriter writer(&rng_snapshot);
-      rng.Serialize(writer);
-    }
 
-    auto run_query = [&](FramedChannel& ch, OtExtReceiver& o, Rng& r) {
+    auto run_query = [&](FramedChannel& ch, OtExtReceiver& o) {
       ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
       ch.SendU64(1);  // Same id both times: this is "the" query.
       for (int f : setup.plan_features) {
         ch.SendU64(static_cast<uint64_t>(row[f]));
       }
       EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-      int pred = RunRawClient(ch, setup, {row}, o, r)[0];
+      int pred = RunRawClient(ch, setup, {row}, o)[0];
       // The v4 refill tail: this raw client runs unpooled, so it asks for 0
       // and the server must grant 0.
       ch.SendU64(0);
@@ -765,7 +828,7 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
       return pred;
     };
 
-    int first = run_query(framed, ot, rng);
+    int first = run_query(framed, ot);
     EXPECT_EQ(first, pipeline->PlaintextPredict(row));
     ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 1; }));
 
@@ -773,8 +836,6 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
     // resume with the ticket.
     socket->Close();
     OtExtReceiver ot_retry = OtExtReceiver::Deserialize(ot_snapshot);
-    ByteReader rng_reader(rng_snapshot);
-    Rng rng_retry = Rng::Deserialize(rng_reader);
     auto socket2 = SocketConnect(server.address(), 2.0 * kTimeScale);
     socket2->set_recv_timeout_seconds(30 * kTimeScale);
     FramedChannel framed2(*socket2);
@@ -787,7 +848,7 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
     EXPECT_EQ(rotated.size(), serve::kResumeTicketBytes);
     EXPECT_NE(rotated, ticket);  // Tickets are consumed and rotated.
 
-    int retry = run_query(framed2, ot_retry, rng_retry);
+    int retry = run_query(framed2, ot_retry);
     EXPECT_EQ(retry, first);
 
     ASSERT_TRUE(WaitFor([&] { return server.stats().replay_hits >= 1; }));
@@ -816,11 +877,10 @@ TEST_F(ServeTest, ForgedOutputReportFailsSessionTyped) {
     auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
     socket->set_recv_timeout_seconds(30 * kTimeScale);
     FramedChannel framed(*socket);
-    serve::SessionSetup setup = RawHandshake(framed);
+    OtExtReceiver ot;
+    serve::SessionSetup setup = RawHandshake(framed, &ot);
     ASSERT_EQ(setup.num_classes, 3);  // All-ones on 2 bits decodes to 3.
     ForgedReportChannel forged(framed, BitsFor(setup.num_classes));
-    OtExtReceiver ot;
-    Rng rng(0xF0F0);
     EXPECT_THROW(
         {
           forged.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
@@ -830,7 +890,7 @@ TEST_F(ServeTest, ForgedOutputReportFailsSessionTyped) {
           }
           EXPECT_EQ(forged.RecvU64(),
                     static_cast<uint64_t>(serve::ReplyStatus::kOk));
-          RunRawClient(forged, setup, {row}, ot, rng);
+          RunRawClient(forged, setup, {row}, ot);
           forged.SendU64(0);  // Refill tail; the server has hung up.
           (void)forged.RecvU64();
         },
@@ -925,6 +985,9 @@ TEST_F(ServeTest, ForgedOrReplayedTicketFallsBackToFullHandshake) {
   ASSERT_EQ(hello_with(forged, s1, f1),
             static_cast<uint64_t>(serve::ReplyStatus::kOk));
   serve::RecvSessionSetup(*f1);
+  Rng rng(0xF1);
+  OtExtReceiver ot1;
+  ot1.Setup(*f1, rng);
   std::vector<uint8_t> issued = serve::RecvTicketFrame(*f1);
   ASSERT_EQ(issued.size(), serve::kResumeTicketBytes);
   s1->Close();
@@ -944,6 +1007,8 @@ TEST_F(ServeTest, ForgedOrReplayedTicketFallsBackToFullHandshake) {
   ASSERT_EQ(hello_with(issued, s3, f3),
             static_cast<uint64_t>(serve::ReplyStatus::kOk));
   serve::RecvSessionSetup(*f3);
+  OtExtReceiver ot3;
+  ot3.Setup(*f3, rng);
   serve::RecvTicketFrame(*f3);
 
   ServerStats stats = server.stats();
@@ -1070,7 +1135,8 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
   socket->set_recv_timeout_seconds(30 * kTimeScale);
   FramedChannel framed(*socket);
   std::vector<uint8_t> ticket;
-  serve::SessionSetup setup = RawHandshake(framed, &ticket);
+  OtExtReceiver ot;
+  serve::SessionSetup setup = RawHandshake(framed, &ot, &ticket);
   ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
 
   auto run_query = [&](FramedChannel& ch, uint64_t id,
@@ -1082,7 +1148,7 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
       ch.SendU64(static_cast<uint64_t>(r_row[f]));
     }
     EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-    int pred = RunRawClient(ch, setup, {r_row}, o, r, &pads)[0];
+    int pred = RunRawClient(ch, setup, {r_row}, o, &pads)[0];
     // The v4 refill tail: ask for the pool's deficit, absorb the grant.
     uint64_t wanted = pads.Deficit();
     ch.SendU64(wanted);
@@ -1094,7 +1160,6 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
   };
 
   // Query 1 runs unpooled and stocks both ends' pad pools.
-  OtExtReceiver ot;
   Rng rng(0xABCD);
   OtReceiverPadPool pads(4096);
   EXPECT_EQ(run_query(framed, 1, row, ot, rng, pads),
@@ -1420,18 +1485,12 @@ TEST_F(ServeTest, RetriedBatchIsReplayedNotReExecuted) {
   socket->set_recv_timeout_seconds(30 * kTimeScale);
   FramedChannel framed(*socket);
   std::vector<uint8_t> ticket;
-  serve::SessionSetup setup = RawHandshake(framed, &ticket);
-  ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
   OtExtReceiver ot;
-  Rng rng(0xBA7C);
+  serve::SessionSetup setup = RawHandshake(framed, &ot, &ticket);
+  ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
   std::vector<uint8_t> ot_snapshot = ot.Serialize();
-  std::vector<uint8_t> rng_snapshot;
-  {
-    ByteWriter writer(&rng_snapshot);
-    rng.Serialize(writer);
-  }
 
-  auto run_batch = [&](FramedChannel& ch, OtExtReceiver& o, Rng& r) {
+  auto run_batch = [&](FramedChannel& ch, OtExtReceiver& o) {
     ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
     ch.SendU64(1);  // Same id both times: this is "the" batch.
     ch.SendU64(rows.size());
@@ -1441,7 +1500,7 @@ TEST_F(ServeTest, RetriedBatchIsReplayedNotReExecuted) {
       }
     }
     EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-    std::vector<int> preds = RunRawClient(ch, setup, rows, o, r);
+    std::vector<int> preds = RunRawClient(ch, setup, rows, o);
     // The v4 refill tail (unpooled raw client: ask 0, granted 0).
     ch.SendU64(0);
     EXPECT_EQ(ch.RecvU64(), 0u);
@@ -1449,7 +1508,7 @@ TEST_F(ServeTest, RetriedBatchIsReplayedNotReExecuted) {
     return preds;
   };
 
-  std::vector<int> first = run_batch(framed, ot, rng);
+  std::vector<int> first = run_batch(framed, ot);
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(first[i], pipeline->PlaintextPredict(rows[i]));
   }
@@ -1459,8 +1518,6 @@ TEST_F(ServeTest, RetriedBatchIsReplayedNotReExecuted) {
   // resume with the ticket.
   socket->Close();
   OtExtReceiver ot_retry = OtExtReceiver::Deserialize(ot_snapshot);
-  ByteReader rng_reader(rng_snapshot);
-  Rng rng_retry = Rng::Deserialize(rng_reader);
   auto socket2 = SocketConnect(server.address(), 2.0 * kTimeScale);
   socket2->set_recv_timeout_seconds(30 * kTimeScale);
   FramedChannel framed2(*socket2);
@@ -1471,7 +1528,7 @@ TEST_F(ServeTest, RetriedBatchIsReplayedNotReExecuted) {
             static_cast<uint64_t>(serve::ReplyStatus::kResumed));
   (void)serve::RecvTicketFrame(framed2);
 
-  std::vector<int> retry = run_batch(framed2, ot_retry, rng_retry);
+  std::vector<int> retry = run_batch(framed2, ot_retry);
   EXPECT_EQ(retry, first);
   ASSERT_TRUE(WaitFor([&] { return server.stats().replay_hits >= 1; }));
   ServerStats stats = server.stats();
@@ -1494,7 +1551,8 @@ TEST_F(ServeTest, BatchRetryAbsorbsInjectedDisconnect) {
   ClientConfig cc = ClientFor(server);
   cc.fault_plan.kind = FaultKind::kDisconnect;
   cc.fault_plan.seed = 7;
-  cc.fault_plan.first_op = 14;  // Past the handshake, inside the batch.
+  // Past the handshake, inside the batch.
+  cc.fault_plan.first_op = kBaseOtClientSends + 14;
   cc.fault_plan.max_faults = 1;
   ClassificationClient client(cc);
 

@@ -58,8 +58,8 @@ class SmcTest : public ::testing::Test {
 
   // One secure classification of `row` through the serving protocol
   // drivers, both parties in this process over the fixture's channel and
-  // OT sessions (base OTs run on the first query). The garbler's decoded
-  // class must match the evaluator's.
+  // OT session (opened by SetUpOt). The garbler's decoded class must match
+  // the evaluator's.
   serve::EvaluatorResult RunDrivers(const serve::ServingModel& model,
                                     const std::vector<int>& row) {
     serve::GarblerDriver garbler(model, model.setup.plan_features);
@@ -75,13 +75,14 @@ class SmcTest : public ::testing::Test {
     });
     serve::EvaluatorResult result =
         evaluator.Run(channel_.endpoint(1), {row},
-                      serve::EvaluatorSession{ot_receiver_, client_rng_});
+                      serve::EvaluatorSession{ot_receiver_});
     server.join();
     EXPECT_EQ(server_classes, result.classes);
     return result;
   }
 
-  // Base OTs on the fixture's endpoints, for runners that take them set up.
+  // Opens the fixture's OT session: both parties' base OTs, concurrently.
+  // Every protocol run takes its OT endpoints already set up.
   void SetUpOt() {
     std::thread peer(
         [&] { ot_sender_.Setup(channel_.endpoint(0), server_rng_); });
@@ -133,6 +134,7 @@ TEST_F(SmcTest, HiddenLayoutSkipsDisclosed) {
 }
 
 TEST_F(SmcTest, SecureNbMatchesPlaintextNoDisclosure) {
+  SetUpOt();
   serve::ServingModel model = ModelFor(ClassifierKind::kNaiveBayes, {});
   for (size_t i = 0; i < 12; ++i) {
     const std::vector<int>& row = data_.row(i * 37);
@@ -142,6 +144,7 @@ TEST_F(SmcTest, SecureNbMatchesPlaintextNoDisclosure) {
 }
 
 TEST_F(SmcTest, SecureNbMatchesPlaintextWithDisclosure) {
+  SetUpOt();
   serve::ServingModel model =
       ModelFor(ClassifierKind::kNaiveBayes,
                {WarfarinSchema::kRace, WarfarinSchema::kAge,
@@ -167,6 +170,7 @@ TEST_F(SmcTest, SecureNbDisclosureShrinksCircuit) {
 }
 
 TEST_F(SmcTest, SecureTreeMatchesPlaintext) {
+  SetUpOt();
   serve::ServingModel model = ModelFor(ClassifierKind::kDecisionTree, {});
   for (size_t i = 0; i < 10; ++i) {
     const std::vector<int>& row = data_.row(i * 61);
@@ -176,6 +180,7 @@ TEST_F(SmcTest, SecureTreeMatchesPlaintext) {
 }
 
 TEST_F(SmcTest, SecureTreeWithSpecialization) {
+  SetUpOt();
   serve::ServingModel model =
       ModelFor(ClassifierKind::kDecisionTree,
                {WarfarinSchema::kRace, WarfarinSchema::kAge,
@@ -189,6 +194,7 @@ TEST_F(SmcTest, SecureTreeWithSpecialization) {
 
 TEST_F(SmcTest, SecureTreeFullDisclosureOfUsedFeatures) {
   // Disclosing every feature the tree tests leaves a single-leaf circuit.
+  SetUpOt();
   const std::vector<int>& row = data_.row(7);
   std::map<int, int> disclosed = DiscloseFor(row, tree_.UsedFeatures());
   DecisionTree specialized = tree_.Specialize(disclosed);
@@ -203,6 +209,7 @@ TEST_F(SmcTest, SecureTreeFullDisclosureOfUsedFeatures) {
 }
 
 TEST_F(SmcTest, SecureLinearMatchesPlaintext) {
+  SetUpOt();
   Rng key_rng(9);
   PaillierKeyPair keys = GeneratePaillierKey(key_rng, 256);
   SecureLinearProtocol protocol(data_.features(), data_.num_classes(), {});
@@ -230,6 +237,7 @@ TEST_F(SmcTest, SecureLinearPooledMatchesUnpooledAndPlaintext) {
   // Paillier randomness from precomputed pad pools. The pooled run must
   // agree with the plaintext model exactly like the unpooled path, and
   // every pad must actually come from the pools (all hits, no misses).
+  SetUpOt();
   Rng key_rng(11);
   PaillierKeyPair keys = GeneratePaillierKey(key_rng, 256);
   SecureLinearProtocol protocol(data_.features(), data_.num_classes(), {});
@@ -307,6 +315,7 @@ TEST_F(SmcTest, SecureLinearServerRejectsBadModulus) {
 }
 
 TEST_F(SmcTest, SecureLinearWithDisclosure) {
+  SetUpOt();
   Rng key_rng(10);
   PaillierKeyPair keys = GeneratePaillierKey(key_rng, 256);
   std::vector<int> disclosure = {WarfarinSchema::kAge, WarfarinSchema::kRace,
@@ -355,9 +364,7 @@ TEST_F(SmcTest, AbyLinearMatchesFixedPointPlaintext) {
       server_stats = protocol.RunServer(channel_.endpoint(0), linear_, {},
                                         ot_sender_, server_rng_);
     });
-    client_stats =
-        protocol.RunClient(channel_.endpoint(1), row, ot_receiver_,
-                           client_rng_);
+    client_stats = protocol.RunClient(channel_.endpoint(1), row, ot_receiver_);
     server.join();
     EXPECT_EQ(server_stats.predicted_class, client_stats.predicted_class);
     // Exact fixed-point reference (shares reconstruct exactly).
@@ -397,8 +404,7 @@ TEST_F(SmcTest, AbyLinearWithDisclosureAgreesWithPaillierHybrid) {
       aby_server = aby.RunServer(channel_.endpoint(0), linear_, disclosed,
                                  ot_sender_, server_rng_);
     });
-    aby_client =
-        aby.RunClient(channel_.endpoint(1), row, ot_receiver_, client_rng_);
+    aby_client = aby.RunClient(channel_.endpoint(1), row, ot_receiver_);
     s1.join();
     std::thread s2([&] {
       pail_server = paillier.RunServer(channel_.endpoint(0), linear_,
