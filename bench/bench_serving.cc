@@ -484,8 +484,9 @@ ResumeResult RunResumeBench(const SecureClassificationPipeline& pipeline,
     Rng rng(0x3ED6E);
     ot.Setup(framed, rng);
     serve::RecvTicketFrame(framed);
-    framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
-    framed.SendU64(1);
+    framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
+    framed.SendU64(1);  // Query id.
+    framed.SendU64(1);  // Record count.
     uint64_t status = framed.RecvU64();
     if (status != static_cast<uint64_t>(serve::ReplyStatus::kCancelled)) {
       std::fprintf(stderr,

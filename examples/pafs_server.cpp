@@ -59,12 +59,12 @@ int Usage() {
       "  --gc-pool-depth=N    circuits pre-garbled per disclosure key\n"
       "                       between queries (0 disables the GC pool)\n"
       "  --ot-pool-depth=N    random-OT pads precomputed per idle session\n"
-      "                       for label transfer (0 disables the pad pool)\n"
-      "  --batch-max-records=N  largest ClassifyBatch a session may submit\n"
-      "                       in one wire batch\n"
-      "  --no-pool            serve every query with online garbling\n"
-      "                       and online OT extension\n"
-      "                       (same as PAFS_NO_POOL=1)\n");
+      "                       for label transfer (0 disables the pad pool);\n"
+      "                       clients size their receiver pool to it\n"
+      "  --batch-max-records=N  most records per request; clients chunk\n"
+      "                       their batches to it\n"
+      "  --no-pool            both depths 0: every query garbles and\n"
+      "                       extends OTs online (same as PAFS_NO_POOL=1)\n");
   return 2;
 }
 
@@ -104,6 +104,7 @@ int main(int argc, char** argv) {
 
   serve::ServerConfig server_config;
   bool breakdown = false;
+  bool no_pool = false;
   for (int i = 4; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--listen=", 9) == 0) {
@@ -133,13 +134,17 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--batch-max-records=", 20) == 0) {
       server_config.batch_max_records = std::atoi(arg + 20);
     } else if (std::strcmp(arg, "--no-pool") == 0) {
-      server_config.enable_pools = false;
+      no_pool = true;
     } else if (std::strcmp(arg, "--breakdown") == 0) {
       breakdown = true;
       PafsTelemetry::Enable();
     } else {
       return Usage();
     }
+  }
+  if (no_pool) {
+    server_config.gc_pool_depth = 0;
+    server_config.ot_pool_depth = 0;
   }
 
   StatusOr<Dataset> data = LoadAnyCohort(argv[2]);

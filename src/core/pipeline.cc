@@ -110,18 +110,23 @@ SmcRunStats SecureClassificationPipeline::Classify(
   return ClassifyWithDisclosure(row, plan_.features);
 }
 
-std::vector<SmcRunStats> SecureClassificationPipeline::ClassifyBatch(
-    const std::vector<std::vector<int>>& rows) {
-  std::vector<SmcRunStats> stats;
-  stats.reserve(rows.size());
-  for (const std::vector<int>& row : rows) {
-    stats.push_back(Classify(row));
-  }
-  return stats;
+std::vector<int> SecureClassificationPipeline::ClassifyBatch(
+    const std::vector<std::vector<int>>& rows, SmcRunStats* stats) {
+  SmcRunStats unused;
+  return ClassifyRows(rows, plan_.features, stats != nullptr ? stats : &unused);
 }
 
 SmcRunStats SecureClassificationPipeline::ClassifyWithDisclosure(
     const std::vector<int>& row, const std::vector<int>& disclosure) {
+  SmcRunStats stats;
+  ClassifyRows({row}, disclosure, &stats);
+  return stats;
+}
+
+std::vector<int> SecureClassificationPipeline::ClassifyRows(
+    const std::vector<std::vector<int>>& rows,
+    const std::vector<int>& disclosure, SmcRunStats* stats) {
+  if (rows.empty()) return {};
   if (drivers_ == nullptr || drivers_->plan() != disclosure) {
     drivers_ = std::make_unique<Drivers>(model_, disclosure);
   }
@@ -131,7 +136,7 @@ SmcRunStats SecureClassificationPipeline::ClassifyWithDisclosure(
   // (it is a bug, not an environment failure).
   for (int attempt = 1;; ++attempt) {
     try {
-      return RunProtocolOnce(row);
+      return RunProtocolOnce(rows, stats);
     } catch (const TransportError& e) {
       static obs::Counter& failures = obs::GetCounter("pipeline.failures");
       failures.Add();
@@ -152,8 +157,8 @@ SmcRunStats SecureClassificationPipeline::ClassifyWithDisclosure(
   }
 }
 
-SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
-    const std::vector<int>& row) {
+std::vector<int> SecureClassificationPipeline::RunProtocolOnce(
+    const std::vector<std::vector<int>>& rows, SmcRunStats* stats) {
   const std::vector<int>& disclosure = drivers_->plan();
   const std::vector<FeatureSpec>& features = model_.setup.features;
   // Per-attempt channel stack. Under fault injection both sides speak CRC
@@ -188,7 +193,9 @@ SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
   // disclosure, so that query's stats include the session setup.
   const bool open_session = !ot_sender_.is_setup();
 
-  // Disclosure phase: the client reveals the plan's feature values. Each
+  // Disclosure phase: the client reveals every row's values of the plan's
+  // features, in one flight (no count frame: both threads know the rows,
+  // so a one-row exchange has a query's exact bytes). Each
   // party tags its thread so spans land in the right phase tree; the root
   // classify spans absorb the time each side spends blocked on the other
   // as self-time, keeping the leaf phases double-count free.
@@ -200,20 +207,22 @@ SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
     obs::TraceSpan root("classify");
     try {
       if (open_session) ot_sender_.Setup(*server_channel, server_rng_);
-      std::vector<int> key;
-      for (int f : disclosure) {
-        uint64_t v = server_channel->RecvU64();
-        // Disclosed values are wire data: validate against the schema
-        // before they parameterize model specialization.
-        if (v >= static_cast<uint64_t>(features[f].cardinality)) {
-          throw ProtocolError("pipeline: disclosed value " +
-                              std::to_string(v) + " out of range for " +
-                              features[f].name);
+      std::vector<std::vector<int>> keys(rows.size());
+      for (std::vector<int>& key : keys) {
+        for (int f : disclosure) {
+          uint64_t v = server_channel->RecvU64();
+          // Disclosed values are wire data: validate against the schema
+          // before they parameterize model specialization.
+          if (v >= static_cast<uint64_t>(features[f].cardinality)) {
+            throw ProtocolError("pipeline: disclosed value " +
+                                std::to_string(v) + " out of range for " +
+                                features[f].name);
+          }
+          key.push_back(static_cast<int>(v));
         }
-        key.push_back(static_cast<int>(v));
       }
       server_classes = drivers_->garbler.Run(
-          *server_channel, {key},
+          *server_channel, keys,
           serve::GarblerSession{ot_sender_, server_rng_, drivers_->specs});
     } catch (...) {
       server_error = std::current_exception();
@@ -227,12 +236,14 @@ SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
     if (open_session) ot_receiver_.Setup(*client_channel, client_rng_);
     {
       obs::TraceSpan disclose("disclose");
-      for (int f : disclosure) {
-        client_channel->SendU64(static_cast<uint64_t>(row[f]));
+      for (const std::vector<int>& row : rows) {
+        for (int f : disclosure) {
+          client_channel->SendU64(static_cast<uint64_t>(row[f]));
+        }
       }
     }
     client_result = drivers_->evaluator.Run(
-        *client_channel, {row}, serve::EvaluatorSession{ot_receiver_});
+        *client_channel, rows, serve::EvaluatorSession{ot_receiver_});
   } catch (...) {
     client_error = std::current_exception();
     channel_->Close();
@@ -263,14 +274,13 @@ SmcRunStats SecureClassificationPipeline::RunProtocolOnce(
                                : client_error);
   }
 
-  PAFS_CHECK_EQ(server_classes[0], client_result.classes[0]);
-  SmcRunStats stats;
-  stats.predicted_class = client_result.classes[0];
-  stats.and_gates = client_result.and_gates;
-  stats.bytes = channel_->TotalBytes() - bytes_before;
-  stats.rounds = channel_->TotalRounds() - rounds_before;
-  stats.wall_seconds = timer.ElapsedSeconds();
-  return stats;
+  PAFS_CHECK(server_classes == client_result.classes);
+  stats->predicted_class = client_result.classes.back();
+  stats->and_gates = client_result.and_gates;
+  stats->bytes = channel_->TotalBytes() - bytes_before;
+  stats->rounds = channel_->TotalRounds() - rounds_before;
+  stats->wall_seconds = timer.ElapsedSeconds();
+  return client_result.classes;
 }
 
 void SecureClassificationPipeline::ResetSession() {

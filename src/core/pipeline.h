@@ -78,10 +78,13 @@ class SecureClassificationPipeline {
   // Secure classification of one patient row: runs both parties, returns
   // the client-observed stats (bytes/rounds cover the whole exchange).
   SmcRunStats Classify(const std::vector<int>& row);
-  // Classifies a batch of rows; returns per-row stats. The OT session and
-  // the circuit specs amortize across the batch.
-  std::vector<SmcRunStats> ClassifyBatch(
-      const std::vector<std::vector<int>>& rows);
+  // Classifies every row through one protocol exchange (one OT extension
+  // matrix, one circuit prelude per distinct disclosure key) and returns
+  // the classes in row order. `stats`, when non-null, gets the exchange's
+  // bytes, rounds, wall time and AND gates (predicted_class is the last
+  // row's).
+  std::vector<int> ClassifyBatch(const std::vector<std::vector<int>>& rows,
+                                 SmcRunStats* stats = nullptr);
   // Like Classify but with an explicit disclosure set (e.g. empty set =
   // pure SMC baseline), bypassing the selected plan.
   SmcRunStats ClassifyWithDisclosure(const std::vector<int>& row,
@@ -119,9 +122,15 @@ class SecureClassificationPipeline {
   struct Drivers;
   std::unique_ptr<Drivers> drivers_;
 
+  // Runs `rows` under `disclosure` as one exchange, retrying transport
+  // faults on a fresh session; Classify is the one-row case.
+  std::vector<int> ClassifyRows(const std::vector<std::vector<int>>& rows,
+                                const std::vector<int>& disclosure,
+                                SmcRunStats* stats);
   // One protocol attempt over the current session with the current
   // drivers; throws TransportError on channel/peer faults.
-  SmcRunStats RunProtocolOnce(const std::vector<int>& row);
+  std::vector<int> RunProtocolOnce(const std::vector<std::vector<int>>& rows,
+                                   SmcRunStats* stats);
   // Discards the (possibly wedged) session: fresh channel pair, fresh OT
   // endpoints. Base OTs re-run on the next attempt.
   void ResetSession();

@@ -110,14 +110,6 @@ size_t OtSenderPadPool::depth() const {
   return pads_.size();
 }
 
-void OtSenderPadPool::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  pads_.clear();
-  pending_.clear();
-  pending_count_ = 0;
-  head_seq_ = 0;
-}
-
 void OtSenderPadPool::Serialize(ByteWriter& w) const {
   std::lock_guard<std::mutex> lock(mu_);
   w.U64(head_seq_);
@@ -220,12 +212,6 @@ size_t OtReceiverPadPool::Deficit() const {
 size_t OtReceiverPadPool::depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
-}
-
-void OtReceiverPadPool::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  head_seq_ = 0;
 }
 
 void OtReceiverPadPool::Serialize(ByteWriter& w) const {

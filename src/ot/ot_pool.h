@@ -75,7 +75,6 @@ class OtSenderPadPool {
   // Pads (ready + pending) short of target_depth.
   size_t Deficit() const;
   size_t depth() const;
-  void Clear();
 
   // Snapshot/restore for serving-layer resumption (trusted in-process
   // bytes). Pending batches serialize as raw columns: their expansion
@@ -121,7 +120,6 @@ class OtReceiverPadPool {
 
   size_t Deficit() const;
   size_t depth() const;
-  void Clear();
 
   void Serialize(ByteWriter& w) const;
   void Restore(ByteReader& r);

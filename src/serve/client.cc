@@ -95,9 +95,10 @@ void ClassificationClient::ConnectOnce() {
   // starts from an empty pool (the first query's refill tail warms it).
   ot_ = OtExtReceiver();
   ot_.Setup(*framed_, rng_);
-  if (config_.ot_pool_depth > 0 && !PoolsDisabledByEnv()) {
-    ot_pads_ = std::make_unique<OtReceiverPadPool>(
-        static_cast<size_t>(config_.ot_pool_depth));
+  const int pool_depth = driver_->setup().ot_pool_depth;
+  if (pool_depth > 0 && !PoolsDisabledByEnv()) {
+    ot_pads_ =
+        std::make_unique<OtReceiverPadPool>(static_cast<size_t>(pool_depth));
   } else {
     ot_pads_.reset();
   }
@@ -139,7 +140,7 @@ void ClassificationClient::RestoreSnapshot() {
   if (pads_reader.U32() == 1) {
     if (ot_pads_ == nullptr) {
       ot_pads_ = std::make_unique<OtReceiverPadPool>(
-          static_cast<size_t>(std::max(config_.ot_pool_depth, 1)));
+          static_cast<size_t>(std::max(setup().ot_pool_depth, 1)));
     }
     ot_pads_->Restore(pads_reader);
   } else {
@@ -231,11 +232,8 @@ int ClassificationClient::Classify(const std::vector<int>& row) {
 
 SmcRunStats ClassificationClient::ClassifyWithStats(
     const std::vector<int>& row) {
-  PAFS_CHECK_MSG(!finished_, "Classify on a closed client");
-  CheckRow(row);
   SmcRunStats stats;
-  std::vector<int> preds;
-  WithRetry([&] { RunOnce({row}, RequestTag::kQuery, &preds, &stats); });
+  ClassifyBatch({row}, &stats);
   return stats;
 }
 
@@ -246,33 +244,35 @@ std::vector<int> ClassificationClient::ClassifyBatch(
   SmcRunStats total;
   std::vector<int> preds;
   preds.reserve(rows.size());
-  const size_t chunk_max =
-      static_cast<size_t>(std::max(config_.batch_max_records, 1));
-  for (size_t begin = 0; begin < rows.size(); begin += chunk_max) {
-    size_t end = std::min(rows.size(), begin + chunk_max);
-    std::vector<std::vector<int>> chunk(rows.begin() + begin,
-                                        rows.begin() + end);
-    WithRetry([&] { RunOnce(chunk, RequestTag::kBatch, &preds, &total); });
+  for (size_t begin = 0; begin < rows.size();) {
+    WithRetry([&] {
+      // The cap is read per attempt: a reconnect may meet a restarted
+      // server that announced another one.
+      const size_t end = std::min(
+          rows.size(), begin + static_cast<size_t>(setup().batch_max_records));
+      RunOnce({rows.begin() + begin, rows.begin() + end}, &preds, &total);
+      begin = end;
+    });
   }
   if (stats != nullptr) *stats = total;
   return preds;
 }
 
 void ClassificationClient::RunOnce(const std::vector<std::vector<int>>& rows,
-                                   RequestTag tag, std::vector<int>* preds,
+                                   std::vector<int>* preds,
                                    SmcRunStats* stats) {
-  const bool batch = tag == RequestTag::kBatch;
-  obs::TraceSpan span(batch ? "serve.client.batch" : "serve.client.query");
+  obs::TraceSpan span(rows.size() == 1 ? "serve.client.query"
+                                       : "serve.client.batch");
   Timer timer;
   const ChannelStats& wire = socket_->stats();
   const uint64_t bytes_before = wire.bytes_sent + wire.bytes_received;
   const uint64_t rounds_before = wire.direction_flips;
   Channel& ch = *framed_;
-  ch.SendU64(static_cast<uint64_t>(tag));
+  ch.SendU64(static_cast<uint64_t>(RequestTag::kBatch));
   // The id makes retries idempotent: a resend of an already-executed id is
   // answered from the server's reply cache, never executed twice.
   ch.SendU64(next_query_id_);
-  if (batch) ch.SendU64(static_cast<uint64_t>(rows.size()));
+  ch.SendU64(static_cast<uint64_t>(rows.size()));
   {
     obs::TraceSpan disclose("disclose");
     for (const std::vector<int>& row : rows) {

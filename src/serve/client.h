@@ -1,10 +1,10 @@
 // Client driver for the serving layer: connects to a ClassificationServer
 // over TCP or UDS, learns the schema + disclosure plan in the handshake,
 // and then runs the client side of the secure protocol once per request
-// over the framed socket. A request is a query (one row, kQuery) or a
-// batch (N rows, kBatch); both run through the same request path, a query
-// being the batch of one. One client = one server session; run several
-// clients (threads or processes) for concurrent load.
+// over the framed socket. Every request is a batch of rows (a query is the
+// batch of one), chunked to the record cap the server announced in the
+// handshake. One client = one server session; run several clients
+// (threads or processes) for concurrent load.
 //
 // Resilience: every request runs under the config's RetryPolicy. A session
 // fault (peer died, deadline expired, corrupt frame) or a typed kBusy shed
@@ -67,13 +67,6 @@ struct ClientConfig {
   // restore the post-last-success crypto snapshot, skipping the base OTs.
   // false (or PAFS_NO_RESUME=1) always re-handshakes from scratch.
   bool enable_resume = true;
-  // Target depth of the receiver-side OT pad pool, refilled by the v4
-  // in-query tail (the server grants up to its own pool's deficit). 0 (or
-  // PAFS_NO_POOL=1) disables pooling; label OTs then run fully online.
-  int ot_pool_depth = 4096;
-  // Largest batch sent on the wire per ClassifyBatch chunk; must not
-  // exceed the server's --batch-max-records or the session faults typed.
-  int batch_max_records = 64;
 };
 
 class ClassificationClient {
@@ -99,9 +92,10 @@ class ClassificationClient {
   int Classify(const std::vector<int>& row);
   SmcRunStats ClassifyWithStats(const std::vector<int>& row);
 
-  // Cross-query batching (wire v4): classifies every row through one
-  // protocol exchange per chunk of config.batch_max_records — one shared
-  // OT-extension matrix, one circuit prelude per distinct disclosure set.
+  // Cross-query batching: classifies every row through one protocol
+  // exchange per chunk of the server's announced batch_max_records — one
+  // shared OT-extension matrix, one circuit prelude per distinct disclosure
+  // set.
   // `stats`, when non-null, accumulates wire bytes, rounds, wall time and
   // AND gates across the whole call. Retries chunk-at-a-time with the same
   // at-most-once semantics as Classify.
@@ -129,6 +123,13 @@ class ClassificationClient {
   // skipped (serve.client.resumes).
   uint64_t resumes() const { return resumes_; }
 
+  // Pads ready in the receiver-side OT pool. The pool's target is the
+  // depth the server announced in the handshake (no pool when that is 0
+  // or PAFS_NO_POOL=1 is set here); the in-query refill tail tops it up.
+  size_t ot_pads_ready() const {
+    return ot_pads_ != nullptr ? ot_pads_->depth() : 0;
+  }
+
   // Test/bench hook: severs the connection as a crash would (no bye, no
   // close handshake). The next Classify reconnects — with the resumption
   // ticket when one is held. Safe to call at any time.
@@ -150,11 +151,11 @@ class ClassificationClient {
   // only connects — the constructor's initial handshake, which counts as
   // neither a reconnect nor a retry.
   void WithRetry(const std::function<void()>& op);
-  // One request on the open session: kQuery carries rows[0] alone, kBatch
-  // a record count and every row. Appends the answers to `preds` and adds
-  // the request's wire bytes, rounds, wall time and AND gates to `stats`
+  // One request on the open session: a record count and every row (at
+  // most the server's cap). Appends the answers to `preds` and adds the
+  // request's wire bytes, rounds, wall time and AND gates to `stats`
   // (predicted_class is the last answer). Caller validated the rows.
-  void RunOnce(const std::vector<std::vector<int>>& rows, RequestTag tag,
+  void RunOnce(const std::vector<std::vector<int>>& rows,
                std::vector<int>* preds, SmcRunStats* stats);
   // The two status frames bracketing a request: the admission ack (kBusy
   // sheds, kResync drops resume state) and the completion ack (the commit
@@ -183,10 +184,10 @@ class ClassificationClient {
   // The evaluator driver for the announced setup; rebuilt on every fresh
   // handshake, kept across resumes.
   std::unique_ptr<EvaluatorDriver> driver_;
-  // Receiver-side OT pad pool (v4 refill tail). Rebuilt on every fresh
-  // handshake (pads are bound to the dead session's sender state) and
-  // covered by the resumption snapshot so replayed retries re-spend the
-  // same pads.
+  // Receiver-side OT pad pool (v4 refill tail), sized to the server's
+  // announced depth. Rebuilt on every fresh handshake (pads are bound to
+  // the dead session's sender state) and covered by the resumption
+  // snapshot so replayed retries re-spend the same pads.
   std::unique_ptr<OtReceiverPadPool> ot_pads_;
   OtExtReceiver ot_;
   Rng rng_;
@@ -197,7 +198,7 @@ class ClassificationClient {
   std::vector<uint8_t> rng_snapshot_;
   std::vector<uint8_t> ot_pads_snapshot_;
   uint64_t snapshot_next_query_id_ = 1;
-  uint64_t next_query_id_ = 1;  // Stamped on the next kQuery frame.
+  uint64_t next_query_id_ = 1;  // Stamped on the next request.
   bool open_ = false;      // Current session is live.
   bool finished_ = false;  // Close() was called; no further queries.
   uint64_t reconnects_ = 0;

@@ -88,7 +88,7 @@ std::shared_ptr<const KeySpec> GarblerDriver::SpecFor(
       data.owner = std::move(circuit);
     }
     spec = std::make_shared<const KeySpec>(std::move(data));
-    if (session.specs.size() < session.max_specs) {
+    if (session.specs.size() < static_cast<size_t>(kDefaultMaxSpecKeys)) {
       session.specs.emplace(key, spec);
     }
   }

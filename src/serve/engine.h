@@ -61,8 +61,8 @@ struct KeySpec {
 // plan order, so one map serves one plan).
 using SpecMap = std::map<std::vector<int>, std::shared_ptr<const KeySpec>>;
 
-// Default bound on a session's distinct disclosure keys: the spec map's
-// size and the GC pool's key budget (ServerConfig::gc_pool_max_keys).
+// Bound on a session's distinct disclosure keys: the spec map's size and
+// the GC pool's key budget.
 inline constexpr int kDefaultMaxSpecKeys = 8;
 
 // One party's session state: its set-up OT stream, the garbler's rng, and
@@ -70,12 +70,11 @@ inline constexpr int kDefaultMaxSpecKeys = 8;
 struct GarblerSession {
   OtExtSender& ot;
   Rng& rng;
-  // Specs are added while fewer than max_specs are held and never evicted:
-  // the first max_specs keys a session sees stay cached, later keys are
+  // Specs are added while fewer than kDefaultMaxSpecKeys are held and never
+  // evicted: the first keys a session sees stay cached, later keys are
   // built on every use. Only the session's single in-flight request
   // touches the map, so it needs no lock.
   SpecMap& specs;
-  size_t max_specs = kDefaultMaxSpecKeys;
   GcPool* gc_pool = nullptr;
   OtSenderPadPool* ot_pads = nullptr;
 };

@@ -16,12 +16,14 @@ constexpr uint64_t kMaxFeatures = 1u << 16;
 constexpr uint64_t kMaxCardinality = 1u << 20;
 constexpr uint64_t kMaxClasses = 1u << 12;
 
-uint64_t RecvBounded(Channel& channel, uint64_t max, const char* what) {
+uint64_t RecvBounded(Channel& channel, uint64_t min, uint64_t max,
+                     const char* what) {
   uint64_t v = channel.RecvU64();
-  if (v > max) {
+  if (v < min || v > max) {
     throw ProtocolError(std::string("serve handshake: ") + what + " " +
-                        std::to_string(v) + " exceeds bound " +
-                        std::to_string(max));
+                        std::to_string(v) + " outside [" +
+                        std::to_string(min) + ", " + std::to_string(max) +
+                        "]");
   }
   return v;
 }
@@ -41,37 +43,38 @@ void SendSessionSetup(Channel& channel, const SessionSetup& setup) {
   for (int f : setup.plan_features) {
     channel.SendU64(static_cast<uint64_t>(f));
   }
+  channel.SendU64(static_cast<uint64_t>(setup.batch_max_records));
+  channel.SendU64(static_cast<uint64_t>(setup.ot_pool_depth));
 }
 
 SessionSetup RecvSessionSetup(Channel& channel) {
   SessionSetup setup;
-  uint64_t classifier = RecvBounded(channel, 3, "classifier kind");
+  uint64_t classifier = RecvBounded(channel, 0, 3, "classifier kind");
   setup.classifier = static_cast<ClassifierKind>(classifier);
   setup.num_classes =
-      static_cast<int>(RecvBounded(channel, kMaxClasses, "class count"));
-  if (setup.num_classes < 2) {
-    throw ProtocolError("serve handshake: class count < 2");
-  }
-  uint64_t num_features = RecvBounded(channel, kMaxFeatures, "feature count");
+      static_cast<int>(RecvBounded(channel, 2, kMaxClasses, "class count"));
+  uint64_t num_features =
+      RecvBounded(channel, 0, kMaxFeatures, "feature count");
   setup.features.reserve(num_features);
   for (uint64_t i = 0; i < num_features; ++i) {
     FeatureSpec spec;
     std::vector<uint8_t> name = channel.RecvBytes();
     spec.name.assign(name.begin(), name.end());
     spec.cardinality = static_cast<int>(
-        RecvBounded(channel, kMaxCardinality, "feature cardinality"));
-    if (spec.cardinality < 1) {
-      throw ProtocolError("serve handshake: feature cardinality < 1");
-    }
-    spec.sensitive = RecvBounded(channel, 1, "sensitive flag") != 0;
+        RecvBounded(channel, 1, kMaxCardinality, "feature cardinality"));
+    spec.sensitive = RecvBounded(channel, 0, 1, "sensitive flag") != 0;
     setup.features.push_back(std::move(spec));
   }
-  uint64_t plan = RecvBounded(channel, num_features, "plan size");
+  uint64_t plan = RecvBounded(channel, 0, num_features, "plan size");
   setup.plan_features.reserve(plan);
   for (uint64_t i = 0; i < plan; ++i) {
-    uint64_t f = RecvBounded(channel, num_features - 1, "plan feature id");
+    uint64_t f = RecvBounded(channel, 0, num_features - 1, "plan feature id");
     setup.plan_features.push_back(static_cast<int>(f));
   }
+  setup.batch_max_records = static_cast<int>(
+      RecvBounded(channel, 1, kMaxBatchRecords, "batch record cap"));
+  setup.ot_pool_depth = static_cast<int>(
+      RecvBounded(channel, 0, kMaxOtPoolDepth, "OT pool depth"));
   return setup;
 }
 
@@ -83,15 +86,14 @@ void SendClientHello(Channel& channel, const ClientHello& hello) {
 
 ClientHello RecvClientHello(Channel& channel) {
   ClientHello hello;
+  // Both words are read before either is checked, so a server answering a
+  // bad hello with kRejected leaves none of it unread.
   hello.magic = channel.RecvU64();
-  if (hello.magic != kWireMagic) {
-    throw ProtocolError("serve: bad hello magic " +
-                        std::to_string(hello.magic));
-  }
   hello.version = channel.RecvU64();
-  if (hello.version != kWireVersion) {
-    throw ProtocolError("serve: bad hello version " +
-                        std::to_string(hello.version));
+  if (hello.magic != kWireMagic || hello.version != kWireVersion) {
+    throw ProtocolError("serve: bad hello (magic " +
+                        std::to_string(hello.magic) + ", version " +
+                        std::to_string(hello.version) + ")");
   }
   hello.ticket = channel.RecvBytes();
   if (!hello.ticket.empty() && hello.ticket.size() != kResumeTicketBytes) {

@@ -41,8 +41,17 @@ namespace serve {
 // v6 serves half-gates only: the handshake drops the garbling-scheme frame.
 // v7 runs the 128 base OTs inside the fresh handshake, between the setup
 // and the ticket frame, instead of inside the session's first request.
+// v8 retires the one-record query tag (value 1, now unknown): every
+// request is a kBatch, a single query being the one-record batch; the
+// setup ends with the server's limits (records per request, OT pad-pool
+// depth).
 inline constexpr uint64_t kWireMagic = 0x5652455353464150ull;
-inline constexpr uint64_t kWireVersion = 7;
+inline constexpr uint64_t kWireVersion = 8;
+
+// Bounds on the limits a server announces in the handshake: a server
+// clamps its config to them, a client rejects anything past them typed.
+inline constexpr uint64_t kMaxBatchRecords = 1u << 16;
+inline constexpr uint64_t kMaxOtPoolDepth = 1u << 20;
 
 // Resumption tickets are fixed-size opaque bytes, generated by the server
 // from an entropy-seeded PRG so they are unguessable, rotated on every
@@ -50,14 +59,14 @@ inline constexpr uint64_t kWireVersion = 7;
 // handshake (never a crash, never someone else's state).
 inline constexpr uint64_t kResumeTicketBytes = 32;
 
-// Client -> server request tags after the handshake.
+// Client -> server request tags after the handshake. Value 1 (a query of
+// one record before v8) now fails the session like any unknown tag.
 enum class RequestTag : uint64_t {
-  kQuery = 1,  // A query id, then disclosure values, then the protocol.
-  kBye = 2,    // Graceful session end.
+  kBye = 2,    // Graceful session end; the server drops its resume entry.
   kPing = 3,   // Keepalive probe; the server answers kPong.
-  kBatch = 4,  // A query id, a record count, then count disclosure rows;
-               // the whole batch runs as one protocol exchange (v4; linear
-               // too since v5).
+  kBatch = 4,  // A query id, a record count (1..batch_max_records), then
+               // count disclosure rows; the whole request runs as one
+               // protocol exchange.
 };
 
 // Server -> client status frames: the hello answer, the per-query
@@ -92,6 +101,11 @@ struct SessionSetup {
   int num_classes = 2;
   ClassifierKind classifier = ClassifierKind::kNaiveBayes;
   std::vector<int> plan_features;  // Disclosure plan, in send order.
+  // The server's limits: the client chunks batches to batch_max_records
+  // (1..kMaxBatchRecords) and sizes its OT receiver pool to ot_pool_depth
+  // (0..kMaxOtPoolDepth, 0 = unpooled).
+  int batch_max_records = 64;
+  int ot_pool_depth = 0;
 };
 
 struct ServingModel {
@@ -116,9 +130,9 @@ void SendSessionSetup(Channel& channel, const SessionSetup& setup);
 SessionSetup RecvSessionSetup(Channel& channel);
 
 // The v3 client hello: magic, version, and an optional resumption ticket
-// (empty = fresh session, kResumeTicketBytes = resume attempt). Decoding
-// is exposed separately from the server loop so the fuzz harness can feed
-// it truncated/corrupted/forged bytes directly; every malformed shape must
+// (empty = fresh session, kResumeTicketBytes = resume attempt). The server
+// decodes hellos with RecvClientHello, and the fuzz harness feeds it
+// truncated/corrupted/forged bytes directly; every malformed shape must
 // surface as a typed TransportError, never a crash or an oversized
 // allocation.
 struct ClientHello {

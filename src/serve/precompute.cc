@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "serve/engine.h"
 #include "util/check.h"
 
 namespace pafs::serve {
@@ -187,11 +188,6 @@ bool GcPool::RefillOne(Rng& rng) {
   return true;
 }
 
-void GcPool::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
 void GcPool::Serialize(ByteWriter& w) const {
   std::lock_guard<std::mutex> lock(mu_);
   w.U32(static_cast<uint32_t>(entries_.size()));
@@ -238,18 +234,15 @@ void GcPool::EvictOverCapLocked() {
   }
 }
 
-SessionPrecompute::SessionPrecompute(const PrecomputeConfig& config,
-                                     uint64_t seed)
+SessionPrecompute::SessionPrecompute(int gc_depth, int ot_pads, uint64_t seed)
     : fill_rng_(seed) {
-  const bool enabled = config.enabled && !PoolsDisabledByEnv();
-  if (enabled && config.gc_depth > 0) {
+  if (gc_depth > 0) {
     gc_pool_ = std::make_unique<GcPool>(
-        static_cast<size_t>(config.gc_depth),
-        static_cast<size_t>(config.gc_max_keys));
+        static_cast<size_t>(gc_depth),
+        static_cast<size_t>(kDefaultMaxSpecKeys));
   }
-  if (enabled && config.ot_pads > 0) {
-    ot_pads_ =
-        std::make_unique<OtSenderPadPool>(static_cast<size_t>(config.ot_pads));
+  if (ot_pads > 0) {
+    ot_pads_ = std::make_unique<OtSenderPadPool>(static_cast<size_t>(ot_pads));
   }
 }
 
@@ -273,26 +266,12 @@ void SessionPrecompute::Serialize(ByteWriter& w) const {
 }
 
 void SessionPrecompute::Restore(ByteReader& r) {
-  if (r.U32() != 0) {
-    if (gc_pool_ != nullptr) {
-      gc_pool_->Restore(r);
-    } else {
-      GcPool scratch{0, 1};
-      scratch.Restore(r);  // Consume past the block under PAFS_NO_POOL.
-    }
-  } else if (gc_pool_ != nullptr) {
-    gc_pool_->Clear();
-  }
-  if (r.U32() != 0) {
-    if (ot_pads_ != nullptr) {
-      ot_pads_->Restore(r);
-    } else {
-      OtSenderPadPool scratch{0};
-      scratch.Restore(r);
-    }
-  } else if (ot_pads_ != nullptr) {
-    ot_pads_->Clear();
-  }
+  // Snapshots come from sessions of the same server, whose pool depths are
+  // fixed at construction, so a snapshot holds exactly this session's pools.
+  PAFS_CHECK_EQ(r.U32() != 0, gc_pool_ != nullptr);
+  if (gc_pool_ != nullptr) gc_pool_->Restore(r);
+  PAFS_CHECK_EQ(r.U32() != 0, ot_pads_ != nullptr);
+  if (ot_pads_ != nullptr) ot_pads_->Restore(r);
 }
 
 }  // namespace pafs::serve

@@ -33,20 +33,6 @@
 
 namespace pafs::serve {
 
-struct PrecomputeConfig {
-  // Master switch; PAFS_NO_POOL=1 force-disables regardless.
-  bool enabled = true;
-  // Pre-garbled circuits kept per disclosure key, and how many distinct
-  // keys the GC pool tracks before LRU eviction. Depth 0 disables the
-  // pool.
-  int gc_depth = 2;
-  int gc_max_keys = 8;
-  // Target depth of the sender-side OT pad pool (random OTs, each one
-  // label transfer). 0 disables. Sized to cover a few forest queries'
-  // evaluator bits between refill exchanges.
-  int ot_pads = 4096;
-};
-
 // A pool of pre-garbled circuits, keyed by the disclosure set that shaped
 // the circuit (the GC protocol's only query-dependent input — garbling
 // randomness is input-independent). Entries are single-use: TryTake pops,
@@ -82,7 +68,6 @@ class GcPool {
   // Returns false when nothing needs refilling.
   bool RefillOne(Rng& rng);
 
-  void Clear();
   void Serialize(ByteWriter& w) const;
   void Restore(ByteReader& r);
 
@@ -116,10 +101,13 @@ bool PoolsDisabledByEnv();
 
 class SessionPrecompute {
  public:
-  SessionPrecompute(const PrecomputeConfig& config, uint64_t seed);
+  // `gc_depth` pre-garbled circuits per disclosure key (for up to
+  // kDefaultMaxSpecKeys keys before LRU eviction) and a sender-side OT pad
+  // pool of `ot_pads` random OTs, each one label transfer.
+  SessionPrecompute(int gc_depth, int ot_pads, uint64_t seed);
 
-  // The GC and OT pools, created once at construction. Null when disabled
-  // (master switch, PAFS_NO_POOL, or zero depth).
+  // The GC and OT pools, created once at construction. Null at zero depth
+  // (which PAFS_NO_POOL forces on the server).
   GcPool* gc_pool() { return gc_pool_.get(); }
   OtSenderPadPool* ot_pads() { return ot_pads_.get(); }
 

@@ -28,20 +28,17 @@ constexpr uint64_t kListenerToken = 0;
 constexpr uint64_t kReaperToken = ~0ull - 1;
 constexpr uint64_t kWatchdogToken = ~0ull - 2;
 
-// Reads a request's records after its query id: kBatch sends a count
-// (1..max_records) first, kQuery is one record with no count frame. Each
-// record is its disclosure values in plan order, range-checked.
+// Reads a request's records after its query id: a count
+// (1..setup.batch_max_records), then each record's disclosure values in
+// plan order, range-checked.
 std::vector<std::vector<int>> RecvRequest(Channel& ch,
-                                          const SessionSetup& setup,
-                                          bool batch, int max_records) {
-  uint64_t count = 1;
-  if (batch) {
-    count = ch.RecvU64();
-    if (count == 0 || count > static_cast<uint64_t>(max_records)) {
-      throw ProtocolError("serve: batch count " + std::to_string(count) +
-                          " out of range (max " +
-                          std::to_string(max_records) + ")");
-    }
+                                          const SessionSetup& setup) {
+  const uint64_t count = ch.RecvU64();
+  if (count == 0 ||
+      count > static_cast<uint64_t>(setup.batch_max_records)) {
+    throw ProtocolError("serve: batch count " + std::to_string(count) +
+                        " out of range (max " +
+                        std::to_string(setup.batch_max_records) + ")");
   }
   std::vector<std::vector<int>> keys(count);
   for (std::vector<int>& key : keys) {
@@ -139,16 +136,16 @@ class RecordingChannel final : public Channel {
 
 ClassificationServer::Session::Session(uint64_t id,
                                        std::unique_ptr<SocketChannel> sock,
-                                       uint64_t seed,
-                                       const PrecomputeConfig& pads)
+                                       const ServerConfig& config)
     : id(id),
       socket(std::move(sock)),
       framed(std::make_unique<FramedChannel>(*socket)),
-      rng(seed ^ (id * 0x9E3779B97F4A7C15ull)),
+      rng(config.seed ^ (id * 0x9E3779B97F4A7C15ull)),
       last_activity(std::chrono::steady_clock::now()),
       // Distinct stream from the protocol rng: garbling seeds drawn by fillers
       // must never perturb the protocol's deterministic draw sequence.
-      precompute(pads, seed ^ (id * 0xA24BAED4963EE407ull)) {
+      precompute(config.gc_pool_depth, config.ot_pool_depth,
+                 config.seed ^ (id * 0xA24BAED4963EE407ull)) {
   // Arm the whole channel stack with this session's token: the watchdog
   // cancels a wedged worker by firing it, and the socket's readiness
   // slices observe it within ~100 ms even while blocked.
@@ -169,22 +166,25 @@ ClassificationServer::ClassificationServer(ServingModel model,
   config_.recv_timeout_seconds = std::max(config_.recv_timeout_seconds, 1e-3);
   config_.max_pending_queries = std::max(config_.max_pending_queries, 0);
   config_.idle_timeout_seconds = std::max(config_.idle_timeout_seconds, 0.0);
-  config_.resume_cache_entries = std::max(config_.resume_cache_entries, 0);
+  config_.resume_cache_entries =
+      ResumeDisabledByEnv() ? 0 : std::max(config_.resume_cache_entries, 0);
   config_.resume_ticket_ttl_seconds =
       std::max(config_.resume_ticket_ttl_seconds, 0.0);
   config_.query_budget_seconds = std::max(config_.query_budget_seconds, 0.0);
-  if (config_.resume_cache_entries == 0 || ResumeDisabledByEnv()) {
-    config_.enable_resumption = false;
-  }
   config_.gc_pool_depth = std::max(config_.gc_pool_depth, 0);
-  config_.gc_pool_max_keys = std::max(config_.gc_pool_max_keys, 1);
-  config_.ot_pool_depth = std::max(config_.ot_pool_depth, 0);
-  config_.batch_max_records = std::max(config_.batch_max_records, 1);
-  if ((config_.gc_pool_depth == 0 && config_.ot_pool_depth == 0) ||
-      PoolsDisabledByEnv()) {
-    config_.enable_pools = false;
+  config_.ot_pool_depth = std::clamp(config_.ot_pool_depth, 0,
+                                     static_cast<int>(kMaxOtPoolDepth));
+  if (PoolsDisabledByEnv()) {
+    config_.gc_pool_depth = 0;
+    config_.ot_pool_depth = 0;
   }
-  if (config_.enable_resumption) {
+  config_.batch_max_records = std::clamp(
+      config_.batch_max_records, 1, static_cast<int>(kMaxBatchRecords));
+  // The fresh handshake announces the limits with the setup: the client
+  // chunks its batches and sizes its OT receiver pool from them.
+  model_.setup.batch_max_records = config_.batch_max_records;
+  model_.setup.ot_pool_depth = config_.ot_pool_depth;
+  if (config_.resume_cache_entries > 0) {
     // Tickets must be unguessable, so the ticket PRG is seeded from OS
     // entropy, never from the deterministic config seed.
     std::random_device rd;
@@ -276,13 +276,7 @@ void ClassificationServer::AdmitSession(std::unique_ptr<SocketChannel> socket) {
     }
     uint64_t id = next_session_id_++;
     socket->set_recv_timeout_seconds(config_.recv_timeout_seconds);
-    PrecomputeConfig pads;
-    pads.enabled = config_.enable_pools;
-    pads.gc_depth = config_.gc_pool_depth;
-    pads.gc_max_keys = config_.gc_pool_max_keys;
-    pads.ot_pads = config_.ot_pool_depth;
-    session =
-        std::make_shared<Session>(id, std::move(socket), config_.seed, pads);
+    session = std::make_shared<Session>(id, std::move(socket), config_);
     sessions_.emplace(id, session);
     ++stats_.sessions_accepted;
     stats_.sessions_active = static_cast<int>(sessions_.size());
@@ -388,7 +382,7 @@ void ClassificationServer::ServeSession(const std::shared_ptr<Session>& s) {
       // a gap; the Submit itself happens outside mu_ (same rationale as
       // OnSessionReadable).
       OtSenderPadPool* ot_pads = s->precompute.ot_pads();
-      if (config_.enable_pools && !s->filling &&
+      if (!s->filling &&
           !stop_fill_.load(std::memory_order_relaxed) &&
           (s->precompute.NeedsRefill() ||
            (ot_pads != nullptr && ot_pads->HasPending()))) {
@@ -454,23 +448,15 @@ bool ClassificationServer::ServeOne(Session& s) {
   Channel& ch = *s.framed;
   if (!s.handshaken) {
     obs::TraceSpan span("serve.handshake");
-    uint64_t magic = ch.RecvU64();
-    uint64_t version = ch.RecvU64();
-    if (magic != kWireMagic || version != kWireVersion) {
+    ClientHello hello;
+    try {
+      hello = RecvClientHello(ch);
+    } catch (const ProtocolError&) {
       // Typed refusal before the close.
       ch.SendU64(static_cast<uint64_t>(ReplyStatus::kRejected));
-      throw ProtocolError("serve: bad hello (magic " + std::to_string(magic) +
-                          ", version " + std::to_string(version) + ")");
+      throw;
     }
-    std::vector<uint8_t> ticket = ch.RecvBytes();
-    if (!ticket.empty() && ticket.size() != kResumeTicketBytes) {
-      ch.SendU64(static_cast<uint64_t>(ReplyStatus::kRejected));
-      throw ProtocolError("serve: hello ticket is " +
-                          std::to_string(ticket.size()) +
-                          " bytes, expected 0 or " +
-                          std::to_string(kResumeTicketBytes));
-    }
-    if (!ticket.empty() && TryResumeSession(s, ticket)) {
+    if (!hello.ticket.empty() && TryResumeSession(s, hello.ticket)) {
       // Ticket hit: the session's crypto state is restored, so no setup
       // and no base OTs follow — only a fresh (rotated) ticket.
       ch.SendU64(static_cast<uint64_t>(ReplyStatus::kResumed));
@@ -489,7 +475,14 @@ bool ClassificationServer::ServeOne(Session& s) {
     return true;
   }
   uint64_t tag = ch.RecvU64();
-  if (tag == static_cast<uint64_t>(RequestTag::kBye)) return false;
+  if (tag == static_cast<uint64_t>(RequestTag::kBye)) {
+    // A client that said bye never presents its ticket again: drop the
+    // entry (its OT state, pads and garbled tables) now rather than at
+    // LRU eviction. Failed and dropped sessions keep theirs to resume.
+    std::lock_guard<std::mutex> lock(mu_);
+    resume_cache_.erase(s.ticket);
+    return false;
+  }
   if (tag == static_cast<uint64_t>(RequestTag::kPing)) {
     // Keepalive: answer and go idle, which refreshes last_activity.
     ch.SendU64(static_cast<uint64_t>(ReplyStatus::kPong));
@@ -501,15 +494,14 @@ bool ClassificationServer::ServeOne(Session& s) {
     pings.Add();
     return true;
   }
-  if (tag != static_cast<uint64_t>(RequestTag::kQuery) &&
-      tag != static_cast<uint64_t>(RequestTag::kBatch)) {
+  if (tag != static_cast<uint64_t>(RequestTag::kBatch)) {
     throw ProtocolError("serve: unknown request tag " + std::to_string(tag));
   }
-  ServeQuery(s, ch, tag == static_cast<uint64_t>(RequestTag::kBatch));
+  ServeQuery(s, ch);
   return true;
 }
 
-void ClassificationServer::ServeQuery(Session& s, Channel& ch, bool batch) {
+void ClassificationServer::ServeQuery(Session& s, Channel& ch) {
   obs::TraceSpan span("serve.query");
   // At-most-once state machine on the client-stamped query id:
   //   id == next      -> execute live (and record the transcript),
@@ -519,7 +511,7 @@ void ClassificationServer::ServeQuery(Session& s, Channel& ch, bool batch) {
   //                      produce; fail the session typed.
   uint64_t query_id = ch.RecvU64();
   if (query_id == s.next_query_id) {
-    ExecuteRequest(s, ch, query_id, batch);
+    ExecuteRequest(s, ch, query_id);
     return;
   }
   if (query_id + 1 == s.next_query_id) {
@@ -532,7 +524,7 @@ void ClassificationServer::ServeQuery(Session& s, Channel& ch, bool batch) {
     // Drain the retry's records off the wire, then answer kResync in the
     // admission slot: the client discards its resume state and rebuilds a
     // fresh session. The current session stays healthy.
-    (void)RecvRequest(ch, model_.setup, batch, config_.batch_max_records);
+    (void)RecvRequest(ch, model_.setup);
     ch.SendU64(static_cast<uint64_t>(ReplyStatus::kResync));
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -548,7 +540,7 @@ void ClassificationServer::ServeQuery(Session& s, Channel& ch, bool batch) {
 }
 
 void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
-                                          uint64_t query_id, bool batch) {
+                                          uint64_t query_id) {
   Timer timer;
   {
     // Arm the watchdog: from here until the final stanza this session is
@@ -561,9 +553,9 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
   transcript->query_id = query_id;
   RecordingChannel rec(ch, transcript.get(), config_.max_replay_bytes);
   Channel& qch = rec;
-  const std::vector<std::vector<int>> keys =
-      RecvRequest(qch, model_.setup, batch, config_.batch_max_records);
-  const size_t n = keys.size();
+  const std::vector<std::vector<int>> keys = RecvRequest(qch, model_.setup);
+  // One record is a query, more are a batch: the count picks the counters.
+  const bool batch = keys.size() > 1;
   // Admission ack: the request was read and a worker is running it. The
   // shed path answers the same slot in the conversation with kBusy, so a
   // client always learns its request's fate from this one frame.
@@ -583,9 +575,8 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
     // The outputs are the client's report: a forged class index fails the
     // session typed inside the driver.
     driver_.Run(qch, keys,
-                GarblerSession{s.ot, s.rng, s.specs,
-                               static_cast<size_t>(config_.gc_pool_max_keys),
-                               s.precompute.gc_pool(), ot_pads});
+                GarblerSession{s.ot, s.rng, s.specs, s.precompute.gc_pool(),
+                               ot_pads});
     ServerOtRefillTail(s, qch);
     ++s.queries;
     s.next_query_id = query_id + 1;
@@ -608,7 +599,7 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
     ++stats_.queries_served;
     if (batch) {
       ++stats_.batches_served;
-      stats_.batch_records += n;
+      stats_.batch_records += keys.size();
     }
   }
   static obs::Counter& served = obs::GetCounter("serve.queries_served");
@@ -682,7 +673,6 @@ bool ClassificationServer::TryResumeSession(Session& s,
     misses.Add();
     return false;
   };
-  if (!config_.enable_resumption) return miss();
   auto it = resume_cache_.find(key);
   if (it == resume_cache_.end()) return miss();  // Evicted, replayed, forged.
   // Consume-on-use: hit or expired, a presented ticket is spent, so a
@@ -715,11 +705,10 @@ bool ClassificationServer::TryResumeSession(Session& s,
 }
 
 void ClassificationServer::IssueTicket(Session& s, Channel& ch) {
-  if (!config_.enable_resumption) {
+  if (config_.resume_cache_entries == 0) {
     // Empty frame: the client learns resumption is off and never retries
     // with a ticket.
     ch.SendBytes({});
-    s.has_ticket = false;
     return;
   }
   {
@@ -729,14 +718,13 @@ void ClassificationServer::IssueTicket(Session& s, Channel& ch) {
     lo.ToBytes(s.ticket.data());
     hi.ToBytes(s.ticket.data() + 16);
   }
-  s.has_ticket = true;
   ch.SendBytes(std::vector<uint8_t>(s.ticket.begin(), s.ticket.end()));
   std::lock_guard<std::mutex> ot_lock(s.ot_mu);
   RefreshResumeEntry(s);
 }
 
 void ClassificationServer::RefreshResumeEntry(Session& s) {
-  if (!s.has_ticket) return;
+  if (config_.resume_cache_entries == 0) return;
   ResumeEntry entry;
   entry.ot_state = s.ot.Serialize();
   ByteWriter rng_writer(&entry.rng_state);

@@ -89,11 +89,10 @@ struct ServerConfig {
   // crypto state (OT extension + RNG + query cursor) after the handshake
   // and after every completed query, keyed by an unguessable ticket. A
   // reconnecting client that presents the ticket restores the snapshot and
-  // skips the base OTs entirely. Force-disabled by PAFS_NO_RESUME=1.
-  bool enable_resumption = true;
-  // Bounded LRU of suspended-session snapshots; 0 disables resumption.
+  // skips the base OTs entirely. This bounds the LRU of snapshots; 0 (or
+  // PAFS_NO_RESUME=1) disables resumption.
   int resume_cache_entries = 1024;
-  // Snapshots older than this are expired on lookup/sweep; 0 = no TTL.
+  // Snapshots older than this are expired on lookup; 0 = no TTL.
   double resume_ticket_ttl_seconds = 600;
   // At-most-once replay: the per-session transcript of the last executed
   // query is kept up to this many bytes so a retried query id replays the
@@ -107,22 +106,19 @@ struct ServerConfig {
   double query_budget_seconds = 0;
   // Offline/online split (DESIGN.md): idle workers pre-garble circuits and
   // expand OT pads per session between queries, so the online protocol
-  // finds its input-independent material ready. PAFS_NO_POOL=1
-  // force-disables.
-  bool enable_pools = true;
-  // Pre-garbled circuits kept per disclosure set per session (GcPool); a
-  // warm entry removes the whole online Garble from a query's critical
-  // path. 0 disables (falls back to online garbling).
+  // finds its input-independent material ready. PAFS_NO_POOL=1 zeroes both
+  // depths. Pre-garbled circuits kept per disclosure set per session
+  // (GcPool, for up to kDefaultMaxSpecKeys sets); a warm entry removes the
+  // whole online Garble from a query's critical path. 0 disables (falls
+  // back to online garbling).
   int gc_pool_depth = 2;
-  // Distinct disclosure sets per session: the GcPool's LRU bound, and how
-  // many tree/forest specs the session keeps (the first ones, never
-  // evicted).
-  int gc_pool_max_keys = kDefaultMaxSpecKeys;
-  // Target depth of the per-session sender-side OT pad pool. Clients top
-  // it up through the in-query refill tail; 0 disables.
+  // Target depth of the per-session sender-side OT pad pool, announced in
+  // the handshake: the client sizes its receiver pool to it and tops both
+  // up through the in-query refill tail. 0 disables.
   int ot_pool_depth = 4096;
-  // Upper bound on records per RequestTag::kBatch request; larger batch
-  // headers fail the session typed.
+  // Upper bound on records per request, announced in the handshake so the
+  // client chunks its batches to it; a larger count fails the session
+  // typed.
   int batch_max_records = 64;
 };
 
@@ -145,8 +141,8 @@ struct ServerStats {
   uint64_t pool_pads_precomputed = 0;  // Always 0 since wire v5.
   uint64_t gc_pregarbled = 0;       // Circuits garbled offline by fillers.
   uint64_t ot_pads_precomputed = 0;  // Random OTs materialized offline.
-  uint64_t batches_served = 0;       // kBatch requests executed live.
-  uint64_t batch_records = 0;        // Records across those batches.
+  uint64_t batches_served = 0;  // Requests of 2+ records executed live.
+  uint64_t batch_records = 0;   // Records across those batches.
   int sessions_active = 0;
 };
 
@@ -199,10 +195,10 @@ class ClassificationServer {
     // reaper closes non-busy sessions idle past idle_timeout_seconds.
     std::chrono::steady_clock::time_point last_activity;
     // Resumption: the ticket this session's snapshot is cached under
-    // (rotated on every resume), the id the next query must carry, and
-    // the transcript of the last executed query for replay.
+    // (rotated on every resume; unused when resumption is off), the id the
+    // next query must carry, and the transcript of the last executed query
+    // for replay.
     std::array<uint8_t, kResumeTicketBytes> ticket{};
-    bool has_ticket = false;
     uint64_t next_query_id = 1;
     std::shared_ptr<QueryTranscript> transcript;
     // Watchdog: set while a worker is inside ServeQuery (mu_-guarded);
@@ -222,11 +218,11 @@ class ClassificationServer {
     // expansion never interleaves with a live transfer.
     std::mutex ot_mu;
     // Tree/forest circuit specs per disclosure set: the first
-    // gc_pool_max_keys sets stay cached, none is evicted.
+    // kDefaultMaxSpecKeys sets stay cached, none is evicted.
     SpecMap specs;
 
-    Session(uint64_t id, std::unique_ptr<SocketChannel> sock, uint64_t seed,
-            const PrecomputeConfig& pads);
+    Session(uint64_t id, std::unique_ptr<SocketChannel> sock,
+            const ServerConfig& config);
   };
 
   // A suspended session's restorable state, keyed by its ticket in the
@@ -258,16 +254,14 @@ class ClassificationServer {
   // One protocol exchange. Returns false when the session should close
   // gracefully (bye). Throws TransportError subclasses on faults.
   bool ServeOne(Session& session);
-  // `batch` selects the kBatch body (a record count, then N records) over
-  // kQuery (exactly one record, no count); the id state machine is shared.
-  void ServeQuery(Session& session, Channel& channel, bool batch);
+  // One request: its query id, a record count, then the records.
+  void ServeQuery(Session& session, Channel& channel);
   // Runs a live request: its N records through one protocol exchange (one
   // OT extension matrix, one circuit prelude per distinct disclosure set,
   // pre-garbled circuits from the GC pool when warm), recording the
   // transcript for at-most-once replay and refreshing the session's
   // resume-cache entry. A single query is the N = 1 case.
-  void ExecuteRequest(Session& session, Channel& channel, uint64_t query_id,
-                      bool batch);
+  void ExecuteRequest(Session& session, Channel& channel, uint64_t query_id);
   // In-query OT pad refill (caller holds ot_mu, channel is the recording
   // channel): answers the client's `wanted` announcement with a grant and
   // parks the received columns for idle materialization.

@@ -84,6 +84,11 @@ constexpr double kRecvTimeout = PAFS_CHAOS_TSAN ? 4.0 : 2.0;
 // (A as a length + bytes pair, then two blocks per base OT); serving fault
 // plans aimed past the handshake offset their first_op by it.
 constexpr uint64_t kBaseOtClientSends = 2 + 2 * kOtExtensionWidth;
+// The other client sends a serving fault plan counts: the fresh hello
+// (magic, version, an empty ticket's length) and the head of every request
+// before its disclosure values (tag, query id, record count).
+constexpr uint64_t kHelloClientSends = 3;
+constexpr uint64_t kRequestHeadSends = 3;
 constexpr auto kWatchdogDeadline =
     std::chrono::seconds(PAFS_CHAOS_TSAN ? 240 : 30);
 
@@ -636,8 +641,10 @@ TEST(ServingChaosTest, OverloadedFaultyClientsSurviveServerRestart) {
         cc.retry.deadline_seconds = PAFS_CHAOS_SLOW ? 200 : 25;
         cc.fault_plan.kind = kKinds[t % 4];
         cc.fault_plan.seed = 100 + t;
-        cc.fault_plan.first_op =
-            kBaseOtClientSends + 15 + 3 * static_cast<uint64_t>(t);
+        // Inside query 1, 10 + 3t sends past its head.
+        cc.fault_plan.first_op = kHelloClientSends + kBaseOtClientSends +
+                                 kRequestHeadSends + 10 +
+                                 3 * static_cast<uint64_t>(t);
         cc.fault_plan.max_faults = 2;
         serve::ClassificationClient client(cc);
         for (int q = 0; q < kQueriesEach; ++q) {
@@ -691,6 +698,7 @@ TEST(ServingChaosTest, MidQueryDisconnectsResumeViaTicketWithoutRerun) {
   // presents the resumption ticket, no query is ever executed twice
   // (counter-exact at-most-once), and once the OT extension is warm a
   // resumed reconnect re-runs ZERO base OTs.
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
   PafsTelemetry::Enable();
   obs::Counter& base_setups = obs::GetCounter("ot.base.setups");
   obs::Counter& injected = obs::GetCounter("faults.injected");
@@ -721,7 +729,8 @@ TEST(ServingChaosTest, MidQueryDisconnectsResumeViaTicketWithoutRerun) {
   // chaos — the assertions below hold for all landing points.
   cc.fault_plan.kind = FaultKind::kDisconnect;
   cc.fault_plan.seed = 11;
-  cc.fault_plan.first_op = kBaseOtClientSends + 20;
+  cc.fault_plan.first_op =
+      kHelloClientSends + kBaseOtClientSends + kRequestHeadSends + 15;
   cc.fault_plan.max_faults = 2;
   serve::ClassificationClient client(cc);
 
@@ -764,6 +773,7 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
   // client is one query behind the server; its retry of the same id must
   // be answered from the replay cache — byte-for-byte, zero re-execution.
   // A second crash mid-replay must not burn the cached transcript either.
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
   Rng data_rng(79);
   Dataset data = GenerateWarfarinCohort(500, data_rng);
   PipelineConfig pc;
@@ -792,8 +802,9 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
   serve::EvaluatorDriver evaluator(setup);
   std::vector<uint8_t> ot_snapshot = ot.Serialize();
   auto send_query_head = [&](FramedChannel& ch) {
-    ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
-    ch.SendU64(1);  // Every attempt retries "the" query.
+    ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
+    ch.SendU64(1);  // Every attempt retries "the" query...
+    ch.SendU64(1);  // ...a one-record request.
     for (int f : setup.plan_features) {
       ch.SendU64(static_cast<uint64_t>(row[f]));
     }

@@ -176,18 +176,39 @@ INSTANTIATE_TEST_SUITE_P(Classifiers, PipelineTest,
                          });
 
 TEST(PipelineBatchTest, BatchMatchesIndividualCalls) {
+  // A batch is one exchange: the same circuits as the per-row calls (so
+  // the same AND gates), in fewer rounds than running them one by one.
   Rng rng(55);
   Dataset train = GenerateWarfarinCohort(1200, rng);
-  PipelineConfig config;
-  config.classifier = ClassifierKind::kNaiveBayes;
-  config.risk_budget = 0.05;
-  SecureClassificationPipeline pipeline(train, config);
-  std::vector<std::vector<int>> rows;
-  for (size_t i = 0; i < 5; ++i) rows.push_back(train.row(i * 211));
-  std::vector<SmcRunStats> batch = pipeline.ClassifyBatch(rows);
-  ASSERT_EQ(batch.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(batch[i].predicted_class, pipeline.PlaintextPredict(rows[i]));
+  for (ClassifierKind kind :
+       {ClassifierKind::kNaiveBayes, ClassifierKind::kDecisionTree,
+        ClassifierKind::kLinear, ClassifierKind::kForest}) {
+    SCOPED_TRACE(ClassifierName(kind));
+    PipelineConfig config;
+    config.classifier = kind;
+    config.risk_budget = 0.05;
+    SecureClassificationPipeline pipeline(train, config);
+    std::vector<std::vector<int>> rows;
+    for (size_t i = 0; i < 5; ++i) rows.push_back(train.row(i * 211));
+    // The first call opens the session (base OTs); neither side of the
+    // comparison below pays for it.
+    pipeline.Classify(rows[0]);
+    size_t row_gates = 0;
+    uint64_t row_rounds = 0;
+    for (const std::vector<int>& row : rows) {
+      SmcRunStats one = pipeline.Classify(row);
+      row_gates += one.and_gates;
+      row_rounds += one.rounds;
+    }
+    SmcRunStats stats;
+    std::vector<int> batch = pipeline.ClassifyBatch(rows, &stats);
+    ASSERT_EQ(batch.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(batch[i], pipeline.PlaintextPredict(rows[i]));
+    }
+    EXPECT_EQ(stats.predicted_class, batch.back());
+    EXPECT_EQ(stats.and_gates, row_gates);
+    EXPECT_LT(stats.rounds, row_rounds);
   }
 }
 

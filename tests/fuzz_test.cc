@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -240,7 +241,27 @@ serve::SessionSetup ReferenceSetup() {
                     {"vkorc1", 3, true},
                     {"cyp2c9", 6, true}};
   setup.plan_features = {0, 1};
+  setup.batch_max_records = 16;
+  setup.ot_pool_depth = 2048;
   return setup;
+}
+
+// The decoder invariants the client relies on downstream, for any setup
+// that parses.
+void ExpectDecodedSetupInRange(const serve::SessionSetup& out) {
+  EXPECT_GE(out.num_classes, 2);
+  for (int f : out.plan_features) {
+    EXPECT_GE(f, 0);
+    EXPECT_LT(f, static_cast<int>(out.features.size()));
+  }
+  for (const auto& spec : out.features) {
+    EXPECT_GE(spec.cardinality, 1);
+  }
+  EXPECT_GE(out.batch_max_records, 1);
+  EXPECT_LE(static_cast<uint64_t>(out.batch_max_records),
+            serve::kMaxBatchRecords);
+  EXPECT_GE(out.ot_pool_depth, 0);
+  EXPECT_LE(static_cast<uint64_t>(out.ot_pool_depth), serve::kMaxOtPoolDepth);
 }
 
 TEST(FuzzTest, SessionSetupDecoderSurvivesTruncation) {
@@ -262,6 +283,36 @@ TEST(FuzzTest, SessionSetupDecoderSurvivesTruncation) {
   serve::SessionSetup out = serve::RecvSessionSetup(full);
   EXPECT_EQ(out.features.size(), 4u);
   EXPECT_EQ(out.plan_features, std::vector<int>({0, 1}));
+  EXPECT_EQ(out.batch_max_records, 16);
+  EXPECT_EQ(out.ot_pool_depth, 2048);
+
+  // The server's limits are range-checked: a zero or over-cap record cap,
+  // or an over-cap pool depth, is refused typed.
+  for (auto [records, depth] :
+       {std::pair<uint64_t, uint64_t>{0, 2048},
+        {serve::kMaxBatchRecords + 1, 2048},
+        {16, serve::kMaxOtPoolDepth + 1}}) {
+    serve::SessionSetup bad = ReferenceSetup();
+    bad.batch_max_records = static_cast<int>(records);
+    bad.ot_pool_depth = static_cast<int>(depth);
+    ReplayChannel bad_encoder({});
+    serve::SendSessionSetup(bad_encoder, bad);
+    ReplayChannel ch(bad_encoder.bytes());
+    EXPECT_THROW(serve::RecvSessionSetup(ch), ProtocolError)
+        << "records " << records << ", depth " << depth;
+  }
+  // The caps themselves are in range.
+  serve::SessionSetup edge = ReferenceSetup();
+  edge.batch_max_records = static_cast<int>(serve::kMaxBatchRecords);
+  edge.ot_pool_depth = static_cast<int>(serve::kMaxOtPoolDepth);
+  ReplayChannel edge_encoder({});
+  serve::SendSessionSetup(edge_encoder, edge);
+  ReplayChannel edge_ch(edge_encoder.bytes());
+  serve::SessionSetup edge_out = serve::RecvSessionSetup(edge_ch);
+  EXPECT_EQ(static_cast<uint64_t>(edge_out.batch_max_records),
+            serve::kMaxBatchRecords);
+  EXPECT_EQ(static_cast<uint64_t>(edge_out.ot_pool_depth),
+            serve::kMaxOtPoolDepth);
 }
 
 TEST(FuzzTest, SessionSetupDecoderSurvivesBitFlips) {
@@ -276,17 +327,9 @@ TEST(FuzzTest, SessionSetupDecoderSurvivesBitFlips) {
     mangled[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
     ReplayChannel ch(std::move(mangled));
     try {
-      serve::SessionSetup out = serve::RecvSessionSetup(ch);
-      // A surviving flip (e.g. inside a feature name) must still satisfy
-      // every decoder invariant the server relies on downstream.
-      EXPECT_GE(out.num_classes, 2);
-      for (int f : out.plan_features) {
-        EXPECT_GE(f, 0);
-        EXPECT_LT(f, static_cast<int>(out.features.size()));
-      }
-      for (const auto& spec : out.features) {
-        EXPECT_GE(spec.cardinality, 1);
-      }
+      // A surviving flip (e.g. inside a feature name or a limit's low
+      // bits) must still satisfy every decoder invariant.
+      ExpectDecodedSetupInRange(serve::RecvSessionSetup(ch));
     } catch (const TransportError&) {
       // Typed rejection: the expected fate of most flips.
     }
@@ -300,9 +343,9 @@ TEST(FuzzTest, SessionSetupDecoderSurvivesRandomBytes) {
     rng.FillBytes(junk.data(), junk.size());
     ReplayChannel ch(std::move(junk));
     try {
-      serve::RecvSessionSetup(ch);
       // Astronomically unlikely but legal: random bytes that happen to
       // decode. The invariant is only "typed error or valid parse".
+      ExpectDecodedSetupInRange(serve::RecvSessionSetup(ch));
     } catch (const TransportError&) {
     }
   }

@@ -79,14 +79,19 @@ std::string UdsPath(const char* tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-// Client sends beneath the CRC framing in a v7 handshake's base OTs (A as
+// Client sends beneath the CRC framing in a v8 handshake's base OTs (A as
 // a length + bytes pair, then two blocks per base OT); client fault plans
 // aimed past the handshake offset their first_op by it.
 constexpr uint64_t kBaseOtClientSends = 2 + 2 * kOtExtensionWidth;
+// The other client sends a fault plan counts: the fresh hello (magic,
+// version, an empty ticket's length) and the head of every request before
+// its disclosure values (tag, query id, record count).
+constexpr uint64_t kHelloClientSends = 3;
+constexpr uint64_t kRequestHeadSends = 3;
 
-// Scripted raw-wire v7 handshake: fresh hello (empty ticket), expect kOk,
-// then the setup, the base OTs that open `ot` (a throwaway receiver when
-// null) and the server's ticket frame.
+// Scripted raw-wire v8 handshake: fresh hello (empty ticket), expect kOk,
+// then the setup (with the server's limits), the base OTs that open `ot` (a
+// throwaway receiver when null) and the server's ticket frame.
 serve::SessionSetup RawHandshake(FramedChannel& framed,
                                  OtExtReceiver* ot = nullptr,
                                  std::vector<uint8_t>* ticket = nullptr) {
@@ -99,6 +104,18 @@ serve::SessionSetup RawHandshake(FramedChannel& framed,
   std::vector<uint8_t> issued = serve::RecvTicketFrame(framed);
   if (ticket != nullptr) *ticket = issued;
   return setup;
+}
+
+// The head of a raw one-record request: the kBatch tag, the query id, a
+// record count of 1, then the row's disclosure values in plan order.
+void SendQueryHead(Channel& ch, uint64_t id, const serve::SessionSetup& setup,
+                   const std::vector<int>& row) {
+  ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
+  ch.SendU64(id);
+  ch.SendU64(1);
+  for (int f : setup.plan_features) {
+    ch.SendU64(static_cast<uint64_t>(row[f]));
+  }
 }
 
 // The client half of a raw request on a serving session: the evaluator
@@ -364,7 +381,7 @@ TEST_F(ServeTest, SilentPeerMidQueryDiesOnDeadline) {
       serve::RecvSessionSetup(framed);
     } else {
       RawHandshake(framed);
-      framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+      framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
     }
     // ... and then say nothing: the worker must be freed by the deadline.
     ASSERT_TRUE(WaitFor(
@@ -394,8 +411,9 @@ TEST_F(ServeTest, OutOfRangeDisclosureRejectedTyped) {
     GTEST_SKIP() << "risk budget selected an empty plan";
   }
   try {
-    framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+    framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
     framed.SendU64(1);  // Query id.
+    framed.SendU64(1);  // Record count.
     for (size_t i = 0; i < setup.plan_features.size(); ++i) {
       framed.SendU64(1u << 20);  // Beyond any feature's cardinality.
     }
@@ -446,7 +464,7 @@ TEST_F(ServeTest, StopMidQueryForceClosesAfterGrace) {
   socket->set_recv_timeout_seconds(10.0 * kTimeScale);
   FramedChannel framed(*socket);
   RawHandshake(framed);
-  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
   ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_active == 1; }));
 
   auto before = std::chrono::steady_clock::now();
@@ -552,7 +570,7 @@ TEST_F(ServeTest, SaturatedWorkerQueueShedsQueriesTyped) {
   // workers, queues one, and the rest must be shed with a typed kBusy —
   // not queued unboundedly, not silently dropped.
   for (int i = 0; i < 5; ++i) {
-    frames[i]->SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
+    frames[i]->SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
     std::this_thread::sleep_for(std::chrono::duration<double>(
         0.05 * kTimeScale));
   }
@@ -609,8 +627,9 @@ TEST_F(ServeTest, ClientRetryAbsorbsInjectedDisconnect) {
   ClientConfig cc = ClientFor(server);
   cc.fault_plan.kind = FaultKind::kDisconnect;
   cc.fault_plan.seed = 5;
-  // Past the handshake, inside query 1.
-  cc.fault_plan.first_op = kBaseOtClientSends + 12;
+  // Past the handshake, inside query 1: its eighth send after the head.
+  cc.fault_plan.first_op =
+      kHelloClientSends + kBaseOtClientSends + kRequestHeadSends + 7;
   cc.fault_plan.max_faults = 1;
   ClassificationClient client(cc);
   const std::vector<int>& row = data_.row(44);
@@ -713,6 +732,7 @@ TEST_F(ServeTest, ResumedReconnectSkipsBaseOts) {
   // OTs run once per session, in the handshake that opens it, and a
   // reconnect that presents the resumption ticket restores the session's
   // OT extension state and never re-runs them.
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
   PafsTelemetry::Enable();
   auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
@@ -765,6 +785,7 @@ TEST_F(ServeTest, ResumeSnapshotsStayInStepWithOverlappingFillers) {
   // stream and the pad pool on different sides of a materialize leaves
   // the resumed session out of step with the client, and its answers
   // wrong.
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
   auto pipeline = MakePipeline(ClassifierKind::kForest);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
                               ServerConfig{});
@@ -790,6 +811,7 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
   // from its last snapshot; the server answers from the recorded
   // transcript without executing the query a second time. The raw client
   // is the evaluator driver on an OT stream the test snapshots and rewinds.
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
   for (ClassifierKind kind :
        {ClassifierKind::kNaiveBayes, ClassifierKind::kDecisionTree,
         ClassifierKind::kForest}) {
@@ -812,11 +834,7 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
     std::vector<uint8_t> ot_snapshot = ot.Serialize();
 
     auto run_query = [&](FramedChannel& ch, OtExtReceiver& o) {
-      ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
-      ch.SendU64(1);  // Same id both times: this is "the" query.
-      for (int f : setup.plan_features) {
-        ch.SendU64(static_cast<uint64_t>(row[f]));
-      }
+      SendQueryHead(ch, 1, setup, row);  // Same id both times: "the" query.
       EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
       int pred = RunRawClient(ch, setup, {row}, o)[0];
       // The v4 refill tail: this raw client runs unpooled, so it asks for 0
@@ -883,11 +901,7 @@ TEST_F(ServeTest, ForgedOutputReportFailsSessionTyped) {
     ForgedReportChannel forged(framed, BitsFor(setup.num_classes));
     EXPECT_THROW(
         {
-          forged.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
-          forged.SendU64(1);
-          for (int f : setup.plan_features) {
-            forged.SendU64(static_cast<uint64_t>(row[f]));
-          }
+          SendQueryHead(forged, 1, setup, row);
           EXPECT_EQ(forged.RecvU64(),
                     static_cast<uint64_t>(serve::ReplyStatus::kOk));
           RunRawClient(forged, setup, {row}, ot);
@@ -931,8 +945,8 @@ TEST_F(ServeTest, WatchdogCancelsWedgedQueryTypedAndServerKeepsServing) {
   ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
   server.Start();
 
-  // Wedge: enter a query (tag + id) and then go silent, parking the worker
-  // on the disclosure recv with the watchdog armed.
+  // Wedge: enter a query (tag, id, count) and then go silent, parking the
+  // worker on the disclosure recv with the watchdog armed.
   auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
   socket->set_recv_timeout_seconds(15.0 * kTimeScale + budget);
   FramedChannel framed(*socket);
@@ -940,8 +954,9 @@ TEST_F(ServeTest, WatchdogCancelsWedgedQueryTypedAndServerKeepsServing) {
   if (setup.plan_features.empty()) {
     GTEST_SKIP() << "risk budget selected an empty plan";
   }
-  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
-  framed.SendU64(1);
+  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
+  framed.SendU64(1);  // Query id.
+  framed.SendU64(1);  // Record count.
 
   // Other sessions are served while the wedge is pending cancellation.
   ClassificationClient live(ClientFor(server));
@@ -960,6 +975,7 @@ TEST_F(ServeTest, WatchdogCancelsWedgedQueryTypedAndServerKeepsServing) {
 }
 
 TEST_F(ServeTest, ForgedOrReplayedTicketFallsBackToFullHandshake) {
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
   auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
                               ServerConfig{});
@@ -1014,6 +1030,184 @@ TEST_F(ServeTest, ForgedOrReplayedTicketFallsBackToFullHandshake) {
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.resumptions, 1u);
   EXPECT_EQ(stats.resume_misses, 2u);
+}
+
+TEST_F(ServeTest, ByeDropsTheSessionsResumeEntry) {
+  // A client that said bye never presents its ticket again, so the server
+  // frees the session's resume entry (OT state, pads, garbled tables) at
+  // the bye. A ticket presented after a bye misses and degrades to a full
+  // handshake.
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
+  auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
+  ClassificationServer server(ServingModel::FromPipeline(*pipeline),
+                              ServerConfig{});
+  server.Start();
+  const std::vector<int>& row = data_.row(21);
+
+  auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
+  socket->set_recv_timeout_seconds(30 * kTimeScale);
+  FramedChannel framed(*socket);
+  std::vector<uint8_t> ticket;
+  OtExtReceiver ot;
+  serve::SessionSetup setup = RawHandshake(framed, &ot, &ticket);
+  ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
+  SendQueryHead(framed, 1, setup, row);
+  EXPECT_EQ(framed.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+  EXPECT_EQ(RunRawClient(framed, setup, {row}, ot)[0],
+            pipeline->PlaintextPredict(row));
+  framed.SendU64(0);  // Refill tail (unpooled raw client).
+  EXPECT_EQ(framed.RecvU64(), 0u);
+  EXPECT_EQ(framed.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBye));
+  ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_closed >= 1; }));
+  socket->Close();
+
+  auto socket2 = SocketConnect(server.address(), 2.0 * kTimeScale);
+  socket2->set_recv_timeout_seconds(30 * kTimeScale);
+  FramedChannel framed2(*socket2);
+  serve::ClientHello hello;
+  hello.ticket = ticket;
+  serve::SendClientHello(framed2, hello);
+  ASSERT_EQ(framed2.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+  serve::SessionSetup setup2 = serve::RecvSessionSetup(framed2);
+  OtExtReceiver ot2;
+  Rng rng(0xB7E);
+  ot2.Setup(framed2, rng);
+  EXPECT_EQ(serve::RecvTicketFrame(framed2).size(), serve::kResumeTicketBytes);
+  // The fresh session answers like any other.
+  SendQueryHead(framed2, 1, setup2, row);
+  EXPECT_EQ(framed2.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+  EXPECT_EQ(RunRawClient(framed2, setup2, {row}, ot2)[0],
+            pipeline->PlaintextPredict(row));
+
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.resume_misses, 1u);
+  EXPECT_EQ(stats.resumptions, 0u);
+  EXPECT_EQ(stats.sessions_failed, 0u);
+}
+
+TEST_F(ServeTest, RetryWithoutTranscriptIsAnsweredResync) {
+  // A request larger than max_replay_bytes keeps no transcript, so a retry
+  // of its id cannot be replayed: the server drains the retry's records
+  // and answers kResync in the admission slot. Nothing fails — the session
+  // keeps serving, and so does the server.
+  auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
+  ServerConfig config;
+  config.max_replay_bytes = 64;  // Far below one query's transcript.
+  ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
+  server.Start();
+  const std::vector<int>& row = data_.row(33);
+  const std::vector<int>& row2 = data_.row(433);
+
+  auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
+  socket->set_recv_timeout_seconds(30 * kTimeScale);
+  FramedChannel framed(*socket);
+  OtExtReceiver ot;
+  serve::SessionSetup setup = RawHandshake(framed, &ot);
+  auto run_query = [&](uint64_t id, const std::vector<int>& r) {
+    SendQueryHead(framed, id, setup, r);
+    EXPECT_EQ(framed.RecvU64(),
+              static_cast<uint64_t>(serve::ReplyStatus::kOk));
+    int pred = RunRawClient(framed, setup, {r}, ot)[0];
+    framed.SendU64(0);  // Refill tail (unpooled raw client).
+    EXPECT_EQ(framed.RecvU64(), 0u);
+    EXPECT_EQ(framed.RecvU64(),
+              static_cast<uint64_t>(serve::ReplyStatus::kOk));
+    return pred;
+  };
+  EXPECT_EQ(run_query(1, row), pipeline->PlaintextPredict(row));
+  // The retry of id 1: its head is read, then the verdict.
+  SendQueryHead(framed, 1, setup, row);
+  EXPECT_EQ(framed.RecvU64(),
+            static_cast<uint64_t>(serve::ReplyStatus::kResync));
+  // The same session runs the next id live.
+  EXPECT_EQ(run_query(2, row2), pipeline->PlaintextPredict(row2));
+  framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBye));
+
+  ClassificationClient client(ClientFor(server));
+  EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+  client.Close();
+  server.Stop();
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.resyncs, 1u);
+  EXPECT_EQ(stats.replay_hits, 0u);
+  EXPECT_EQ(stats.queries_served, 3u);
+  EXPECT_EQ(stats.sessions_failed, 0u);
+}
+
+TEST_F(ServeTest, ExpiredTicketFallsBackToFullHandshake) {
+  // A ticket presented after resume_ticket_ttl_seconds misses: the
+  // reconnect runs the full handshake with fresh base OTs on both ends,
+  // and the answer is unchanged.
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
+  PafsTelemetry::Enable();
+  auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
+  ServerConfig config;
+  config.resume_ticket_ttl_seconds = 0.05;
+  ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
+  server.Start();
+  obs::Counter& setups = obs::GetCounter("ot.base.setups");
+  const std::vector<int>& row = data_.row(61);
+
+  ClassificationClient client(ClientFor(server));
+  EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+  ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 1; }));
+  client.DropConnection();
+  std::this_thread::sleep_for(std::chrono::duration<double>(
+      4 * config.resume_ticket_ttl_seconds));
+
+  const uint64_t setups_before = setups.value();
+  const uint64_t misses_before = server.stats().resume_misses;
+  EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+  EXPECT_EQ(setups.value(), setups_before + 2);  // Both OT endpoints.
+  EXPECT_EQ(server.stats().resume_misses, misses_before + 1);
+  EXPECT_EQ(client.reconnects(), 1u);
+  EXPECT_EQ(client.resumes(), 0u);
+  PafsTelemetry::Disable();
+}
+
+TEST_F(ServeTest, PreV8PeersFailTypedAndServerKeepsServing) {
+  // Wire v8 retired kQuery: a v7 hello is refused typed, and a v8 peer
+  // that sends tag 1 anyway fails its own session typed, like any unknown
+  // tag. Neither takes the server down.
+  auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
+  ClassificationServer server(ServingModel::FromPipeline(*pipeline),
+                              ServerConfig{});
+  server.Start();
+  {
+    auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
+    socket->set_recv_timeout_seconds(5.0 * kTimeScale);
+    FramedChannel framed(*socket);
+    serve::ClientHello hello;
+    hello.version = 7;
+    serve::SendClientHello(framed, hello);
+    EXPECT_EQ(framed.RecvU64(),
+              static_cast<uint64_t>(serve::ReplyStatus::kRejected));
+    EXPECT_THROW(framed.RecvU64(), ChannelError);
+  }
+  ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 1; }));
+  {
+    auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
+    socket->set_recv_timeout_seconds(5.0 * kTimeScale);
+    FramedChannel framed(*socket);
+    RawHandshake(framed);
+    EXPECT_THROW(
+        {
+          framed.SendU64(1);  // The retired kQuery tag...
+          framed.SendU64(1);  // ...and what its query id would be.
+          (void)framed.RecvU64();
+        },
+        TransportError);
+  }
+  ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 2; }));
+  EXPECT_EQ(server.stats().queries_served, 0u);
+
+  ClassificationClient client(ClientFor(server));
+  const std::vector<int>& row = data_.row(8);
+  EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+  client.Close();
+  server.Stop();
+  EXPECT_EQ(server.stats().sessions_failed, 2u);
 }
 
 TEST_F(ServeTest, ResumeDisabledClientAlwaysFullHandshakes) {
@@ -1079,7 +1273,8 @@ TEST_F(ServeTest, PooledLinearServingHitsPoolAndStaysCorrect) {
 TEST_F(ServeTest, PoolsDisabledByConfigStillServes) {
   auto pipeline = MakePipeline(ClassifierKind::kLinear);
   ServerConfig config;
-  config.enable_pools = false;
+  config.gc_pool_depth = 0;
+  config.ot_pool_depth = 0;
   ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
   server.Start();
   ClassificationClient client(ClientFor(server));
@@ -1104,9 +1299,9 @@ TEST_F(ServeTest, StopMidRefillDrainsCleanly) {
   config.ot_pool_depth = 1 << 16;
   ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
   server.Start();
-  ClientConfig cc = ClientFor(server);
-  cc.ot_pool_depth = 1 << 16;  // Ask the refill tail for a large grant.
-  ClassificationClient client(cc);
+  // The client sizes its pool to the announced depth, so the refill tail
+  // asks for a large grant.
+  ClassificationClient client(ClientFor(server));
   const std::vector<int>& row = data_.row(3);
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
   // The filler kicked off when the session went idle; stop under it.
@@ -1123,6 +1318,7 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
   // included) and retries the same id. The server replays the recorded
   // transcript and fails the session on the first diverging byte — so this
   // passes only if the restored pads reproduce the original corrections.
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
   const bool pooled = !serve::PoolsDisabledByEnv();
   auto pipeline = MakePipeline(ClassifierKind::kLinear);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
@@ -1142,11 +1338,7 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
   auto run_query = [&](FramedChannel& ch, uint64_t id,
                        const std::vector<int>& r_row, OtExtReceiver& o,
                        Rng& r, OtReceiverPadPool& pads) {
-    ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kQuery));
-    ch.SendU64(id);
-    for (int f : setup.plan_features) {
-      ch.SendU64(static_cast<uint64_t>(r_row[f]));
-    }
+    SendQueryHead(ch, id, setup, r_row);
     EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
     int pred = RunRawClient(ch, setup, {r_row}, o, &pads)[0];
     // The v4 refill tail: ask for the pool's deficit, absorb the grant.
@@ -1221,6 +1413,7 @@ TEST_F(ServeTest, ResumedSessionCarriesPrecomputedPads) {
   // The pool snapshot rides the resumption ticket on the linear path too:
   // after a crash-like reconnect, the restored session's first query still
   // finds the pre-garbled argmax and the OT pads computed before the drop.
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
   if (serve::PoolsDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_POOL set";
   PafsTelemetry::Enable();
   auto pipeline = MakePipeline(ClassifierKind::kLinear);
@@ -1331,27 +1524,55 @@ TEST_F(ServeTest, BatchMatchesPlaintextAcrossClassifiers) {
   }
 }
 
-TEST_F(ServeTest, BatchChunksAtClientCap) {
+TEST_F(ServeTest, BatchChunksAtServerAnnouncedCap) {
+  // The record cap travels in the handshake: a default client against a
+  // server with a smaller cap chunks to the server's value, so no request
+  // overruns it and nothing has to fail and retry.
   auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
-  ClassificationServer server(ServingModel::FromPipeline(*pipeline),
-                              ServerConfig{});
+  ServerConfig config;
+  config.batch_max_records = 4;
+  ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
   server.Start();
-  ClientConfig cc = ClientFor(server);
-  cc.batch_max_records = 2;
-  ClassificationClient client(cc);
+  ClassificationClient client(ClientFor(server));
+  EXPECT_EQ(client.setup().batch_max_records, 4);
 
   std::vector<std::vector<int>> rows;
-  for (int i = 0; i < 5; ++i) rows.push_back(data_.row(i * 77 + 11));
+  for (int i = 0; i < 10; ++i) rows.push_back(data_.row(i * 77 + 11));
   std::vector<int> preds = client.ClassifyBatch(rows);
   ASSERT_EQ(preds.size(), rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(preds[i], pipeline->PlaintextPredict(rows[i]));
   }
-  // 5 records at cap 2 → chunks of 2 + 2 + 1.
+  EXPECT_EQ(client.retries(), 0u);
+  // 10 records at cap 4 → requests of 4 + 4 + 2.
   ASSERT_TRUE(WaitFor([&] { return server.stats().batches_served >= 3; }));
   ServerStats ss = server.stats();
+  EXPECT_EQ(ss.queries_served, 3u);
   EXPECT_EQ(ss.batches_served, 3u);
   EXPECT_EQ(ss.batch_records, rows.size());
+  client.Close();
+  server.Stop();
+  EXPECT_EQ(server.stats().sessions_failed, 0u);
+}
+
+TEST_F(ServeTest, ClientPoolFillsToServerAnnouncedDepth) {
+  // The OT pad-pool depth travels in the handshake too: with no client
+  // setting, the receiver pool's target is the server's depth, and the
+  // refill tail fills it there.
+  if (serve::PoolsDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_POOL set";
+  auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
+  ServerConfig config;
+  config.ot_pool_depth = 1000;
+  ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
+  server.Start();
+  ClassificationClient client(ClientFor(server));
+  EXPECT_EQ(client.setup().ot_pool_depth, 1000);
+  EXPECT_EQ(client.ot_pads_ready(), 0u);  // A fresh session starts empty.
+  const std::vector<int>& row = data_.row(19);
+  EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+  EXPECT_EQ(client.ot_pads_ready(), 1000u);
+  EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+  EXPECT_EQ(client.ot_pads_ready(), 1000u);  // Spent, then topped up.
   client.Close();
   server.Stop();
   EXPECT_EQ(server.stats().sessions_failed, 0u);
@@ -1410,6 +1631,7 @@ TEST_F(ServeTest, ResumedSessionRestoresGcAndOtPools) {
   // reconnect resumes with ZERO base-OT re-runs and its first query still
   // runs fully pooled — no GC garble on the critical path, no online OT
   // fallback.
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
   if (serve::PoolsDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_POOL set";
   PafsTelemetry::Enable();
   auto pipeline = MakePipeline(ClassifierKind::kDecisionTree);
@@ -1474,6 +1696,7 @@ TEST_F(ServeTest, RetriedBatchIsReplayedNotReExecuted) {
   // from the recorded transcript, byte for byte — it fails the session on
   // the first diverging client byte, so this passes only if the retried
   // batch's sends are bit-identical to the originals.
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
   auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
                               ServerConfig{});
@@ -1551,8 +1774,9 @@ TEST_F(ServeTest, BatchRetryAbsorbsInjectedDisconnect) {
   ClientConfig cc = ClientFor(server);
   cc.fault_plan.kind = FaultKind::kDisconnect;
   cc.fault_plan.seed = 7;
-  // Past the handshake, inside the batch.
-  cc.fault_plan.first_op = kBaseOtClientSends + 14;
+  // Past the handshake, inside the batch: its ninth send after the head.
+  cc.fault_plan.first_op =
+      kHelloClientSends + kBaseOtClientSends + kRequestHeadSends + 8;
   cc.fault_plan.max_faults = 1;
   ClassificationClient client(cc);
 
