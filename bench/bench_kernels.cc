@@ -154,9 +154,10 @@ double OtExtRowsPerS() {
   return kReps * static_cast<double>(kRows) / t.ElapsedSeconds();
 }
 
-// 256-bit-exponent modexps per second in the RFC3526 1024-bit group — the
-// base-OT hot shape that dominates session setup (and, scaled, the Paillier
-// r^n pad shape). A serial dependency chain so each rep is a full Exp.
+// 256-bit-exponent modexps per second in the RFC3526 1024-bit group: the
+// modexp kernel behind Paillier's r^n pads, at a fixed modulus so the row
+// stays comparable with the baseline BENCH_kernels.json records. A serial
+// dependency chain so each rep is a full Exp.
 double ModExpPerS() {
   const BigInt p = Rfc3526Prime1024();
   MontgomeryCtx ctx(p);
@@ -170,6 +171,21 @@ double ModExpPerS() {
     benchmark::DoNotOptimize(acc);
   }
   return kReps / t.ElapsedSeconds();
+}
+
+// Full OT-extension setups per second (the 128 base OTs on edwards25519,
+// both parties on their own thread over an in-memory channel): the work a
+// cold serving session does before its first query.
+double BaseOtSetupsPerS() {
+  constexpr int kReps = 20;
+  double total_ms = 0;
+  for (int i = 0; i < kReps; ++i) {
+    MemChannelPair channel;
+    OtExtSender sender;
+    OtExtReceiver receiver;
+    total_ms += bench::BaseOtSetupMs(sender, receiver, channel);
+  }
+  return kReps * 1e3 / total_ms;
 }
 
 // Online Paillier encryptions per second at the serving key size (256-bit
@@ -236,6 +252,7 @@ int main() {
   std::printf("  \"garble_gates_per_s\": %.0f,\n", GarbleGatesPerS());
   std::printf("  \"eval_gates_per_s\": %.0f,\n", EvalGatesPerS());
   std::printf("  \"ot_ext_rows_per_s\": %.0f,\n", OtExtRowsPerS());
+  std::printf("  \"base_ot_setups_per_s\": %.1f,\n", BaseOtSetupsPerS());
   std::printf("  \"modexp_per_s\": %.1f,\n", ModExpPerS());
   std::printf("  \"paillier_encrypt_per_s\": %.1f,\n", PaillierEncryptPerS());
   std::printf("  \"forest_query_ms\": %.2f\n", ForestQueryMs());

@@ -270,66 +270,6 @@ BigInt MontgomeryCtx::ExpBinary(const BigInt& a, const BigInt& e) const {
   return FromMont(acc);
 }
 
-MontFixedBasePowers::MontFixedBasePowers(const MontgomeryCtx& ctx,
-                                         const BigInt& base, int max_exp_bits,
-                                         int window_bits)
-    : ctx_(&ctx), window_bits_(window_bits) {
-  PAFS_CHECK(max_exp_bits > 0);
-  PAFS_CHECK(window_bits >= 1 && window_bits <= 8);
-  rows_ = (max_exp_bits + window_bits - 1) / window_bits;
-  const size_t k = ctx.k_;
-  const size_t digits = (size_t{1} << window_bits) - 1;  // Digits 1..2^w-1.
-  table_.resize(static_cast<size_t>(rows_) * digits * k);
-  std::vector<uint32_t> scratch(k + 2);
-  uint32_t* t = scratch.data();
-
-  // cur = base^(2^(w*i)) walks up the rows; within a row, digit d is
-  // cur^d by repeated multiplication.
-  std::vector<uint32_t> cur = ctx.ToMont(base);
-  for (int i = 0; i < rows_; ++i) {
-    uint32_t* row = &table_[static_cast<size_t>(i) * digits * k];
-    for (size_t l = 0; l < k; ++l) row[l] = cur[l];
-    for (size_t d = 2; d <= digits; ++d) {
-      ctx.MontMulInto(&row[(d - 2) * k], cur.data(), &row[(d - 1) * k], t);
-    }
-    if (i + 1 < rows_) {
-      // cur^(2^w) = (cur^(2^(w-1)))^2, one square off the half-way entry.
-      const uint32_t* half = &row[((size_t{1} << (window_bits_ - 1)) - 1) * k];
-      ctx.MontMulInto(half, half, cur.data(), t);
-    }
-  }
-}
-
-BigInt MontFixedBasePowers::Exp(const BigInt& e) const {
-  PAFS_CHECK(!e.is_negative());
-  PAFS_CHECK_MSG(e.BitLength() <= rows_ * window_bits_,
-                 "exponent longer than the fixed-base table");
-  const size_t k = ctx_->k_;
-  const size_t digits = (size_t{1} << window_bits_) - 1;
-  std::vector<uint32_t> acc(k);
-  std::vector<uint32_t> scratch(k + 2);
-  uint32_t* t = scratch.data();
-  bool started = false;
-  for (int i = 0; i < rows_; ++i) {
-    uint32_t digit = 0;
-    for (int b = window_bits_ - 1; b >= 0; --b) {
-      int bit = i * window_bits_ + b;
-      digit = (digit << 1) | (e.GetBit(bit) ? 1u : 0u);
-    }
-    if (digit == 0) continue;
-    const uint32_t* entry =
-        &table_[(static_cast<size_t>(i) * digits + digit - 1) * k];
-    if (started) {
-      ctx_->MontMulInto(acc.data(), entry, acc.data(), t);
-    } else {
-      for (size_t l = 0; l < k; ++l) acc[l] = entry[l];
-      started = true;
-    }
-  }
-  if (!started) return Mod(BigInt(1), ctx_->modulus_);  // e == 0.
-  return ctx_->FromMont(acc);
-}
-
 BigInt ModExp(const BigInt& a, const BigInt& e, const BigInt& m) {
   PAFS_CHECK(m > BigInt(0));
   PAFS_CHECK(!e.is_negative());
@@ -339,7 +279,7 @@ BigInt ModExp(const BigInt& a, const BigInt& e, const BigInt& m) {
     return ctx.Exp(a, e);
   }
   // Even modulus: plain square-and-multiply with trial division. Rare path;
-  // all protocol moduli (Paillier n^2, OT primes) are odd.
+  // all protocol moduli (Paillier n^2) are odd.
   BigInt base = Mod(a, m);
   BigInt acc(1);
   for (int i = e.BitLength() - 1; i >= 0; --i) {

@@ -68,8 +68,8 @@ class MontgomeryCtx {
   // so a local or cross-VM adversary timing caches could learn bits of e.
   // (ExpBinary branches per bit too — the window widens the profile, it
   // does not introduce it.) This matches the project threat model of
-  // semi-honest *network* peers (DESIGN.md): secret-exponent callers —
-  // Paillier pad r, base-OT a/b — accept it. If co-residency ever enters
+  // semi-honest *network* peers (DESIGN.md): the secret-exponent caller —
+  // the Paillier pad r — accepts it. If co-residency ever enters
   // the threat model, switch these lookups to a constant-time full-table
   // scan before reusing this code.
   BigInt Exp(const BigInt& a, const BigInt& e) const;
@@ -80,8 +80,6 @@ class MontgomeryCtx {
   BigInt ExpBinary(const BigInt& a, const BigInt& e) const;
 
  private:
-  friend class MontFixedBasePowers;
-
   BigInt modulus_;
   std::vector<uint32_t> m_limbs_;  // Padded to k_ limbs.
   size_t k_;                       // Limb count of the modulus.
@@ -89,32 +87,6 @@ class MontgomeryCtx {
   std::vector<uint32_t> one_mont_;  // R mod m: Montgomery form of 1.
   std::vector<uint32_t> one_;       // Literal 1, padded; FromMont operand.
   std::vector<uint32_t> r2_mont_;   // R^2 mod m: ToMont via one MontMul.
-};
-
-// Fixed-base precomputation (radix-2^w comb): pays one table build for a
-// base that is exponentiated many times with bounded-length exponents, then
-// answers each Exp with ~max_exp_bits/w multiplies and no squarings. This
-// is the base-OT shape: hundreds of short-exponent exponentiations of the
-// fixed generator g and the per-session element A.
-class MontFixedBasePowers {
- public:
-  // `ctx` must outlive this table. Exponents passed to Exp must have
-  // BitLength() <= max_exp_bits.
-  MontFixedBasePowers(const MontgomeryCtx& ctx, const BigInt& base,
-                      int max_exp_bits, int window_bits = 4);
-
-  // base^e mod m for 0 <= e < 2^max_exp_bits. Same non-constant-time
-  // contract as MontgomeryCtx::Exp: comb digits index the table and select
-  // whether to multiply, so exponent bits shape the cache/branch profile.
-  BigInt Exp(const BigInt& e) const;
-
- private:
-  const MontgomeryCtx* ctx_;
-  int window_bits_;
-  int rows_;
-  // Row i, digit d in [1, 2^w): base^(d * 2^(w*i)) in Montgomery form,
-  // flattened at ((i * (2^w - 1)) + d - 1) * k limbs.
-  std::vector<uint32_t> table_;
 };
 
 }  // namespace pafs

@@ -19,9 +19,9 @@ BigInt RandomPrime(Rng& rng, int bits);
 // p. Slow for large sizes; used only for small OT group setup in tests.
 BigInt RandomSafePrime(Rng& rng, int bits);
 
-// A fixed 1024-bit safe prime (RFC 5114-style) so protocol setup does not
-// pay safe-prime generation at runtime. Generator 2 has order q = (p-1)/2...
-// see base_ot.cc for how it is used.
+// The fixed 1024-bit safe prime of RFC 3526's 1024-bit MODP group. No
+// protocol uses it any more; bench_kernels times the modexp kernel at this
+// modulus so its row stays comparable with earlier measurements.
 const BigInt& Rfc3526Prime1024();
 
 }  // namespace pafs

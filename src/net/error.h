@@ -41,7 +41,7 @@ class ChannelError : public TransportError {
 
 // The bytes arrived but do not decode as the protocol declared: a length
 // prefix beyond the cap or the expected count, a failed integrity check, a
-// group element outside its range. Raised before any oversized allocation
+// group element that fails validation. Raised before any oversized allocation
 // or out-of-range index can happen.
 class ProtocolError : public TransportError {
  public:

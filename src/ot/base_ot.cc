@@ -1,52 +1,29 @@
 #include "ot/base_ot.h"
 
-#include <memory>
+#include <algorithm>
 
-#include "bignum/modmath.h"
-#include "bignum/prime.h"
 #include "crypto/sha256.h"
 #include "obs/trace.h"
-#include "util/check.h"
+#include "ot/curve25519.h"
 #include "util/random.h"
 
 namespace pafs {
 
 namespace {
 
-// Exponents are 256-bit (short-exponent optimization, see senders below).
-constexpr int kExpBits = 256;
+using curve25519::kPointBytes;
+using curve25519::Point;
+using curve25519::PointBytes;
+using curve25519::Scalar;
 
-// Group: quadratic residues mod the fixed safe prime p, generator g = 4
-// (a square, hence generates the order-q subgroup with q = (p-1)/2).
-// The Montgomery context and the fixed-base table for g are shared
-// process-wide: both are immutable after construction, so concurrent
-// sessions read them freely.
-struct Group {
-  BigInt p;
-  BigInt q;
-  BigInt g;
-  std::unique_ptr<MontgomeryCtx> ctx;
-  std::unique_ptr<MontFixedBasePowers> g_pow;
-};
-
-const Group& FixedGroup() {
-  static const Group* const kGroup = [] {
-    auto* g = new Group();
-    g->p = Rfc3526Prime1024();
-    g->q = (g->p - BigInt(1)) >> 1;
-    g->g = BigInt(4);
-    g->ctx = std::make_unique<MontgomeryCtx>(g->p);
-    g->g_pow = std::make_unique<MontFixedBasePowers>(*g->ctx, g->g, kExpBits);
-    return g;
-  }();
-  return *kGroup;
-}
-
-// Key derivation: hash the group element (plus a transfer index) to a block.
-Block KdfBlock(const BigInt& element, uint64_t index) {
+// Key derivation per Chou-Orlandi: H(A || B_j || key point || j), cut to
+// one block. Hashing both public points binds the key to this transfer.
+Block KdfBlock(const uint8_t* a, const uint8_t* b, const PointBytes& key,
+               uint64_t index) {
   Sha256 h;
-  std::vector<uint8_t> bytes = element.ToBytes();
-  h.Update(bytes);
+  h.Update(a, kPointBytes);
+  h.Update(b, kPointBytes);
+  h.Update(key.data(), key.size());
   uint8_t idx[8];
   for (int i = 0; i < 8; ++i) idx[i] = static_cast<uint8_t>(index >> (8 * i));
   h.Update(idx, 8);
@@ -59,66 +36,86 @@ Block KdfBlock(const BigInt& element, uint64_t index) {
 void BaseOtSend(Channel& channel,
                 const std::vector<std::array<Block, 2>>& messages, Rng& rng) {
   obs::TraceSpan span("ot.base");
+  const size_t n = messages.size();
   if (obs::Enabled()) {
-    span.AddAttr("transfers", static_cast<double>(messages.size()));
+    span.AddAttr("transfers", static_cast<double>(n));
     static obs::Counter& transfers = obs::GetCounter("ot.base.transfers");
-    transfers.Add(messages.size());
+    transfers.Add(n);
   }
-  const Group& grp = FixedGroup();
-  // Sender samples a, announces A = g^a. Per Chou-Orlandi, the receiver's
-  // reply B encodes its choice; k0 = H(B^a), k1 = H((B/A)^a).
-  // Short-exponent optimization: 256-bit exponents in the 1024-bit
-  // safe-prime group, standard practice for DH-style protocols.
-  BigInt a = BigInt::RandomBits(rng, kExpBits);
-  BigInt big_a = grp.g_pow->Exp(a);
-  channel.SendBigInt(big_a);
+  // Flight 1: A = a·G. Per Chou-Orlandi the receiver's B_j encodes its
+  // choice; k0 = H(a·B_j), k1 = H(a·(B_j - A)).
+  const Scalar a = curve25519::RandomScalar(rng);
+  const Point big_a = curve25519::ScalarMulBase(a);
+  const PointBytes a_bytes = curve25519::EncodePoint(big_a);
+  channel.SendBytes(std::vector<uint8_t>(a_bytes.begin(), a_bytes.end()));
 
-  // k1 = (B/A)^a = B^a * A^{-a}: precomputing A^{-a} once turns the second
-  // per-transfer exponentiation into a single modular multiply, with
-  // bit-identical wire output.
-  BigInt a_corr = grp.ctx->Exp(ModInverse(big_a, grp.p), a);
-  for (size_t j = 0; j < messages.size(); ++j) {
-    BigInt big_b = channel.RecvBigInt();
-    // Range check on untrusted wire data: a rogue element is the peer
-    // misbehaving, not a bug here, so it unwinds as a typed error.
-    if (!(big_b > BigInt(0)) || !(big_b < grp.p)) {
-      throw ProtocolError("base OT: received B outside the group range");
-    }
-    BigInt k0_elem = grp.ctx->Exp(big_b, a);
-    BigInt k1_elem = ModMul(k0_elem, a_corr, grp.p);
-    Block pad0 = KdfBlock(k0_elem, j);
-    Block pad1 = KdfBlock(k1_elem, j);
-    channel.SendBlock(messages[j][0] ^ pad0);
-    channel.SendBlock(messages[j][1] ^ pad1);
+  // Flight 2: every B_j. a·(B_j - A) = a·B_j - a·A costs one addition
+  // past the a·B_j that k0 needs.
+  const std::vector<uint8_t> b_frame =
+      channel.RecvBytesExpected(n * kPointBytes);
+  const Point minus_aa = curve25519::Negate(curve25519::ScalarMul(a, big_a));
+  std::vector<Point> keys(2 * n);
+  for (size_t j = 0; j < n; ++j) {
+    const Point big_b = curve25519::DecodePoint(&b_frame[j * kPointBytes]);
+    keys[2 * j] = curve25519::ScalarMul(a, big_b);
+    keys[2 * j + 1] = curve25519::Add(keys[2 * j], minus_aa);
   }
+  const std::vector<PointBytes> key_bytes = curve25519::EncodePoints(keys);
+
+  // Flight 3: both masked messages of every transfer in one frame.
+  std::vector<Block> masked(2 * n);
+  for (size_t j = 0; j < n; ++j) {
+    const uint8_t* b = &b_frame[j * kPointBytes];
+    masked[2 * j] =
+        messages[j][0] ^ KdfBlock(a_bytes.data(), b, key_bytes[2 * j], j);
+    masked[2 * j + 1] =
+        messages[j][1] ^ KdfBlock(a_bytes.data(), b, key_bytes[2 * j + 1], j);
+  }
+  channel.SendBlocks(masked);
 }
 
 std::vector<Block> BaseOtRecv(Channel& channel, const BitVec& choices,
                               Rng& rng) {
   obs::TraceSpan span("ot.base");
+  const size_t n = choices.size();
   if (obs::Enabled()) {
-    span.AddAttr("transfers", static_cast<double>(choices.size()));
+    span.AddAttr("transfers", static_cast<double>(n));
   }
-  const Group& grp = FixedGroup();
-  BigInt big_a = channel.RecvBigInt();
-  if (!(big_a > BigInt(0)) || !(big_a < grp.p)) {
-    throw ProtocolError("base OT: received A outside the group range");
+  const std::vector<uint8_t> a_frame = channel.RecvBytesExpected(kPointBytes);
+  const Point big_a = curve25519::DecodePoint(a_frame.data());
+
+  // B_j = b_j·G, plus A where the choice is 1 (selected without a branch).
+  std::vector<Scalar> b(n);
+  std::vector<Point> big_b(n);
+  for (size_t j = 0; j < n; ++j) {
+    b[j] = curve25519::RandomScalar(rng);
+    const Point b_g = curve25519::ScalarMulBase(b[j]);
+    big_b[j] = curve25519::Select(b_g, curve25519::Add(b_g, big_a),
+                                  choices.Get(j));
   }
+  const std::vector<PointBytes> b_bytes = curve25519::EncodePoints(big_b);
+  std::vector<uint8_t> b_frame(n * kPointBytes);
+  for (size_t j = 0; j < n; ++j) {
+    std::copy(b_bytes[j].begin(), b_bytes[j].end(), &b_frame[j * kPointBytes]);
+  }
+  channel.SendBytes(b_frame);
 
-  // Both receiver bases are fixed across the batch: g process-wide, A for
-  // this session. One table build amortizes over 2x128 exponentiations.
-  MontFixedBasePowers a_pow(*grp.ctx, big_a, kExpBits);
+  // The key points b_j·A, computed while the sender works on its a·B_j.
+  const curve25519::PointTable a_table(big_a);
+  std::vector<Point> keys(n);
+  for (size_t j = 0; j < n; ++j) keys[j] = a_table.Mul(b[j]);
+  const std::vector<PointBytes> key_bytes = curve25519::EncodePoints(keys);
 
-  std::vector<Block> out(choices.size());
-  for (size_t j = 0; j < choices.size(); ++j) {
-    BigInt b = BigInt::RandomBits(rng, kExpBits);  // Short exponent, as sender.
-    BigInt big_b = grp.g_pow->Exp(b);
-    if (choices.Get(j)) big_b = ModMul(big_b, big_a, grp.p);
-    channel.SendBigInt(big_b);
-    Block pad = KdfBlock(a_pow.Exp(b), j);
-    Block c0 = channel.RecvBlock();
-    Block c1 = channel.RecvBlock();
-    out[j] = (choices.Get(j) ? c1 : c0) ^ pad;
+  const std::vector<Block> masked = channel.RecvBlocksExpected(2 * n);
+  std::vector<Block> out(n);
+  for (size_t j = 0; j < n; ++j) {
+    const uint64_t mask = 0 - static_cast<uint64_t>(choices.Get(j));
+    const Block& c0 = masked[2 * j];
+    const Block& c1 = masked[2 * j + 1];
+    const Block chosen(c0.lo ^ (mask & (c0.lo ^ c1.lo)),
+                       c0.hi ^ (mask & (c0.hi ^ c1.hi)));
+    out[j] = chosen ^
+             KdfBlock(a_frame.data(), b_bytes[j].data(), key_bytes[j], j);
   }
   return out;
 }

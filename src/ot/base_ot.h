@@ -1,7 +1,8 @@
-// Base oblivious transfer (Chou-Orlandi "simplest OT" style) over the
-// multiplicative group of a fixed 1024-bit safe prime. Used only to seed
-// the IKNP extension (128 transfers), so discrete-log-size exponentiations
-// happen a constant number of times per protocol session.
+// Base oblivious transfer: Chou-Orlandi "simplest OT" (Latincrypt 2015)
+// over edwards25519 (ot/curve25519.h), about 128-bit security. Used only to
+// seed the IKNP extension (128 transfers per session), in three flights
+// whatever the batch size: the sender's A, every B_j in one frame, then
+// every masked pair in one frame.
 #ifndef PAFS_OT_BASE_OT_H_
 #define PAFS_OT_BASE_OT_H_
 

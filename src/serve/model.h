@@ -45,8 +45,11 @@ namespace serve {
 // request is a kBatch, a single query being the one-record batch; the
 // setup ends with the server's limits (records per request, OT pad-pool
 // depth).
+// v9 runs the base OTs in three flights on edwards25519 (the client's A,
+// every B_j in one frame, every masked seed pair in one frame) instead of
+// one round trip per base OT over a 1024-bit MODP group.
 inline constexpr uint64_t kWireMagic = 0x5652455353464150ull;
-inline constexpr uint64_t kWireVersion = 8;
+inline constexpr uint64_t kWireVersion = 9;
 
 // Bounds on the limits a server announces in the handshake: a server
 // clamps its config to them, a client rejects anything past them typed.

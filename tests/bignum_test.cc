@@ -280,24 +280,6 @@ TEST(ModMathTest, WindowedExpMatchesBinaryLadderSweep) {
   }
 }
 
-TEST(ModMathTest, FixedBasePowersMatchGeneralExp) {
-  Rng rng(9);
-  BigInt m = RandomPrime(rng, 256);
-  MontgomeryCtx ctx(m);
-  BigInt g = BigInt::RandomBelow(rng, m);
-  constexpr int kExpBits = 192;
-  MontFixedBasePowers table(ctx, g, kExpBits);
-  EXPECT_EQ(table.Exp(BigInt(0)), BigInt(1));
-  EXPECT_EQ(table.Exp(BigInt(1)), g % m);
-  for (int bits : {3, 30, 64, 191, kExpBits}) {
-    BigInt e = BigInt::RandomBits(rng, bits);
-    EXPECT_EQ(table.Exp(e), ctx.Exp(g, e)) << "exp bits " << bits;
-  }
-  // All-ones exponent exercises every table row's top digit.
-  BigInt ones = (BigInt(1) << kExpBits) - BigInt(1);
-  EXPECT_EQ(table.Exp(ones), ctx.Exp(g, ones));
-}
-
 TEST(ModMathTest, CrtCombineReconstructs) {
   Rng rng(99);
   BigInt p = RandomPrime(rng, 96);

@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault_offsets.h"
 #include "circuit/builder.h"
 #include "core/pipeline.h"
 #include "crypto/paillier.h"
@@ -80,15 +81,6 @@ namespace {
 // Generous enough that legitimate compute (base OTs under ASan) never
 // trips it; a fault that drops a message surfaces as this deadline.
 constexpr double kRecvTimeout = PAFS_CHAOS_TSAN ? 4.0 : 2.0;
-// Client sends beneath the CRC framing in a serving handshake's base OTs
-// (A as a length + bytes pair, then two blocks per base OT); serving fault
-// plans aimed past the handshake offset their first_op by it.
-constexpr uint64_t kBaseOtClientSends = 2 + 2 * kOtExtensionWidth;
-// The other client sends a serving fault plan counts: the fresh hello
-// (magic, version, an empty ticket's length) and the head of every request
-// before its disclosure values (tag, query id, record count).
-constexpr uint64_t kHelloClientSends = 3;
-constexpr uint64_t kRequestHeadSends = 3;
 constexpr auto kWatchdogDeadline =
     std::chrono::seconds(PAFS_CHAOS_TSAN ? 240 : 30);
 

@@ -3,6 +3,7 @@
 // garbling, classic garbling, the optimizer, GMW, and circuit
 // serialization round-trips. This is the strongest cross-cutting
 // correctness net in the repository.
+#include <array>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -17,8 +18,11 @@
 #include "gc/garble.h"
 #include "net/channel.h"
 #include "net/error.h"
+#include "ot/base_ot.h"
+#include "ot/curve25519.h"
 #include "serve/model.h"
 #include "sharing/gmw.h"
+#include "util/bitvec.h"
 #include "util/random.h"
 
 namespace pafs {
@@ -446,6 +450,73 @@ TEST(FuzzTest, TicketFrameDecoderSurvivesMangling) {
   disabled.SendBytes(std::vector<uint8_t>{});
   ReplayChannel decode(disabled.bytes());
   EXPECT_TRUE(serve::RecvTicketFrame(decode).empty());
+}
+
+// Replays bytes to one base-OT party and drops whatever it sends, so the
+// party sees only the (possibly mangled) frames of its peer.
+class DroppingReplayChannel : public ReplayChannel {
+ public:
+  using ReplayChannel::ReplayChannel;
+  void Send(const uint8_t* data, size_t n) override {
+    (void)data;
+    (void)n;
+  }
+};
+
+// One length-prefixed frame of `points` valid curve points.
+std::vector<uint8_t> PointFrame(size_t points, Rng& rng) {
+  std::vector<uint8_t> body;
+  for (size_t i = 0; i < points; ++i) {
+    const curve25519::PointBytes bytes = curve25519::EncodePoint(
+        curve25519::ScalarMulBase(curve25519::RandomScalar(rng)));
+    body.insert(body.end(), bytes.begin(), bytes.end());
+  }
+  ReplayChannel encoder({});
+  encoder.SendBytes(body);
+  return encoder.bytes();
+}
+
+constexpr size_t kFuzzBaseOts = 4;
+
+// The base-OT receiver reads the sender's A; the sender reads every B_j.
+void RunBaseOtParty(bool sender, std::vector<uint8_t> bytes) {
+  DroppingReplayChannel ch(std::move(bytes));
+  Rng rng(5);
+  if (sender) {
+    BaseOtSend(ch, std::vector<std::array<Block, 2>>(kFuzzBaseOts), rng);
+  } else {
+    BaseOtRecv(ch, BitVec(kFuzzBaseOts), rng);
+  }
+}
+
+TEST(FuzzTest, BaseOtPointFramesFailTyped) {
+  // The point frames a base-OT party receives: every proper prefix fails
+  // typed, and so does every single bit flip (a length the protocol does
+  // not declare, a coordinate at or past p, a point off the curve) and
+  // every random body.
+  Rng rng(0xBA5E);
+  for (bool sender : {false, true}) {
+    SCOPED_TRACE(sender ? "B_j frame to the sender"
+                        : "A frame to the receiver");
+    const std::vector<uint8_t> valid =
+        PointFrame(sender ? kFuzzBaseOts : 1, rng);
+    for (size_t cut = 0; cut < valid.size(); ++cut) {
+      std::vector<uint8_t> prefix(valid.begin(), valid.begin() + cut);
+      EXPECT_THROW(RunBaseOtParty(sender, std::move(prefix)), TransportError)
+          << "prefix of " << cut << " bytes";
+    }
+    for (size_t bit = 0; bit < valid.size() * 8; bit += 7) {
+      std::vector<uint8_t> mangled = valid;
+      mangled[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      EXPECT_THROW(RunBaseOtParty(sender, std::move(mangled)), TransportError)
+          << "bit " << bit;
+    }
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<uint8_t> garbage = valid;
+      rng.FillBytes(garbage.data() + 8, garbage.size() - 8);
+      EXPECT_THROW(RunBaseOtParty(sender, std::move(garbage)), ProtocolError);
+    }
+  }
 }
 
 TEST(FuzzTest, OptimizedCircuitsGarbleCorrectly) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault_offsets.h"
 #include "circuit/builder.h"
 #include "core/pipeline.h"
 #include "data/warfarin_gen.h"
@@ -79,17 +80,7 @@ std::string UdsPath(const char* tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-// Client sends beneath the CRC framing in a v8 handshake's base OTs (A as
-// a length + bytes pair, then two blocks per base OT); client fault plans
-// aimed past the handshake offset their first_op by it.
-constexpr uint64_t kBaseOtClientSends = 2 + 2 * kOtExtensionWidth;
-// The other client sends a fault plan counts: the fresh hello (magic,
-// version, an empty ticket's length) and the head of every request before
-// its disclosure values (tag, query id, record count).
-constexpr uint64_t kHelloClientSends = 3;
-constexpr uint64_t kRequestHeadSends = 3;
-
-// Scripted raw-wire v8 handshake: fresh hello (empty ticket), expect kOk,
+// Scripted raw-wire v9 handshake: fresh hello (empty ticket), expect kOk,
 // then the setup (with the server's limits), the base OTs that open `ot` (a
 // throwaway receiver when null) and the server's ticket frame.
 serve::SessionSetup RawHandshake(FramedChannel& framed,
@@ -616,6 +607,37 @@ TEST_F(ServeTest, ClientReconnectsAcrossServerRestart) {
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
   EXPECT_GE(client.reconnects(), 1u);
   EXPECT_GE(client.retries(), 1u);
+}
+
+TEST_F(ServeTest, FaultOffsetsPinTheHandshakeBoundary) {
+  // kHelloClientSends + kBaseOtClientSends counts every client send of a
+  // fresh handshake: a disconnect on the last of them lands inside the
+  // constructor's handshake (its retry is no reconnect, and no ticket was
+  // issued to resume with), one on the next send (the first request's
+  // tag) lands past the ticket (the query reconnects by resuming).
+  auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
+  ClassificationServer server(ServingModel::FromPipeline(*pipeline),
+                              ServerConfig{});
+  server.Start();
+  const uint64_t handshake_sends = kHelloClientSends + kBaseOtClientSends;
+  uint64_t failed = 0;
+  for (uint64_t first_op : {handshake_sends - 1, handshake_sends}) {
+    SCOPED_TRACE(first_op);
+    ClientConfig cc = ClientFor(server);
+    cc.fault_plan.kind = FaultKind::kDisconnect;
+    cc.fault_plan.first_op = first_op;
+    cc.fault_plan.max_faults = 1;
+    ClassificationClient client(cc);
+    const std::vector<int>& row = data_.row(12);
+    EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+    const uint64_t past_handshake = first_op == handshake_sends ? 1u : 0u;
+    EXPECT_EQ(client.reconnects(), past_handshake);
+    EXPECT_EQ(client.resumes(), past_handshake);
+    client.Close();
+    ++failed;  // The faulted session, either way.
+    ASSERT_TRUE(
+        WaitFor([&] { return server.stats().sessions_failed >= failed; }));
+  }
 }
 
 TEST_F(ServeTest, ClientRetryAbsorbsInjectedDisconnect) {
@@ -1166,10 +1188,10 @@ TEST_F(ServeTest, ExpiredTicketFallsBackToFullHandshake) {
   PafsTelemetry::Disable();
 }
 
-TEST_F(ServeTest, PreV8PeersFailTypedAndServerKeepsServing) {
-  // Wire v8 retired kQuery: a v7 hello is refused typed, and a v8 peer
-  // that sends tag 1 anyway fails its own session typed, like any unknown
-  // tag. Neither takes the server down.
+TEST_F(ServeTest, PreV9PeersFailTypedAndServerKeepsServing) {
+  // Wire v9 changed the base-OT flights: a v8 hello is refused typed. A v9
+  // peer that sends the tag of the kQuery v8 retired fails its own session
+  // typed, like any unknown tag. Neither takes the server down.
   auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
                               ServerConfig{});
@@ -1179,7 +1201,7 @@ TEST_F(ServeTest, PreV8PeersFailTypedAndServerKeepsServing) {
     socket->set_recv_timeout_seconds(5.0 * kTimeScale);
     FramedChannel framed(*socket);
     serve::ClientHello hello;
-    hello.version = 7;
+    hello.version = 8;
     serve::SendClientHello(framed, hello);
     EXPECT_EQ(framed.RecvU64(),
               static_cast<uint64_t>(serve::ReplyStatus::kRejected));
@@ -1208,6 +1230,40 @@ TEST_F(ServeTest, PreV8PeersFailTypedAndServerKeepsServing) {
   client.Close();
   server.Stop();
   EXPECT_EQ(server.stats().sessions_failed, 2u);
+}
+
+TEST_F(ServeTest, SmallOrderBaseOtPointFailsSessionTyped) {
+  // A raw v9 client whose base-OT A is the order-2 point (0, -1): the
+  // server's point decoder refuses it, the session fails typed, and the
+  // server keeps serving real clients.
+  auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
+  ClassificationServer server(ServingModel::FromPipeline(*pipeline),
+                              ServerConfig{});
+  server.Start();
+  {
+    auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
+    socket->set_recv_timeout_seconds(5.0 * kTimeScale);
+    FramedChannel framed(*socket);
+    serve::SendClientHello(framed, serve::ClientHello{});
+    ASSERT_EQ(framed.RecvU64(),
+              static_cast<uint64_t>(serve::ReplyStatus::kOk));
+    serve::RecvSessionSetup(framed);
+    // y = p - 1 = 2^255 - 20, little-endian; x = 0.
+    std::vector<uint8_t> point(64, 0);
+    point[32] = 0xEC;
+    for (int i = 33; i < 63; ++i) point[i] = 0xFF;
+    point[63] = 0x7F;
+    framed.SendBytes(point);
+    EXPECT_THROW((void)framed.RecvBytes(), TransportError);
+  }
+  ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 1; }));
+
+  ClassificationClient client(ClientFor(server));
+  const std::vector<int>& row = data_.row(9);
+  EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+  client.Close();
+  server.Stop();
+  EXPECT_EQ(server.stats().sessions_failed, 1u);
 }
 
 TEST_F(ServeTest, ResumeDisabledClientAlwaysFullHandshakes) {
