@@ -342,9 +342,10 @@ OverloadResult RunOverload(const SecureClassificationPipeline& pipeline,
         cc.retry.deadline_seconds = 120;
         cc.fault_plan.kind = kKinds[t % 4];
         cc.fault_plan.seed = 900 + t;
-        // Past the handshake's base-OT sends (A, then two blocks each).
-        cc.fault_plan.first_op = 2 + 2 * kOtExtensionWidth + 15 +
-                                 3 * static_cast<uint64_t>(t);
+        // A plan counts flights (one framed send each): past the
+        // handshake's three (hello, base-OT A, masked seed pairs) and query
+        // 1's request, on one of the query's three later flights.
+        cc.fault_plan.first_op = 3 + 1 + static_cast<uint64_t>(t) % 3;
         cc.fault_plan.max_faults = 2;
         serve::ClassificationClient client(cc);
         for (int q = 0; q < kQueriesEach; ++q) {

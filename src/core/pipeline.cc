@@ -224,6 +224,7 @@ std::vector<int> SecureClassificationPipeline::RunProtocolOnce(
       server_classes = drivers_->garbler.Run(
           *server_channel, keys,
           serve::GarblerSession{ot_sender_, server_rng_, drivers_->specs});
+      server_channel->Flush();  // A framed party's last flight.
     } catch (...) {
       server_error = std::current_exception();
       channel_->Close();  // Unblock the peer; it fails with kClosed.
@@ -244,6 +245,7 @@ std::vector<int> SecureClassificationPipeline::RunProtocolOnce(
     }
     client_result = drivers_->evaluator.Run(
         *client_channel, rows, serve::EvaluatorSession{ot_receiver_});
+    client_channel->Flush();
   } catch (...) {
     client_error = std::current_exception();
     channel_->Close();

@@ -70,12 +70,12 @@ BigInt PaillierPublicKey::RerandomizeWithPad(const BigInt& c,
 }
 
 BigInt PaillierPublicKey::Add(const BigInt& c1, const BigInt& c2) const {
-  // The non-Montgomery ModMul on n^2 runs a full division per call, so
-  // this is worth a span despite being "one multiplication".
   obs::TraceSpan span("paillier.add");
   static obs::Counter& ops = obs::GetCounter("paillier.add");
   ops.Add();
-  return ModMul(c1, c2, n_squared_);
+  // Through the Montgomery context: ModMul's long division cost ~5x the
+  // mul_plain beside it, more than the add is worth.
+  return ctx_n2_->MulMod(c1, c2);
 }
 
 BigInt PaillierPublicKey::AddPlain(const BigInt& c, const BigInt& m) const {

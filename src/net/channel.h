@@ -52,8 +52,15 @@ class Channel {
  public:
   virtual ~Channel() = default;
 
+  // Delivery contract: a Send may be held back (FramedChannel coalesces a
+  // flight into one frame), but it reaches the peer no later than this
+  // endpoint's next Recv, Flush or Close. A protocol turn that ends
+  // without a Recv must therefore Flush before it waits on anything else.
   virtual void Send(const uint8_t* data, size_t n) = 0;
   virtual void Recv(uint8_t* data, size_t n) = 0;
+  // Writes out every held-back Send. No-op on channels that hold none;
+  // decorators forward it.
+  virtual void Flush() {}
 
   // Lifecycle. Close() shuts the transport down for *both* endpoints:
   // every blocked or future Recv/Send raises ChannelError{kClosed} (after

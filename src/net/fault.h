@@ -9,9 +9,11 @@
 //
 // FaultInjectingChannel is a Channel decorator that consults the injector
 // on every Send. Stack it *beneath* FramedChannel so a fault mangles one
-// whole integrity frame: corruption then surfaces as ProtocolError at the
-// peer, drops/truncations as a Recv deadline, disconnects as
-// ChannelError{kClosed} — never as silent garbage.
+// whole integrity frame, which is one whole flight (everything the
+// endpoint sent since its last Recv): corruption then surfaces as
+// ProtocolError at the peer, drops/truncations as a Recv deadline,
+// disconnects as ChannelError{kClosed} — never as silent garbage. A
+// plan's op index therefore counts flights, not logical Sends.
 #ifndef PAFS_NET_FAULT_H_
 #define PAFS_NET_FAULT_H_
 
@@ -46,10 +48,10 @@ struct FaultPlan {
   uint64_t max_faults = 1;   // Total budget; 0 = unlimited.
   double delay_seconds = 0.05;  // Sleep for kDelay.
   // Frame targeting: only sends whose payload is exactly this many bytes
-  // may fault (0 = any length). Distinctive sizes pick out specific frames
-  // — a v3 resumption-ticket frame under CRC framing is 40 bytes (8-byte
-  // length prefix + 32-byte ticket), so target_len=40 aims the fault
-  // matrix straight at the resumption path.
+  // may fault (0 = any length). Distinctive sizes pick out specific
+  // flights — a resume hello under CRC framing is one 64-byte send (8-byte
+  // frame header + magic, version, ticket length and the 32-byte ticket),
+  // so target_len=64 aims the fault matrix straight at the resumption path.
   uint64_t target_len = 0;
 
   bool enabled() const { return kind != FaultKind::kNone && probability > 0; }
@@ -96,6 +98,7 @@ class FaultInjectingChannel : public Channel {
 
   void Send(const uint8_t* data, size_t n) override;
   void Recv(uint8_t* data, size_t n) override { inner_.Recv(data, n); }
+  void Flush() override { inner_.Flush(); }
   void Close() override { inner_.Close(); }
   bool closed() const override { return inner_.closed(); }
   void set_recv_timeout_seconds(double seconds) override {

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "util/check.h"
 
 namespace pafs {
 
@@ -46,14 +46,41 @@ uint32_t Crc32(const uint8_t* data, size_t n) {
 }
 
 void FramedChannel::Send(const uint8_t* data, size_t n) {
+  while (n > 0) {
+    if (pending_.empty()) {
+      pending_.reserve(kHeaderBytes + kMaxFramePayload);
+      pending_.resize(kHeaderBytes);
+    }
+    const size_t room = kHeaderBytes + kMaxFramePayload - pending_.size();
+    const size_t take = std::min(n, room);
+    pending_.insert(pending_.end(), data, data + take);
+    data += take;
+    n -= take;
+    if (take == room) Flush();
+  }
+}
+
+void FramedChannel::Flush() {
+  if (pending_.empty()) return;
+  // Moved out first (leaving pending_ empty), so the buffer's capacity is
+  // released whether or not the write succeeds: an idle session keeps no
+  // grown buffer.
+  std::vector<uint8_t> frame = std::move(pending_);
+  const size_t n = frame.size() - kHeaderBytes;
+  PutU32(frame.data(), static_cast<uint32_t>(n));
+  PutU32(frame.data() + 4, Crc32(frame.data() + kHeaderBytes, n));
   // One atomic inner Send per frame, so a fault decorator beneath us can
   // only drop/truncate/corrupt whole frames — never interleave halves.
-  PAFS_CHECK(n <= 0xFFFFFFFFull);  // u32 length field.
-  std::vector<uint8_t> frame(8 + n);
-  PutU32(frame.data(), static_cast<uint32_t>(n));
-  PutU32(frame.data() + 4, Crc32(data, n));
-  std::copy(data, data + n, frame.begin() + 8);
   inner_.Send(frame.data(), frame.size());
+}
+
+void FramedChannel::Close() {
+  try {
+    Flush();
+  } catch (const TransportError&) {
+    // The transport is going down anyway; its error is the peer's news.
+  }
+  inner_.Close();
 }
 
 void FramedChannel::FillOneFrame() {
@@ -79,6 +106,7 @@ void FramedChannel::FillOneFrame() {
 }
 
 void FramedChannel::Recv(uint8_t* data, size_t n) {
+  Flush();  // Whatever this endpoint sent is what the peer waits on.
   while (buffer_.size() < n) FillOneFrame();
   std::copy(buffer_.begin(), buffer_.begin() + n, data);
   buffer_.erase(buffer_.begin(), buffer_.begin() + n);

@@ -266,12 +266,12 @@ SocketListener::SocketListener(int fd, SocketAddress address)
 }
 
 SocketListener::SocketListener(SocketListener&& other) noexcept
-    : fd_(other.fd_),
+    : fd_(other.fd_.load(std::memory_order_acquire)),
       address_(std::move(other.address_)),
       unlink_on_close_(other.unlink_on_close_) {
   closed_.store(other.closed_.load(std::memory_order_acquire),
                 std::memory_order_release);
-  other.fd_ = -1;
+  other.fd_.store(-1, std::memory_order_release);
   other.unlink_on_close_ = false;
   other.closed_.store(true, std::memory_order_release);
 }
@@ -313,7 +313,8 @@ std::unique_ptr<SocketChannel> SocketListener::Accept(double timeout_seconds) {
       timeout_seconds > 0 ? MonotonicSeconds() + timeout_seconds : 0;
   for (;;) {
     if (closed()) ThrowClosed("accept on closed listener");
-    int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    const int listen_fd = fd();
+    int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd >= 0) return std::make_unique<SocketChannel>(fd);
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       int poll_ms = 100;
@@ -322,7 +323,7 @@ std::unique_ptr<SocketChannel> SocketListener::Accept(double timeout_seconds) {
         if (remain <= 0) return nullptr;
         poll_ms = std::min(poll_ms, static_cast<int>(remain * 1000) + 1);
       }
-      pollfd pfd{fd_, POLLIN, 0};
+      pollfd pfd{listen_fd, POLLIN, 0};
       int rc = ::poll(&pfd, 1, poll_ms);
       if (rc < 0 && errno != EINTR) {
         throw TransportError(std::string("poll(accept): ") +
@@ -339,7 +340,7 @@ std::unique_ptr<SocketChannel> SocketListener::Accept(double timeout_seconds) {
 std::unique_ptr<SocketChannel> SocketListener::TryAccept() {
   for (;;) {
     if (closed()) ThrowClosed("accept on closed listener");
-    int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    int fd = ::accept4(this->fd(), nullptr, nullptr, SOCK_CLOEXEC);
     if (fd >= 0) return std::make_unique<SocketChannel>(fd);
     if (errno == EAGAIN || errno == EWOULDBLOCK) return nullptr;
     if (errno == EINTR || errno == ECONNABORTED) continue;
@@ -350,10 +351,10 @@ std::unique_ptr<SocketChannel> SocketListener::TryAccept() {
 
 void SocketListener::Close() {
   bool was_closed = closed_.exchange(true, std::memory_order_acq_rel);
-  if (was_closed || fd_ < 0) return;
-  ::shutdown(fd_, SHUT_RDWR);  // Unwedge a blocked Accept.
-  ::close(fd_);
-  fd_ = -1;
+  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
+  if (was_closed || fd < 0) return;
+  ::shutdown(fd, SHUT_RDWR);  // Unwedge a blocked Accept.
+  ::close(fd);
   if (unlink_on_close_) ::unlink(address_.path.c_str());
 }
 

@@ -119,7 +119,7 @@ class SocketListener {
   // The bound address; for TCP port 0 this carries the kernel-assigned
   // ephemeral port, so tests and benches can listen on "any port".
   const SocketAddress& local_address() const { return address_; }
-  int fd() const { return fd_; }
+  int fd() const { return fd_.load(std::memory_order_acquire); }
 
   void Close();
   bool closed() const { return closed_.load(std::memory_order_acquire); }
@@ -127,7 +127,9 @@ class SocketListener {
  private:
   SocketListener(int fd, SocketAddress address);
 
-  int fd_;
+  // Atomic: Close() on one thread clears it while Accept() polls it on
+  // another.
+  std::atomic<int> fd_;
   std::atomic<bool> closed_{false};
   SocketAddress address_;
   bool unlink_on_close_ = false;

@@ -19,6 +19,7 @@ class ThrottledChannel : public Channel {
 
   void Send(const uint8_t* data, size_t n) override;
   void Recv(uint8_t* data, size_t n) override;
+  void Flush() override { inner_.Flush(); }
   void Close() override { inner_.Close(); }
   bool closed() const override { return inner_.closed(); }
   void set_recv_timeout_seconds(double seconds) override {

@@ -99,6 +99,8 @@ std::vector<Block> BaseOtRecv(Channel& channel, const BitVec& choices,
     std::copy(b_bytes[j].begin(), b_bytes[j].end(), &b_frame[j * kPointBytes]);
   }
   channel.SendBytes(b_frame);
+  // Out now, not at the next Recv: the peer's a·B_j overlap our b_j·A.
+  channel.Flush();
 
   // The key points b_j·A, computed while the sender works on its a·B_j.
   const curve25519::PointTable a_table(big_a);

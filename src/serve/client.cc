@@ -76,6 +76,8 @@ void ClassificationClient::ConnectOnce() {
     ++resumes_;
     static obs::Counter& resumed = obs::GetCounter("serve.client.resumes");
     resumed.Add();
+    // Every turn of ours ended in a Recv, so no flight is left unsent.
+    PAFS_CHECK_EQ(framed_->pending_bytes(), 0u);
     open_ = true;
     return;
   }
@@ -114,6 +116,7 @@ void ClassificationClient::ConnectOnce() {
   } else {
     SnapshotState();
   }
+  PAFS_CHECK_EQ(framed_->pending_bytes(), 0u);
   open_ = true;
 }
 
@@ -299,6 +302,8 @@ void ClassificationClient::RunOnce(const std::vector<std::vector<int>>& rows,
   // exactly matching the server's refreshed cache entry.
   if (!ticket_.empty()) SnapshotState();
   preds->insert(preds->end(), result.classes.begin(), result.classes.end());
+  // The completion ack was our last Recv: nothing we sent is still held.
+  PAFS_CHECK_EQ(framed_->pending_bytes(), 0u);
 }
 
 void ClassificationClient::RecvAdmissionAck(Channel& ch) {
@@ -382,6 +387,7 @@ void ClassificationClient::Close() {
   open_ = false;
   try {
     framed_->SendU64(static_cast<uint64_t>(RequestTag::kBye));
+    framed_->Flush();  // No Recv follows the bye to carry it out.
   } catch (...) {
     // The server may already be gone; close is still graceful on our side.
   }

@@ -107,6 +107,7 @@ class RecordingChannel final : public Channel {
     inner_.Recv(data, n);
     Record(/*is_send=*/false, data, n);
   }
+  void Flush() override { inner_.Flush(); }
   void Close() override { inner_.Close(); }
   bool closed() const override { return inner_.closed(); }
   const ChannelStats& stats() const override { return inner_.stats(); }
@@ -312,6 +313,7 @@ void ClassificationServer::OnSessionReadable(uint64_t id) {
       // The request bytes stay unread (reading would need the worker we
       // do not have), so the session cannot be kept: answer kBusy in one
       // nonblocking write and close. The client reconnects with backoff.
+      // The session was idle, so its framed channel holds no flight.
       TrySendStatusFrame(session->socket->fd(), ReplyStatus::kBusy);
       CloseSessionLocked(session, /*failed=*/false);
       return;
@@ -346,6 +348,9 @@ void ClassificationServer::ServeSession(const std::shared_ptr<Session>& s) {
   bool failed = false;
   try {
     keep = ServeOne(*s);
+    // Every turn (handshake, ping, query, replay, resync) ends on a send:
+    // the reply flight must reach the client before the session idles.
+    s->framed->Flush();
   } catch (const ChannelError& e) {
     keep = false;
     failed = true;
@@ -353,7 +358,9 @@ void ClassificationServer::ServeSession(const std::shared_ptr<Session>& s) {
       // The watchdog fired this session's token and the worker unwound
       // mid-protocol. The socket is still healthy (cancellation never
       // closes it), so the peer gets a typed kCancelled frame before the
-      // close instead of having to read tea leaves from a reset.
+      // close instead of having to read tea leaves from a reset. The
+      // fired token refuses every further write, so a flight the worker
+      // had pending is dropped unsent and the verdict takes its place.
       TrySendStatusFrame(s->socket->fd(), ReplyStatus::kCancelled);
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -373,6 +380,10 @@ void ClassificationServer::ServeSession(const std::shared_ptr<Session>& s) {
     s->in_query = false;
     --busy_;
     if (keep && !draining_ && !s->socket->closed()) {
+      // An idle session holds no unsent flight: the next readable event
+      // answers the client's next request, and a shed's raw status frame
+      // cannot overtake framed bytes.
+      PAFS_CHECK_EQ(s->framed->pending_bytes(), 0u);
       s->state = SessionState::kIdle;
       s->last_activity = std::chrono::steady_clock::now();
       loop_->Rearm(s->socket->fd(), s->id);
@@ -454,6 +465,7 @@ bool ClassificationServer::ServeOne(Session& s) {
     } catch (const ProtocolError&) {
       // Typed refusal before the close.
       ch.SendU64(static_cast<uint64_t>(ReplyStatus::kRejected));
+      ch.Flush();
       throw;
     }
     if (!hello.ticket.empty() && TryResumeSession(s, hello.ticket)) {

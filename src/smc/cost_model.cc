@@ -1,14 +1,12 @@
 #include "smc/cost_model.h"
 
 #include "crypto/paillier.h"
-#include "crypto/paillier_pool.h"
 #include "crypto/prg.h"
 #include "smc/secure_linear.h"
 #include "smc/secure_forest.h"
 #include "smc/secure_nb.h"
 #include "smc/secure_tree.h"
 #include "util/check.h"
-#include "util/parallel.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -56,15 +54,14 @@ CostCalibration CostCalibration::Measure(int paillier_bits, Rng& rng) {
 
   PaillierKeyPair keys = GeneratePaillierKey(rng, paillier_bits);
   constexpr int kPailReps = 8;
-  // Calibrate the batched path — it is what the protocol runs now. The
-  // per-op cost folds in whatever parallelism the global pool provides.
-  std::vector<BigInt> plaintexts;
-  for (int i = 0; i < kPailReps; ++i) plaintexts.emplace_back(i);
+  // Every op is timed serially, one at a time: a per-op cost is CPU time
+  // per operation, whatever parallelism the host later provides.
   timer.Reset();
-  std::vector<BigInt> cts = EncryptBatch(keys.public_key, plaintexts, rng,
-                                         nullptr, ThreadPool::Global());
+  BigInt ct;
+  for (int i = 0; i < kPailReps; ++i) {
+    ct = keys.public_key.Encrypt(BigInt(i), rng);
+  }
   cal.per_pail_encrypt = timer.ElapsedSeconds() / kPailReps;
-  BigInt ct = cts.back();
   timer.Reset();
   BigInt scaled = ct;
   for (int i = 0; i < kPailReps * 4; ++i) {

@@ -158,6 +158,7 @@ bool RunChaos(const FaultPlan& plan,
                 PartyOutcome* out) {
     try {
       body(ch);
+      ch.Flush();  // A party's last flight has no Recv to carry it out.
       out->ok = true;
     } catch (const TransportError& e) {
       out->typed_error = true;
@@ -368,7 +369,8 @@ TEST_F(PipelineChaosTest, DropMidQueryIsRetriedTransparently) {
   PipelineConfig config = BaseConfig();
   config.fault_plan.kind = FaultKind::kDrop;
   config.fault_plan.seed = 3;
-  config.fault_plan.first_op = 20;  // Deep enough to hit the query proper.
+  // Past the base OTs and the disclosure: the query's OT flight.
+  config.fault_plan.first_op = kBaseOtClientSends + kFrameSends;
   config.fault_plan.max_faults = 1;
   SecureClassificationPipeline pipeline(data_, config);
   const std::vector<int>& row = data_.row(7);
@@ -381,7 +383,8 @@ TEST_F(PipelineChaosTest, DisconnectMidQueryIsRetriedTransparently) {
   PipelineConfig config = BaseConfig();
   config.fault_plan.kind = FaultKind::kDisconnect;
   config.fault_plan.seed = 9;
-  config.fault_plan.first_op = 10;
+  // The disclosure, the query's first client flight past the base OTs.
+  config.fault_plan.first_op = kBaseOtClientSends;
   config.fault_plan.max_faults = 1;
   SecureClassificationPipeline pipeline(data_, config);
   const std::vector<int>& row = data_.row(13);
@@ -458,6 +461,7 @@ bool RunChaosOverTcp(const FaultPlan& plan,
                 PartyOutcome* out) {
     try {
       body(ch);
+      ch.Flush();  // A party's last flight has no Recv to carry it out.
       out->ok = true;
     } catch (const TransportError& e) {
       out->typed_error = true;
@@ -633,10 +637,10 @@ TEST(ServingChaosTest, OverloadedFaultyClientsSurviveServerRestart) {
         cc.retry.deadline_seconds = PAFS_CHAOS_SLOW ? 200 : 25;
         cc.fault_plan.kind = kKinds[t % 4];
         cc.fault_plan.seed = 100 + t;
-        // Inside query 1, 10 + 3t sends past its head.
-        cc.fault_plan.first_op = kHelloClientSends + kBaseOtClientSends +
-                                 kRequestHeadSends + 10 +
-                                 3 * static_cast<uint64_t>(t);
+        // Inside query 1, on one of the flights past its request.
+        cc.fault_plan.first_op =
+            kHelloClientSends + kBaseOtClientSends + kRequestHeadSends +
+            static_cast<uint64_t>(t) % kNbQueryTailSends;
         cc.fault_plan.max_faults = 2;
         serve::ClassificationClient client(cc);
         for (int q = 0; q < kQueriesEach; ++q) {
@@ -722,7 +726,7 @@ TEST(ServingChaosTest, MidQueryDisconnectsResumeViaTicketWithoutRerun) {
   cc.fault_plan.kind = FaultKind::kDisconnect;
   cc.fault_plan.seed = 11;
   cc.fault_plan.first_op =
-      kHelloClientSends + kBaseOtClientSends + kRequestHeadSends + 15;
+      kHelloClientSends + kBaseOtClientSends + kRequestHeadSends;
   cc.fault_plan.max_faults = 2;
   serve::ClassificationClient client(cc);
 
@@ -806,6 +810,7 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
   int first =
       evaluator.Run(framed, {row}, serve::EvaluatorSession{ot}).classes[0];
   framed.SendU64(0);  // v4 refill tail request (unpooled raw client).
+  framed.Flush();     // The crash below skips the Recv that would.
   EXPECT_EQ(first, pipeline.PlaintextPredict(row));
   ASSERT_TRUE(
       WaitForStat([&] { return server.stats().queries_served >= 1; }));

@@ -1,7 +1,10 @@
 // Client send counts that serving fault plans offset their first_op by.
-// A fault plan counts the client's sends beneath the CRC framing, one per
-// Channel::Send; the length-prefixed helpers (SendBytes, SendBlocks) make
-// two, the prefix and the body. Shared by serve_test and chaos_test.
+// A fault plan counts the client's sends beneath the CRC framing, and
+// FramedChannel makes one such send per flight: everything the client
+// sends before its next Recv leaves as one frame. So these constants
+// count flights, and a length-prefixed helper (SendBytes, SendBlocks) adds
+// none of its own. Shared by serve_test, chaos_test, obs_test and
+// net_test; the pipeline's client opens with the same base-OT flights.
 #ifndef PAFS_TESTS_FAULT_OFFSETS_H_
 #define PAFS_TESTS_FAULT_OFFSETS_H_
 
@@ -9,16 +12,22 @@
 
 namespace pafs {
 
-// Sends of one length-prefixed frame: the prefix, then the body.
-inline constexpr uint64_t kFrameSends = 2;
-// The client's base-OT flights in a fresh handshake: A as one point frame,
-// then every masked seed pair as one block frame (ot/base_ot.cc).
+// Sends of one flight below the 64 KiB frame bound: its single frame.
+inline constexpr uint64_t kFrameSends = 1;
+// The client's base-OT flights in a fresh handshake: A as one point
+// frame, then every masked seed pair in one block frame (ot/base_ot.cc).
 inline constexpr uint64_t kBaseOtClientSends = 2 * kFrameSends;
-// The fresh hello: magic, version, an empty ticket's length.
-inline constexpr uint64_t kHelloClientSends = 3;
-// The head of every request before its disclosure values: tag, query id,
-// record count.
-inline constexpr uint64_t kRequestHeadSends = 3;
+// The fresh hello (magic, version, an empty ticket's length) is one
+// flight, answered by the server's status.
+inline constexpr uint64_t kHelloClientSends = kFrameSends;
+// Every request opens with one flight: tag, query id, record count and
+// every disclosed value, answered by the admission ack.
+inline constexpr uint64_t kRequestHeadSends = kFrameSends;
+// A one-record naive-Bayes query's flights past its request: the
+// evaluator's input-label OT (a pool miss's flag and IKNP columns, or a
+// pool hit's corrections), the output report with the refill ask, and
+// the granted refill's IKNP columns before the completion ack.
+inline constexpr uint64_t kNbQueryTailSends = 3 * kFrameSends;
 
 }  // namespace pafs
 

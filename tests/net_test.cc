@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "bignum/bigint.h"
+#include "fault_offsets.h"
 #include "net/channel.h"
 #include "net/fault.h"
 #include "net/framing.h"
@@ -362,16 +363,133 @@ TEST(FramedChannelTest, RoundTripsThroughFraming) {
   MemChannelPair pair;
   FramedChannel a(pair.endpoint(0));
   FramedChannel b(pair.endpoint(1));
+  // Each sender flushes: no Recv of its own carries its flight out.
   a.SendU64(123);
+  a.Flush();
   EXPECT_EQ(b.RecvU64(), 123u);
   std::vector<uint8_t> payload(1000, 0x5C);
   b.SendBytes(payload);
+  b.Flush();
   EXPECT_EQ(a.RecvBytes(), payload);
   // Partial reads across frame boundaries reassemble correctly.
   a.SendU64(1);
+  a.Flush();
   a.SendU64(2);
+  a.Flush();
   EXPECT_EQ(b.RecvU64(), 1u);
   EXPECT_EQ(b.RecvU64(), 2u);
+}
+
+TEST(FramedChannelTest, FlightLeavesAsOneInnerSend) {
+  MemChannelPair pair;
+  FramedChannel a(pair.endpoint(0));
+  FramedChannel b(pair.endpoint(1));
+  b.SendU64(99);
+  b.Flush();
+  const std::vector<uint8_t> payload(300, 0x6D);
+  for (uint64_t i = 0; i < 5; ++i) a.SendU64(i);
+  a.SendBytes(payload);
+  EXPECT_EQ(pair.endpoint(0).stats().messages_sent, 0u);  // Held back.
+  EXPECT_EQ(a.pending_bytes(), 5 * 8 + 8 + payload.size());
+  // The Recv ends the flight: everything above goes out as one frame.
+  EXPECT_EQ(a.RecvU64(), 99u);
+  EXPECT_EQ(pair.endpoint(0).stats().messages_sent, kFrameSends);
+  EXPECT_EQ(a.pending_bytes(), 0u);
+  for (uint64_t i = 0; i < 5; ++i) EXPECT_EQ(b.RecvU64(), i);
+  EXPECT_EQ(b.RecvBytes(), payload);
+}
+
+TEST(FramedChannelTest, CloseFlushesThePendingFlight) {
+  MemChannelPair pair;
+  FramedChannel a(pair.endpoint(0));
+  FramedChannel b(pair.endpoint(1));
+  a.SendU64(0xB7E);
+  a.Close();
+  // Drain-first close semantics: the flight arrives, then kClosed.
+  EXPECT_EQ(b.RecvU64(), 0xB7Eu);
+  try {
+    b.RecvU64();
+    FAIL() << "expected ChannelError";
+  } catch (const ChannelError& e) {
+    EXPECT_EQ(e.kind(), ChannelErrorKind::kClosed);
+  }
+}
+
+TEST(FramedChannelTest, LargeFlightSplitsIntoCrcCheckedFrames) {
+  MemChannelPair pair;
+  FramedChannel a(pair.endpoint(0));
+  constexpr size_t kMax = FramedChannel::kMaxFramePayload;
+  std::vector<uint8_t> payload(2 * kMax + 100);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  a.SendU64(42);
+  a.SendBytes(payload);
+  // Two full frames left while the flight grew; the rest waits.
+  EXPECT_EQ(pair.endpoint(0).stats().messages_sent, 2u);
+  EXPECT_EQ(a.pending_bytes(), 8 + 8 + payload.size() - 2 * kMax);
+  a.Flush();
+  ASSERT_EQ(pair.endpoint(0).stats().messages_sent, 3u);
+
+  // Read the frames raw: bounded lengths, valid CRCs, payload intact.
+  Channel& raw = pair.endpoint(1);
+  std::vector<uint8_t> stream;
+  std::vector<uint32_t> lengths;
+  for (int f = 0; f < 3; ++f) {
+    uint8_t header[8];
+    raw.Recv(header, 8);
+    uint32_t len = 0;
+    uint32_t crc = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<uint32_t>(header[i]) << (8 * i);
+      crc |= static_cast<uint32_t>(header[4 + i]) << (8 * i);
+    }
+    std::vector<uint8_t> body(len);
+    raw.Recv(body.data(), len);
+    EXPECT_EQ(Crc32(body.data(), len), crc) << "frame " << f;
+    lengths.push_back(len);
+    stream.insert(stream.end(), body.begin(), body.end());
+  }
+  EXPECT_EQ(lengths, (std::vector<uint32_t>{
+                         kMax, kMax, static_cast<uint32_t>(16 + 100)}));
+  std::vector<uint8_t> want(16);
+  want[0] = 42;  // SendU64(42), then SendBytes' little-endian length.
+  for (int i = 0; i < 8; ++i) {
+    want[8 + i] = static_cast<uint8_t>(payload.size() >> (8 * i));
+  }
+  want.insert(want.end(), payload.begin(), payload.end());
+  EXPECT_EQ(stream, want);
+}
+
+TEST(FramedChannelTest, DecodesOneFramePerSendAsOlderPeersWrite) {
+  // Before flights, framing wrote every logical Send as its own frame;
+  // the same wire format means today's reader still decodes that stream.
+  MemChannelPair pair;
+  auto send_frame = [&](const std::vector<uint8_t>& payload) {
+    std::vector<uint8_t> frame(8);
+    const uint32_t len = static_cast<uint32_t>(payload.size());
+    const uint32_t crc = Crc32(payload.data(), payload.size());
+    for (int i = 0; i < 4; ++i) {
+      frame[i] = static_cast<uint8_t>(len >> (8 * i));
+      frame[4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+    }
+    frame.insert(frame.end(), payload.begin(), payload.end());
+    pair.endpoint(0).Send(frame.data(), frame.size());
+  };
+  auto u64 = [](uint64_t v) {
+    std::vector<uint8_t> out(8);
+    for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
+    return out;
+  };
+  const std::vector<uint8_t> body(777, 0x2B);
+  send_frame(u64(5));            // SendU64(5).
+  send_frame(u64(body.size()));  // SendBytes(body): the length prefix...
+  send_frame(body);              // ...then the body.
+  send_frame(u64(6));
+  FramedChannel b(pair.endpoint(1));
+  EXPECT_EQ(b.RecvU64(), 5u);
+  EXPECT_EQ(b.RecvBytes(), body);
+  EXPECT_EQ(b.RecvU64(), 6u);
 }
 
 TEST(FramedChannelTest, DetectsCorruption) {
@@ -379,7 +497,8 @@ TEST(FramedChannelTest, DetectsCorruption) {
   FaultPlan plan;
   plan.kind = FaultKind::kCorrupt;
   plan.seed = 11;
-  plan.first_op = 1;  // Corrupt the payload frame, not the u64 prefix.
+  // The payload's flight: its one frame carries prefix and body alike.
+  plan.first_op = kFrameSends - 1;
   plan.max_faults = 1;
   FaultInjector injector(plan);
   FaultInjectingChannel faulty(pair.endpoint(0), injector);
@@ -390,10 +509,12 @@ TEST(FramedChannelTest, DetectsCorruption) {
   // 8-byte frame header: the CRC check must reject the frame.
   std::vector<uint8_t> payload(4096, 0x3A);
   a.SendBytes(payload);
+  a.Flush();
   EXPECT_THROW(b.RecvBytes(), ProtocolError);
   EXPECT_EQ(injector.injected(), 1u);
   // The budget is spent: the next frame arrives intact.
   a.SendU64(0xABCDEF);
+  a.Flush();
   EXPECT_EQ(b.RecvU64(), 0xABCDEFu);
 }
 
@@ -436,17 +557,17 @@ TEST(FaultInjectorTest, TargetLenFiresOnlyOnMatchingSends) {
   plan.seed = 7;
   plan.probability = 1.0;
   plan.max_faults = 1;
-  plan.target_len = 40;  // The v3 resumption-ticket frame size.
+  plan.target_len = 64;  // A resume hello's flight size.
   FaultInjector injector(plan);
   // Non-matching sends never fault and never spend the budget.
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(injector.NextSendFault(16), FaultKind::kNone);
   }
   EXPECT_EQ(injector.injected(), 0u);
-  EXPECT_EQ(injector.NextSendFault(40), FaultKind::kDrop);
+  EXPECT_EQ(injector.NextSendFault(64), FaultKind::kDrop);
   EXPECT_EQ(injector.injected(), 1u);
   // Budget spent: even matching sends pass through now.
-  EXPECT_EQ(injector.NextSendFault(40), FaultKind::kNone);
+  EXPECT_EQ(injector.NextSendFault(64), FaultKind::kNone);
 }
 
 // ---------------------------------------------------------------------------
@@ -612,9 +733,11 @@ TEST_P(SocketChannelTest, FramedChannelComposesOverTheWire) {
   FramedChannel a(*pair.client);
   FramedChannel b(*pair.server);
   a.SendU64(321);
+  a.Flush();
   EXPECT_EQ(b.RecvU64(), 321u);
   std::vector<uint8_t> payload(100000, 0xC3);
   b.SendBytes(payload);
+  b.Flush();
   EXPECT_EQ(a.RecvBytes(), payload);
 }
 

@@ -12,6 +12,7 @@
 
 #include "core/pipeline.h"
 #include "data/warfarin_gen.h"
+#include "fault_offsets.h"
 #include "net/fault.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -407,7 +408,8 @@ TEST_F(ObsTest, RetriedQueryAppearsInReport) {
   config.retry_backoff_seconds = 0.001;
   config.fault_plan.kind = FaultKind::kDrop;
   config.fault_plan.seed = 2;
-  config.fault_plan.first_op = 6;
+  // The disclosure flight, the first client send past the base OTs.
+  config.fault_plan.first_op = kBaseOtClientSends;
   config.fault_plan.max_faults = 1;
   SecureClassificationPipeline pipeline(data, config);
   const std::vector<int>& row = data.row(3);

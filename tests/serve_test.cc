@@ -373,6 +373,7 @@ TEST_F(ServeTest, SilentPeerMidQueryDiesOnDeadline) {
     } else {
       RawHandshake(framed);
       framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
+      framed.Flush();  // No Recv follows to carry the tag out.
     }
     // ... and then say nothing: the worker must be freed by the deadline.
     ASSERT_TRUE(WaitFor(
@@ -408,6 +409,7 @@ TEST_F(ServeTest, OutOfRangeDisclosureRejectedTyped) {
     for (size_t i = 0; i < setup.plan_features.size(); ++i) {
       framed.SendU64(1u << 20);  // Beyond any feature's cardinality.
     }
+    framed.Flush();
   } catch (const TransportError&) {
     // The server may hang up after the first bad value while we are still
     // sending; a typed send failure is the expected client-side symptom.
@@ -456,6 +458,7 @@ TEST_F(ServeTest, StopMidQueryForceClosesAfterGrace) {
   FramedChannel framed(*socket);
   RawHandshake(framed);
   framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
+  framed.Flush();
   ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_active == 1; }));
 
   auto before = std::chrono::steady_clock::now();
@@ -562,6 +565,7 @@ TEST_F(ServeTest, SaturatedWorkerQueueShedsQueriesTyped) {
   // not queued unboundedly, not silently dropped.
   for (int i = 0; i < 5; ++i) {
     frames[i]->SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
+    frames[i]->Flush();
     std::this_thread::sleep_for(std::chrono::duration<double>(
         0.05 * kTimeScale));
   }
@@ -649,9 +653,9 @@ TEST_F(ServeTest, ClientRetryAbsorbsInjectedDisconnect) {
   ClientConfig cc = ClientFor(server);
   cc.fault_plan.kind = FaultKind::kDisconnect;
   cc.fault_plan.seed = 5;
-  // Past the handshake, inside query 1: its eighth send after the head.
+  // Past the handshake, inside query 1: its first flight after the request.
   cc.fault_plan.first_op =
-      kHelloClientSends + kBaseOtClientSends + kRequestHeadSends + 7;
+      kHelloClientSends + kBaseOtClientSends + kRequestHeadSends;
   cc.fault_plan.max_faults = 1;
   ClassificationClient client(cc);
   const std::vector<int>& row = data_.row(44);
@@ -979,6 +983,7 @@ TEST_F(ServeTest, WatchdogCancelsWedgedQueryTypedAndServerKeepsServing) {
   framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
   framed.SendU64(1);  // Query id.
   framed.SendU64(1);  // Record count.
+  framed.Flush();     // The wedge reads nothing until the verdict.
 
   // Other sessions are served while the wedge is pending cancellation.
   ClassificationClient live(ClientFor(server));
@@ -1081,6 +1086,7 @@ TEST_F(ServeTest, ByeDropsTheSessionsResumeEntry) {
   EXPECT_EQ(framed.RecvU64(), 0u);
   EXPECT_EQ(framed.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
   framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBye));
+  framed.Flush();
   ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_closed >= 1; }));
   socket->Close();
 
@@ -1145,6 +1151,7 @@ TEST_F(ServeTest, RetryWithoutTranscriptIsAnsweredResync) {
   // The same session runs the next id live.
   EXPECT_EQ(run_query(2, row2), pipeline->PlaintextPredict(row2));
   framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBye));
+  framed.Flush();
 
   ClassificationClient client(ClientFor(server));
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
@@ -1324,6 +1331,37 @@ TEST_F(ServeTest, PooledLinearServingHitsPoolAndStaysCorrect) {
   server.Stop();
   EXPECT_EQ(server.stats().sessions_failed, 0u);
   PafsTelemetry::Disable();
+}
+
+TEST_F(ServeTest, WarmQuerySendsOneFlightPerTurn) {
+  // The client's framed channel coalesces each flight (everything sent
+  // before its next Recv) into one socket write, so a warm query makes at
+  // most one write per direction flip, plus the request that opens it.
+  for (ClassifierKind kind :
+       {ClassifierKind::kNaiveBayes, ClassifierKind::kLinear,
+        ClassifierKind::kForest}) {
+    SCOPED_TRACE(ClassifierName(kind));
+    auto pipeline = MakePipeline(kind);
+    ClassificationServer server(ServingModel::FromPipeline(*pipeline),
+                                ServerConfig{});
+    server.Start();
+    ClassificationClient client(ClientFor(server));
+    const std::vector<int>& row = data_.row(21);
+    EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+
+    const ChannelStats before = client.wire_stats();
+    const std::vector<int>& row2 = data_.row(322);
+    EXPECT_EQ(client.Classify(row2), pipeline->PlaintextPredict(row2));
+    const ChannelStats& after = client.wire_stats();
+    const uint64_t sent = after.messages_sent - before.messages_sent;
+    const uint64_t flips = after.direction_flips - before.direction_flips;
+    EXPECT_LE(sent, flips + 1);
+    if (kind == ClassifierKind::kNaiveBayes) {
+      // Pins the fault-plan offsets the chaos tests aim with.
+      EXPECT_EQ(sent, kRequestHeadSends + kNbQueryTailSends);
+    }
+    client.Close();
+  }
 }
 
 TEST_F(ServeTest, PoolsDisabledByConfigStillServes) {
@@ -1830,9 +1868,10 @@ TEST_F(ServeTest, BatchRetryAbsorbsInjectedDisconnect) {
   ClientConfig cc = ClientFor(server);
   cc.fault_plan.kind = FaultKind::kDisconnect;
   cc.fault_plan.seed = 7;
-  // Past the handshake, inside the batch: its ninth send after the head.
+  // Past the handshake, inside the batch: its second flight after the
+  // request.
   cc.fault_plan.first_op =
-      kHelloClientSends + kBaseOtClientSends + kRequestHeadSends + 8;
+      kHelloClientSends + kBaseOtClientSends + kRequestHeadSends + 1;
   cc.fault_plan.max_faults = 1;
   ClassificationClient client(cc);
 
