@@ -36,6 +36,7 @@
 #include "net/framing.h"
 #include "net/socket.h"
 #include "serve/client.h"
+#include "serve/fault_offsets.h"
 #include "serve/model.h"
 #include "serve/server.h"
 #include "util/timer.h"
@@ -301,7 +302,10 @@ OverloadResult RunOverload(const SecureClassificationPipeline& pipeline,
   sc.num_threads = 2;  // Deliberately undersized: the storm must queue.
   sc.max_sessions = 64;
   sc.max_pending_queries = 4;  // Small bound: the storm must shed.
-  sc.recv_timeout_seconds = 10;
+  // A dropped flight leaves the server nothing to misread: the session
+  // dies only at this deadline, so it must expire well before the restart
+  // below for the dropping clients to reconnect by resuming.
+  sc.recv_timeout_seconds = 0.25;
   sc.drain_timeout_seconds = 0.2;
   sc.idle_timeout_seconds = 1.0;  // Loris sockets die within ~1.25s.
   serve::ServingModel model = serve::ServingModel::FromPipeline(pipeline);
@@ -342,10 +346,10 @@ OverloadResult RunOverload(const SecureClassificationPipeline& pipeline,
         cc.retry.deadline_seconds = 120;
         cc.fault_plan.kind = kKinds[t % 4];
         cc.fault_plan.seed = 900 + t;
-        // A plan counts flights (one framed send each): past the
-        // handshake's three (hello, base-OT A, masked seed pairs) and query
-        // 1's request, on one of the query's three later flights.
-        cc.fault_plan.first_op = 3 + 1 + static_cast<uint64_t>(t) % 3;
+        // Inside query 1, on one of the flights past its request.
+        cc.fault_plan.first_op =
+            kHelloClientSends + kBaseOtClientSends + kRequestHeadSends +
+            static_cast<uint64_t>(t) % kNbQueryTailSends;
         cc.fault_plan.max_faults = 2;
         serve::ClassificationClient client(cc);
         for (int q = 0; q < kQueriesEach; ++q) {

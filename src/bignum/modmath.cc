@@ -126,16 +126,6 @@ BigInt MontgomeryCtx::FromMont(const std::vector<uint32_t>& x_mont) const {
   return BigInt::FromLimbs(std::move(stripped));
 }
 
-BigInt MontgomeryCtx::MulMod(const BigInt& a, const BigInt& b) const {
-  std::vector<uint32_t> a_mont = ToMont(a);
-  std::vector<uint32_t> reduced = Mod(b, modulus_).limbs();
-  reduced.resize(k_, 0);
-  std::vector<uint32_t> out(k_);
-  std::vector<uint32_t> scratch(k_ + 2);
-  MontMulInto(a_mont.data(), reduced.data(), out.data(), scratch.data());
-  return BigInt::FromLimbs(std::move(out));
-}
-
 std::vector<uint32_t> MontgomeryCtx::MontMul(
     const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) const {
   PAFS_CHECK_EQ(a.size(), k_);

@@ -49,10 +49,6 @@ class MontgomeryCtx {
   std::vector<uint32_t> ToMont(const BigInt& x) const;
   BigInt FromMont(const std::vector<uint32_t>& x_mont) const;
 
-  // a*b mod m for operands in normal form (reduced mod m first), as one
-  // Montgomery product of a*R and b: no long division, unlike ModMul.
-  BigInt MulMod(const BigInt& a, const BigInt& b) const;
-
   // Montgomery product: a*b*R^{-1} mod m, operands in Montgomery form.
   std::vector<uint32_t> MontMul(const std::vector<uint32_t>& a,
                                 const std::vector<uint32_t>& b) const;

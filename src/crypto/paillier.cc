@@ -75,7 +75,8 @@ BigInt PaillierPublicKey::Add(const BigInt& c1, const BigInt& c2) const {
   ops.Add();
   // Through the Montgomery context: ModMul's long division cost ~5x the
   // mul_plain beside it, more than the add is worth.
-  return ctx_n2_->MulMod(c1, c2);
+  return ctx_n2_->FromMont(
+      ctx_n2_->MontMul(ctx_n2_->ToMont(c1), ctx_n2_->ToMont(c2)));
 }
 
 BigInt PaillierPublicKey::AddPlain(const BigInt& c, const BigInt& m) const {

@@ -3,10 +3,11 @@
 // FramedChannel makes one such send per flight: everything the client
 // sends before its next Recv leaves as one frame. So these constants
 // count flights, and a length-prefixed helper (SendBytes, SendBlocks) adds
-// none of its own. Shared by serve_test, chaos_test, obs_test and
-// net_test; the pipeline's client opens with the same base-OT flights.
-#ifndef PAFS_TESTS_FAULT_OFFSETS_H_
-#define PAFS_TESTS_FAULT_OFFSETS_H_
+// none of its own. The one place that knows the client's flight shape:
+// the tests and bench_serving aim their fault plans with it, and the
+// pipeline's client opens with the same base-OT flights.
+#ifndef PAFS_SERVE_FAULT_OFFSETS_H_
+#define PAFS_SERVE_FAULT_OFFSETS_H_
 
 #include <cstdint>
 
@@ -31,4 +32,4 @@ inline constexpr uint64_t kNbQueryTailSends = 3 * kFrameSends;
 
 }  // namespace pafs
 
-#endif  // PAFS_TESTS_FAULT_OFFSETS_H_
+#endif  // PAFS_SERVE_FAULT_OFFSETS_H_

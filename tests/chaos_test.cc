@@ -25,7 +25,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fault_offsets.h"
 #include "circuit/builder.h"
 #include "core/pipeline.h"
 #include "crypto/paillier.h"
@@ -42,6 +41,7 @@
 #include "ot/iknp.h"
 #include "serve/client.h"
 #include "serve/engine.h"
+#include "serve/fault_offsets.h"
 #include "serve/model.h"
 #include "serve/server.h"
 #include "sharing/gmw.h"
@@ -88,24 +88,27 @@ struct PartyOutcome {
   bool ok = false;
   bool typed_error = false;
   std::string error;
+  uint64_t faults_injected = 0;  // Set on the faulted (client) endpoint.
 };
 
 // One (kind, seed, first_op) cell of the chaos matrix. Two injection
-// points per kind: the opening send (faults the OT/key setup) and a few
-// ops in (faults the protocol proper).
+// points per kind: the opening flight (faults the base-OT setup) and
+// `late_op`, by default the first flight past the base OTs (faults the
+// protocol proper). A plan counts flights, so late_op must name a flight
+// the backend's client really sends; CheckOutcome holds every cell to it.
 struct ChaosCase {
   FaultKind kind;
   uint64_t seed;
   uint64_t first_op;
 };
 
-std::vector<ChaosCase> ChaosMatrix() {
+std::vector<ChaosCase> ChaosMatrix(uint64_t late_op = kBaseOtClientSends) {
   std::vector<ChaosCase> cases;
   for (FaultKind kind : {FaultKind::kDrop, FaultKind::kTruncate,
                          FaultKind::kCorrupt, FaultKind::kDelay,
                          FaultKind::kDisconnect}) {
     cases.push_back({kind, 1, 0});
-    cases.push_back({kind, 7, 4});
+    cases.push_back({kind, 7, late_op});
   }
   return cases;
 }
@@ -176,14 +179,18 @@ bool RunChaos(const FaultPlan& plan,
   }
   cv.notify_all();
   watchdog.join();
+  client_out->faults_injected = injector.injected();
   return !tripped;
 }
 
-// The invariant every cell must satisfy; delay (and none) must succeed.
+// The invariant every cell must satisfy; delay must succeed. A cell
+// whose plan never fired tested nothing, so every cell must have injected
+// exactly its one fault.
 void CheckOutcome(const ChaosCase& c, const PartyOutcome& server,
                   const PartyOutcome& client) {
   EXPECT_TRUE(server.ok || server.typed_error) << "server fate untyped";
   EXPECT_TRUE(client.ok || client.typed_error) << "client fate untyped";
+  EXPECT_EQ(client.faults_injected, 1u) << "the plan's fault never fired";
   if (c.kind == FaultKind::kDelay) {
     EXPECT_TRUE(server.ok) << server.error;
     EXPECT_TRUE(client.ok) << client.error;
@@ -239,7 +246,9 @@ TEST(ChaosTest, IknpOtSurvivesEveryFaultKind) {
   }
   BitVec choices(kBatch);
   for (size_t j = 0; j < kBatch; ++j) choices.Set(j, j % 3 == 0);
-  for (const ChaosCase& c : ChaosMatrix()) {
+  // The receiver waits on nothing between its masked seed pairs and its
+  // u-columns, so both leave in its second and last flight.
+  for (const ChaosCase& c : ChaosMatrix(kBaseOtClientSends - kFrameSends)) {
     SCOPED_TRACE(CaseLabel(c));
     PartyOutcome server, client;
     std::vector<Block> got;
@@ -479,6 +488,7 @@ bool RunChaosOverTcp(const FaultPlan& plan,
   }
   cv.notify_all();
   watchdog.join();
+  client_out->faults_injected = injector.injected();
   return !tripped;
 }
 
@@ -508,8 +518,12 @@ TEST(SocketChaosTest, GarbledCircuitSurvivesFaultMatrixOverTcp) {
         &server, &client);
     ASSERT_TRUE(no_hang) << "run hung until the watchdog killed it";
     CheckOutcome(c, server, client);
-    if (server.ok) EXPECT_TRUE(server_got == expected);
-    if (client.ok) EXPECT_TRUE(client_got == expected);
+    if (server.ok) {
+      EXPECT_TRUE(server_got == expected);
+    }
+    if (client.ok) {
+      EXPECT_TRUE(client_got == expected);
+    }
   }
 }
 

@@ -11,13 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "bignum/bigint.h"
-#include "fault_offsets.h"
 #include "net/channel.h"
 #include "net/fault.h"
 #include "net/framing.h"
 #include "net/socket.h"
 #include "net/throttle.h"
 #include "obs/trace.h"
+#include "serve/fault_offsets.h"
 #include "util/timer.h"
 
 namespace pafs {

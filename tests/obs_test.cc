@@ -12,11 +12,11 @@
 
 #include "core/pipeline.h"
 #include "data/warfarin_gen.h"
-#include "fault_offsets.h"
 #include "net/fault.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "serve/fault_offsets.h"
 #include "util/random.h"
 
 namespace pafs {

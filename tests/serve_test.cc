@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fault_offsets.h"
 #include "circuit/builder.h"
 #include "core/pipeline.h"
 #include "data/warfarin_gen.h"
@@ -30,6 +29,7 @@
 #include "ot/ot_pool.h"
 #include "serve/client.h"
 #include "serve/engine.h"
+#include "serve/fault_offsets.h"
 #include "serve/model.h"
 #include "serve/precompute.h"
 #include "serve/server.h"
