@@ -208,7 +208,7 @@ BatchSplit RunBatched(const E2eOptions& opt, int records) {
     if (rep == 0) r.offline_push_ms = push_timer.ElapsedMillis();
 
     // Online: the rows arrive, and the remaining exchange is the combined
-    // derandomized label OT, evaluation, and the output report.
+    // derandomized label OT, then the evaluator's local evaluation.
     std::vector<const std::vector<int>*> rows(records);
     for (int i = 0; i < records; ++i) {
       rows[i] = &train.row((7 + (rep * records + i) * 211) % train.size());

@@ -8,7 +8,6 @@
 #include "net/framing.h"
 #include "obs/trace.h"
 #include "serve/engine.h"
-#include "util/check.h"
 #include "util/timer.h"
 
 namespace pafs {
@@ -63,14 +62,8 @@ SecureClassificationPipeline::SecureClassificationPipeline(
     }
   }
 
-  Rng calibration_rng(config.seed);
   CostCalibration calibration;
-  if (config.measure_calibration) {
-    calibration = CostCalibration::Measure(config.paillier_bits,
-                                           calibration_rng);
-  } else {
-    calibration.paillier_bits = config.paillier_bits;
-  }
+  calibration.paillier_bits = config.paillier_bits;
   cost_model_ = std::make_unique<SmcCostModel>(
       model_.setup.features, model_.setup.num_classes, calibration);
   selector_ = std::make_unique<DisclosureSelector>(
@@ -199,7 +192,6 @@ std::vector<int> SecureClassificationPipeline::RunProtocolOnce(
   // party tags its thread so spans land in the right phase tree; the root
   // classify spans absorb the time each side spends blocked on the other
   // as self-time, keeping the leaf phases double-count free.
-  std::vector<int> server_classes;
   serve::EvaluatorResult client_result;
   std::exception_ptr server_error, client_error;
   std::thread server([&] {
@@ -221,7 +213,7 @@ std::vector<int> SecureClassificationPipeline::RunProtocolOnce(
           key.push_back(static_cast<int>(v));
         }
       }
-      server_classes = drivers_->garbler.Run(
+      drivers_->garbler.Run(
           *server_channel, keys,
           serve::GarblerSession{ot_sender_, server_rng_, drivers_->specs});
       server_channel->Flush();  // A framed party's last flight.
@@ -245,7 +237,6 @@ std::vector<int> SecureClassificationPipeline::RunProtocolOnce(
     }
     client_result = drivers_->evaluator.Run(
         *client_channel, rows, serve::EvaluatorSession{ot_receiver_});
-    client_channel->Flush();
   } catch (...) {
     client_error = std::current_exception();
     channel_->Close();
@@ -276,7 +267,6 @@ std::vector<int> SecureClassificationPipeline::RunProtocolOnce(
                                : client_error);
   }
 
-  PAFS_CHECK(server_classes == client_result.classes);
   stats->predicted_class = client_result.classes.back();
   stats->and_gates = client_result.and_gates;
   stats->bytes = channel_->TotalBytes() - bytes_before;

@@ -34,7 +34,6 @@ struct PipelineConfig {
   // Paillier modulus size the cost model prices the linear protocol at
   // (and CostCalibration::Measure times); no key is generated.
   int paillier_bits = 512;
-  bool measure_calibration = false;  // Defaults are fine for tests.
   uint64_t seed = 42;
 
   // Fault tolerance. A query attempt that dies with a TransportError is

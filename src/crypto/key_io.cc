@@ -17,12 +17,6 @@ Status WriteFile(const std::string& path, const std::string& content) {
   return Status::Ok();
 }
 
-StatusOr<std::string> ReadToken(std::istream& in) {
-  std::string token;
-  if (!(in >> token)) return Status::InvalidArgument("truncated key file");
-  return token;
-}
-
 bool IsHex(const std::string& s) {
   if (s.empty()) return false;
   for (char c : s) {

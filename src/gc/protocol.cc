@@ -156,52 +156,26 @@ GcGarblerPushed GcGarblerPushBatch(Channel& channel,
       pushed.ot_messages.push_back(
           (*prepared[i].input_labels)[circuit.garbler_inputs() + j]);
     }
-    pushed.output_counts.push_back(
-        static_cast<uint32_t>(circuit.outputs().size()));
   }
   return pushed;
 }
 
-std::vector<BitVec> GcGarblerOnlineBatch(Channel& channel,
-                                         GcGarblerPushed pushed,
-                                         OtExtSender& ot,
-                                         OtSenderPadPool* ot_pads) {
-  // Evaluator input labels, one combined OT across the whole batch, then
-  // learn the results. The final receive stays unspanned: it waits on the
-  // evaluator's gc.eval, which already owns that wall time.
+void GcGarblerOnlineBatch(Channel& channel, GcGarblerPushed pushed,
+                          OtExtSender& ot, OtSenderPadPool* ot_pads) {
+  // Evaluator input labels, one combined OT across the whole batch. This
+  // is the garbler's last message: the evaluator decodes on its own.
   channel.ThrowIfCancelled("gc ot send");
   if (!pushed.ot_messages.empty()) {
     PooledOtSend(channel, ot, pushed.ot_messages, ot_pads);
   }
-  size_t total_outputs = 0;
-  for (uint32_t count : pushed.output_counts) total_outputs += count;
-  BitVec result = RecvBits(channel);
-  if (result.size() != total_outputs) {
-    throw ProtocolError("garbler: peer reported " +
-                        std::to_string(result.size()) + " output bits, want " +
-                        std::to_string(total_outputs));
-  }
-  std::vector<BitVec> outputs(pushed.output_counts.size());
-  size_t offset = 0;
-  for (size_t i = 0; i < pushed.output_counts.size(); ++i) {
-    size_t count = pushed.output_counts[i];
-    outputs[i] = BitVec(count);
-    for (size_t j = 0; j < count; ++j) {
-      outputs[i].Set(j, result.Get(offset + j));
-    }
-    offset += count;
-  }
-  return outputs;
 }
 
-std::vector<BitVec> GcRunGarblerBatch(Channel& channel,
-                                      const std::vector<GcGarbleItem>& items,
-                                      OtExtSender& ot, Rng& rng,
-                                      GarblingScheme scheme, ThreadPool* pool,
-                                      OtSenderPadPool* ot_pads) {
+void GcRunGarblerBatch(Channel& channel, const std::vector<GcGarbleItem>& items,
+                       OtExtSender& ot, Rng& rng, GarblingScheme scheme,
+                       ThreadPool* pool, OtSenderPadPool* ot_pads) {
   GcGarblerPushed pushed =
       GcGarblerPushBatch(channel, items, rng, scheme, pool);
-  return GcGarblerOnlineBatch(channel, std::move(pushed), ot, ot_pads);
+  GcGarblerOnlineBatch(channel, std::move(pushed), ot, ot_pads);
 }
 
 GcEvaluatorPulled GcEvaluatorPullBatch(
@@ -329,18 +303,6 @@ std::vector<BitVec> GcEvaluatorOnlineBatch(Channel& channel,
   } else {
     for (size_t i = 0; i < n; ++i) eval_one(i, nullptr);
   }
-
-  // Report every item's outputs back in one frame.
-  {
-    obs::TraceSpan transfer("gc.transfer");
-    BitVec all_outputs;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < outputs[i].size(); ++j) {
-        all_outputs.PushBack(outputs[i].Get(j));
-      }
-    }
-    SendBits(channel, all_outputs);
-  }
   return outputs;
 }
 
@@ -357,11 +319,11 @@ std::vector<BitVec> GcRunEvaluatorBatch(Channel& channel,
                                 ot_pads);
 }
 
-BitVec GcRunGarbler(Channel& channel, const Circuit& circuit,
-                    const BitVec& garbler_bits, OtExtSender& ot, Rng& rng,
-                    GarblingScheme scheme, ThreadPool* pool) {
+void GcRunGarbler(Channel& channel, const Circuit& circuit,
+                  const BitVec& garbler_bits, OtExtSender& ot, Rng& rng,
+                  GarblingScheme scheme, ThreadPool* pool) {
   std::vector<GcGarbleItem> items = {GcGarbleItem{&circuit, &garbler_bits}};
-  return GcRunGarblerBatch(channel, items, ot, rng, scheme, pool)[0];
+  GcRunGarblerBatch(channel, items, ot, rng, scheme, pool);
 }
 
 BitVec GcRunEvaluator(Channel& channel, const Circuit& circuit,

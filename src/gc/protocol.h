@@ -1,13 +1,14 @@
 // Two-party Yao protocol over a Channel: the garbler (model owner / server)
 // garbles and sends the circuit material, the evaluator (patient / client)
-// obtains its input labels via IKNP OT, evaluates, and shares the decoded
-// outputs back. Semi-honest security, matching the paper's threat model.
+// obtains its input labels via IKNP OT, evaluates, and decodes the outputs
+// locally. Nothing flows back after the label OT, so the garbler learns no
+// output bit. Semi-honest security, matching the paper's threat model.
 //
 // The batch entry points run N independent circuits as one protocol
-// exchange: per-circuit table/label frames, then a single combined OT over
-// every evaluator input bit (one extension matrix + one transpose for the
-// whole batch), then one decode frame and one output frame. The single
-// runners are the 1-item special case, so the wire format is shared.
+// exchange: per-circuit table/label frames and one decode frame, then a
+// single combined OT over every evaluator input bit (one extension matrix
+// + one transpose for the whole batch). The single runners are the 1-item
+// special case, so the wire format is shared.
 //
 // Offline material plugs in at two points: a pre-garbled circuit (from
 // serve/precompute's GcPool) skips the online Garble call, and an OT pad
@@ -59,17 +60,15 @@ struct GcEvalItem {
 // input-independent byte — garbled tables, the garbler's active input
 // labels (the model encoding, fixed across queries), and the output-decode
 // bits — ahead of the query; what survives to the online half is only the
-// evaluator-label OT, evaluation, and the output report. GcRunGarblerBatch
-// (below) is push + online back to back on the same channel, so the wire
-// format is shared and the halves can be timed separately.
+// evaluator-label OT and evaluation. GcRunGarblerBatch (below) is push +
+// online back to back on the same channel, so the wire format is shared
+// and the halves can be timed separately.
 //
 // Garbler-side state carried from the push to the online half: the
-// evaluator input label pairs (the OT messages, batch order) and each
-// item's output-bit count for parsing the result frame. The garbled
+// evaluator input label pairs (the OT messages, batch order). The garbled
 // material itself is released when the push returns.
 struct GcGarblerPushed {
   std::vector<std::array<Block, 2>> ot_messages;
-  std::vector<uint32_t> output_counts;
 };
 
 // Evaluator-side material received by the pull half, held until the input
@@ -93,11 +92,9 @@ GcGarblerPushed GcGarblerPushBatch(
     ThreadPool* pool = nullptr);
 
 // The garbler's online half: one combined OT over every evaluator input
-// bit, then the output frame back from the evaluator.
-std::vector<BitVec> GcGarblerOnlineBatch(Channel& channel,
-                                         GcGarblerPushed pushed,
-                                         OtExtSender& ot,
-                                         OtSenderPadPool* ot_pads = nullptr);
+// bit. It ends on a send; the caller flushes a framed channel.
+void GcGarblerOnlineBatch(Channel& channel, GcGarblerPushed pushed,
+                          OtExtSender& ot, OtSenderPadPool* ot_pads = nullptr);
 
 // Receives the pushed material for `circuits` (sizes are demanded from the
 // known circuit shapes, not trusted from the wire).
@@ -105,21 +102,20 @@ GcEvaluatorPulled GcEvaluatorPullBatch(
     Channel& channel, const std::vector<const Circuit*>& circuits,
     GarblingScheme scheme = GarblingScheme::kHalfGates);
 
-// The evaluator's online half: combined OT for its own labels, evaluation
-// (parallel across items when `pool` is non-null), one output frame back.
-// `items` must name the same circuits, in order, as the pull.
+// The evaluator's online half: combined OT for its own labels, then
+// evaluation (parallel across items when `pool` is non-null) and local
+// decoding. `items` must name the same circuits, in order, as the pull.
 std::vector<BitVec> GcEvaluatorOnlineBatch(
     Channel& channel, GcEvaluatorPulled pulled,
     const std::vector<GcEvalItem>& items, OtExtReceiver& ot,
     ThreadPool* pool = nullptr, OtReceiverPadPool* ot_pads = nullptr);
 
-// Runs the garbler's side of a batch; returns each circuit's outputs (the
-// evaluator reports them back) in item order. A non-null `pool`
-// parallelizes garbling — across the batch when there are several fresh
-// items, inside the circuit (e.g. the member trees of a forest) for a
-// single one. `ot_pads`, when non-null and warm, derandomizes the label
-// OT (see ot/ot_pool.h).
-std::vector<BitVec> GcRunGarblerBatch(
+// Runs the garbler's side of a batch. The garbler learns no output: only
+// the evaluator decodes. A non-null `pool` parallelizes garbling — across
+// the batch when there are several fresh items, inside the circuit (e.g.
+// the member trees of a forest) for a single one. `ot_pads`, when non-null
+// and warm, derandomizes the label OT (see ot/ot_pool.h).
+void GcRunGarblerBatch(
     Channel& channel, const std::vector<GcGarbleItem>& items, OtExtSender& ot,
     Rng& rng, GarblingScheme scheme = GarblingScheme::kHalfGates,
     ThreadPool* pool = nullptr, OtSenderPadPool* ot_pads = nullptr);
@@ -134,10 +130,10 @@ std::vector<BitVec> GcRunEvaluatorBatch(
 
 // Single-circuit wrappers (1-item batches, same wire format), fully
 // online: a fresh garble and an unpooled label OT.
-BitVec GcRunGarbler(Channel& channel, const Circuit& circuit,
-                    const BitVec& garbler_bits, OtExtSender& ot, Rng& rng,
-                    GarblingScheme scheme = GarblingScheme::kHalfGates,
-                    ThreadPool* pool = nullptr);
+void GcRunGarbler(Channel& channel, const Circuit& circuit,
+                  const BitVec& garbler_bits, OtExtSender& ot, Rng& rng,
+                  GarblingScheme scheme = GarblingScheme::kHalfGates,
+                  ThreadPool* pool = nullptr);
 
 BitVec GcRunEvaluator(Channel& channel, const Circuit& circuit,
                       const BitVec& evaluator_bits, OtExtReceiver& ot,

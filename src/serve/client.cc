@@ -16,6 +16,14 @@
 
 namespace pafs::serve {
 
+namespace {
+
+// Each backoff sleep is scaled by a uniform factor in [1 - j, 1 + j] so a
+// shed client herd does not reconnect in lockstep.
+constexpr double kRetryJitterFraction = 0.25;
+
+}  // namespace
+
 ClassificationClient::ClassificationClient(const ClientConfig& config)
     : config_(config), rng_(config.seed) {
   // The injector outlives every reconnect, so a bounded FaultPlan keeps
@@ -185,7 +193,7 @@ void ClassificationClient::BackoffOrRethrow(int attempt,
   for (int i = 1; i < attempt; ++i) {
     backoff = std::min(backoff * 2, retry.max_backoff_seconds);
   }
-  double jitter = 1.0 + retry.jitter_fraction * (2 * rng_.NextDouble() - 1);
+  double jitter = 1.0 + kRetryJitterFraction * (2 * rng_.NextDouble() - 1);
   double sleep_seconds = std::max(0.0, backoff * jitter);
   if (retry.deadline_seconds > 0) {
     sleep_seconds = std::min(

@@ -34,17 +34,15 @@
 
 namespace pafs::serve {
 
-// Capped exponential backoff with jitter plus an overall deadline budget,
-// applied per query (and to the constructor's initial connect).
+// Capped exponential backoff with jitter (±25% per sleep) plus an overall
+// deadline budget, applied per query (and to the constructor's initial
+// connect).
 struct RetryPolicy {
   // Total tries per operation, the first included; 1 disables retry and
   // restores fail-on-first-fault semantics.
   int max_attempts = 4;
   double initial_backoff_seconds = 0.05;
   double max_backoff_seconds = 1.0;
-  // Each sleep is scaled by a uniform factor in [1 - jitter, 1 + jitter]
-  // so a shed client herd does not reconnect in lockstep.
-  double jitter_fraction = 0.25;
   // Budget across all attempts of one operation, backoff included; once
   // exceeded the last fault is rethrown. 0 = no overall deadline.
   double deadline_seconds = 30;

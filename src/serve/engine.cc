@@ -103,10 +103,9 @@ std::shared_ptr<const KeySpec> GarblerDriver::SpecFor(
   return spec;
 }
 
-std::vector<int> GarblerDriver::Run(Channel& channel,
-                                    const std::vector<std::vector<int>>& keys,
-                                    const GarblerSession& session) const {
-  const SessionSetup& setup = model_.setup;
+void GarblerDriver::Run(Channel& channel,
+                        const std::vector<std::vector<int>>& keys,
+                        const GarblerSession& session) const {
   const size_t n = keys.size();
   // NB and linear records share the session circuit (one pool key) but
   // each fold their disclosure values into their own garbler bits; linear
@@ -156,14 +155,9 @@ std::vector<int> GarblerDriver::Run(Channel& channel,
   if (!messages.empty()) {
     PooledOtSend(channel, session.ot, messages, session.ot_pads);
   }
-  std::vector<BitVec> outputs = GcRunGarblerBatch(
-      channel, items, session.ot, session.rng, GarblingScheme::kHalfGates,
-      ThreadPool::Global(), session.ot_pads);
-  std::vector<int> classes(n);
-  for (size_t i = 0; i < n; ++i) {
-    classes[i] = DecodeClassIndex(outputs[i], setup.num_classes);
-  }
-  return classes;
+  GcRunGarblerBatch(channel, items, session.ot, session.rng,
+                    GarblingScheme::kHalfGates, ThreadPool::Global(),
+                    session.ot_pads);
 }
 
 EvaluatorDriver::EvaluatorDriver(SessionSetup setup)

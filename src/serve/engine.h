@@ -14,8 +14,10 @@
 //     key. The garbler ships one prelude per distinct key in
 //     first-occurrence order; both ends derive that order from their own
 //     records, so the wire carries no index frames.
-// Then one batched GC exchange and the decoded class indices. The OT
-// endpoints arrive set up: whoever opened the session ran the base OTs.
+// Then one batched GC exchange, whose class indices only the evaluator
+// decodes: the garbler's last message is its label OT, and it learns
+// nothing but the disclosed values. The OT endpoints arrive set up:
+// whoever opened the session ran the base OTs.
 //
 // The pools are optional: null GC and OT pools give the fully online path
 // (PAFS_NO_POOL=1 serving, and the pipeline). Bytes, rounds and wall time
@@ -92,12 +94,10 @@ class GarblerDriver {
   ~GarblerDriver();
 
   // Runs one request's records (disclosure values in plan order, already
-  // range-checked) and returns the class the evaluator reported for each.
-  // The report is peer data: a wrong width or an index past num_classes
-  // throws ProtocolError.
-  std::vector<int> Run(Channel& channel,
-                       const std::vector<std::vector<int>>& keys,
-                       const GarblerSession& session) const;
+  // range-checked). It ends on a send: the caller's next Recv or Flush
+  // carries that flight out of a framed channel.
+  void Run(Channel& channel, const std::vector<std::vector<int>>& keys,
+           const GarblerSession& session) const;
 
  private:
   std::shared_ptr<const KeySpec> SpecFor(const std::vector<int>& key,

@@ -26,8 +26,8 @@ inline constexpr uint64_t kHelloClientSends = kFrameSends;
 inline constexpr uint64_t kRequestHeadSends = kFrameSends;
 // A one-record naive-Bayes query's flights past its request: the
 // evaluator's input-label OT (a pool miss's flag and IKNP columns, or a
-// pool hit's corrections), the output report with the refill ask, and
-// the granted refill's IKNP columns before the completion ack.
+// pool hit's corrections), the refill ask, and the granted refill's IKNP
+// columns before the completion ack.
 inline constexpr uint64_t kNbQueryTailSends = 3 * kFrameSends;
 
 }  // namespace pafs

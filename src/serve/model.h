@@ -48,8 +48,11 @@ namespace serve {
 // v9 runs the base OTs in three flights on edwards25519 (the client's A,
 // every B_j in one frame, every masked seed pair in one frame) instead of
 // one round trip per base OT over a 1024-bit MODP group.
+// v10 drops the evaluator's output report: the client decodes its class
+// locally and the server learns only the disclosed values, so a request's
+// third client flight carries the refill ask alone.
 inline constexpr uint64_t kWireMagic = 0x5652455353464150ull;
-inline constexpr uint64_t kWireVersion = 9;
+inline constexpr uint64_t kWireVersion = 10;
 
 // Bounds on the limits a server announces in the handshake: a server
 // clamps its config to them, a client rejects anything past them typed.
@@ -151,10 +154,10 @@ ClientHello RecvClientHello(Channel& channel);
 std::vector<uint8_t> RecvTicketFrame(Channel& channel);
 
 // Decodes a classifier circuit's output word (BitsFor(num_classes) bits,
-// little-endian) into a class index. Each end decodes bits its peer
-// shaped — the server the client's output report, the client bits masked
-// by the server's decode frame — so a wrong width or an index past
-// num_classes is a ProtocolError, never an abort.
+// little-endian) into a class index. Only the client decodes, and the bits
+// it decodes come out of the server's decode frame, which is peer data: a
+// wrong width or an index past num_classes is a ProtocolError, never an
+// abort.
 int DecodeClassIndex(const BitVec& output, int num_classes);
 
 // True when PAFS_NO_RESUME is set to a nonzero value: both ends then run

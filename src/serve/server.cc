@@ -584,8 +584,6 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
       std::lock_guard<std::mutex> lock(mu_);
       stats_.ot_pads_precomputed += added;
     }
-    // The outputs are the client's report: a forged class index fails the
-    // session typed inside the driver.
     driver_.Run(qch, keys,
                 GarblerSession{s.ot, s.rng, s.specs, s.precompute.gc_pool(),
                                ot_pads});

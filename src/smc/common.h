@@ -89,7 +89,7 @@ CircuitPrelude RecvCircuitPrelude(Channel& channel,
 
 // Outcome of one secure classification, with the traffic it consumed.
 struct SmcRunStats {
-  int predicted_class = -1;
+  int predicted_class = -1;  // The evaluator's answer; -1 on the garbler.
   uint64_t bytes = 0;
   uint64_t rounds = 0;
   double wall_seconds = 0;  // Compute only; add NetworkProfile time for WAN.

@@ -140,10 +140,9 @@ SmcRunStats SecureLinearProtocol::RunServer(Channel& channel,
   for (int c = 0; c < num_classes_; ++c) {
     AppendSigned(garbler_bits, masks[c], kLinearScoreBits);
   }
-  BitVec out = GcRunGarbler(channel, circuit_, garbler_bits, ot, rng, scheme);
+  GcRunGarbler(channel, circuit_, garbler_bits, ot, rng, scheme);
 
   SmcRunStats stats;
-  stats.predicted_class = static_cast<int>(out.ToU64(0, index_bits_));
   stats.bytes = channel.stats().bytes_sent - bytes_before;
   stats.rounds = channel.stats().direction_flips - rounds_before;
   stats.wall_seconds = timer.ElapsedSeconds();

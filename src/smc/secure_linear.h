@@ -62,7 +62,7 @@ class SecureLinearProtocol {
   // pooled Paillier randomness: precomputed pads replace the online r^n
   // modexps when available, with an inline fallback per op when the pool
   // runs dry (bit-identical client output for the same rng stream either
-  // way; see crypto/paillier_pool.h).
+  // way; see crypto/paillier_pool.h). Only the client learns the class.
   SmcRunStats RunServer(Channel& channel, const LinearModel& model,
                         const std::map<int, int>& disclosed, OtExtSender& ot,
                         Rng& rng,

@@ -125,10 +125,9 @@ SmcRunStats SecureLinearAbyProtocol::RunServer(
   std::vector<std::array<Block, 2>> messages =
       ShareMessages(model, disclosed, rng, &garbler_bits);
   if (!messages.empty()) ot.Send(channel, messages);
-  BitVec out = GcRunGarbler(channel, circuit_, garbler_bits, ot, rng, scheme);
+  GcRunGarbler(channel, circuit_, garbler_bits, ot, rng, scheme);
 
   SmcRunStats stats;
-  stats.predicted_class = static_cast<int>(out.ToU64(0, index_bits_));
   stats.bytes = channel.stats().bytes_sent - bytes_before;
   stats.rounds = channel.stats().direction_flips - rounds_before;
   stats.wall_seconds = timer.ElapsedSeconds();

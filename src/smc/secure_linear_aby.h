@@ -60,6 +60,7 @@ class SecureLinearAbyProtocol {
 
   // In-process runners (F16, tests): the pieces above over ot.Send/Recv,
   // then the garbled argmax. Both OT endpoints must already be Setup.
+  // Only the client learns the class.
   SmcRunStats RunServer(Channel& channel, const LinearModel& model,
                         const std::map<int, int>& disclosed, OtExtSender& ot,
                         Rng& rng,

@@ -211,14 +211,14 @@ TEST(ChaosTest, GarbledCircuitSurvivesEveryFaultKind) {
   for (const ChaosCase& c : ChaosMatrix()) {
     SCOPED_TRACE(CaseLabel(c));
     PartyOutcome server, client;
-    BitVec server_got(0), client_got(0);
+    BitVec client_got(0);
     bool no_hang = RunChaos(
         MakePlan(c),
         [&](Channel& ch) {
           OtExtSender ot;
           Rng rng(c.seed * 11 + 1);
           ot.Setup(ch, rng);
-          server_got = GcRunGarbler(ch, circuit, gbits, ot, rng);
+          GcRunGarbler(ch, circuit, gbits, ot, rng);
         },
         [&](Channel& ch) {
           OtExtReceiver ot;
@@ -229,9 +229,6 @@ TEST(ChaosTest, GarbledCircuitSurvivesEveryFaultKind) {
         &server, &client);
     ASSERT_TRUE(no_hang) << "run hung until the watchdog killed it";
     CheckOutcome(c, server, client);
-    if (server.ok) {
-      EXPECT_TRUE(server_got == expected);
-    }
     if (client.ok) {
       EXPECT_TRUE(client_got == expected);
     }
@@ -325,14 +322,14 @@ TEST(ChaosTest, PaillierLinearSurvivesEveryFaultKind) {
   for (const ChaosCase& c : ChaosMatrix()) {
     SCOPED_TRACE(CaseLabel(c));
     PartyOutcome server, client;
-    SmcRunStats server_stats, client_stats;
+    SmcRunStats client_stats;
     bool no_hang = RunChaos(
         MakePlan(c),
         [&](Channel& ch) {
           OtExtSender ot;
           Rng rng(c.seed * 31 + 7);
           ot.Setup(ch, rng);
-          server_stats = protocol.RunServer(ch, model, {}, ot, rng);
+          protocol.RunServer(ch, model, {}, ot, rng);
         },
         [&](Channel& ch) {
           OtExtReceiver ot;
@@ -343,10 +340,9 @@ TEST(ChaosTest, PaillierLinearSurvivesEveryFaultKind) {
         &server, &client);
     ASSERT_TRUE(no_hang) << "run hung until the watchdog killed it";
     CheckOutcome(c, server, client);
-    if (server.ok && client.ok) {
-      // Both finished: they must agree on a valid class (fixed-point
-      // near-ties make exact plaintext agreement too strict here).
-      EXPECT_EQ(server_stats.predicted_class, client_stats.predicted_class);
+    if (client.ok) {
+      // The client decoded a valid class (fixed-point near-ties make exact
+      // plaintext agreement too strict here).
       EXPECT_GE(client_stats.predicted_class, 0);
       EXPECT_LT(client_stats.predicted_class, data.num_classes());
     }
@@ -378,8 +374,10 @@ TEST_F(PipelineChaosTest, DropMidQueryIsRetriedTransparently) {
   PipelineConfig config = BaseConfig();
   config.fault_plan.kind = FaultKind::kDrop;
   config.fault_plan.seed = 3;
-  // Past the base OTs and the disclosure: the query's OT flight.
-  config.fault_plan.first_op = kBaseOtClientSends + kFrameSends;
+  // The query's label-OT flight. The disclosure leaves in the same flight
+  // as the masked seed pairs (the client receives nothing in between), so
+  // this is the first flight past the base OTs, and the client's last.
+  config.fault_plan.first_op = kBaseOtClientSends;
   config.fault_plan.max_faults = 1;
   SecureClassificationPipeline pipeline(data_, config);
   const std::vector<int>& row = data_.row(7);
@@ -392,8 +390,8 @@ TEST_F(PipelineChaosTest, DisconnectMidQueryIsRetriedTransparently) {
   PipelineConfig config = BaseConfig();
   config.fault_plan.kind = FaultKind::kDisconnect;
   config.fault_plan.seed = 9;
-  // The disclosure, the query's first client flight past the base OTs.
-  config.fault_plan.first_op = kBaseOtClientSends;
+  // The disclosure, which rides in the masked seed pairs' flight.
+  config.fault_plan.first_op = kBaseOtClientSends - kFrameSends;
   config.fault_plan.max_faults = 1;
   SecureClassificationPipeline pipeline(data_, config);
   const std::vector<int>& row = data_.row(13);
@@ -500,14 +498,14 @@ TEST(SocketChaosTest, GarbledCircuitSurvivesFaultMatrixOverTcp) {
   for (const ChaosCase& c : ChaosMatrix()) {
     SCOPED_TRACE(CaseLabel(c));
     PartyOutcome server, client;
-    BitVec server_got(0), client_got(0);
+    BitVec client_got(0);
     bool no_hang = RunChaosOverTcp(
         MakePlan(c),
         [&](Channel& ch) {
           OtExtSender ot;
           Rng rng(c.seed * 41 + 1);
           ot.Setup(ch, rng);
-          server_got = GcRunGarbler(ch, circuit, gbits, ot, rng);
+          GcRunGarbler(ch, circuit, gbits, ot, rng);
         },
         [&](Channel& ch) {
           OtExtReceiver ot;
@@ -518,9 +516,6 @@ TEST(SocketChaosTest, GarbledCircuitSurvivesFaultMatrixOverTcp) {
         &server, &client);
     ASSERT_TRUE(no_hang) << "run hung until the watchdog killed it";
     CheckOutcome(c, server, client);
-    if (server.ok) {
-      EXPECT_TRUE(server_got == expected);
-    }
     if (client.ok) {
       EXPECT_TRUE(client_got == expected);
     }

@@ -116,7 +116,7 @@ class SecureForestTest : public ForestTest {
 
   // One secure classification of `row` through the serving protocol
   // drivers, with the `plan` features disclosed and both parties in this
-  // process. The garbler's decoded class must match the evaluator's.
+  // process. Only the evaluator learns the class.
   serve::EvaluatorResult RunSecure(std::vector<int> plan,
                                    const std::vector<int>& row) {
     serve::ServingModel model;
@@ -130,17 +130,14 @@ class SecureForestTest : public ForestTest {
     serve::SpecMap specs;
     std::vector<int> key;
     for (int f : model.setup.plan_features) key.push_back(row[f]);
-    std::vector<int> server_classes;
     std::thread server([&] {
-      server_classes =
-          garbler.Run(channel_.endpoint(0), {key},
-                      serve::GarblerSession{ot_sender_, server_rng_, specs});
+      garbler.Run(channel_.endpoint(0), {key},
+                  serve::GarblerSession{ot_sender_, server_rng_, specs});
     });
     serve::EvaluatorResult result =
         evaluator.Run(channel_.endpoint(1), {row},
                       serve::EvaluatorSession{ot_receiver_});
     server.join();
-    EXPECT_EQ(server_classes, result.classes);
     return result;
   }
 

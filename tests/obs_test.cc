@@ -408,7 +408,8 @@ TEST_F(ObsTest, RetriedQueryAppearsInReport) {
   config.retry_backoff_seconds = 0.001;
   config.fault_plan.kind = FaultKind::kDrop;
   config.fault_plan.seed = 2;
-  // The disclosure flight, the first client send past the base OTs.
+  // The query's label-OT flight, the first client send past the base OTs
+  // (the disclosure leaves with the masked seed pairs).
   config.fault_plan.first_op = kBaseOtClientSends;
   config.fault_plan.max_faults = 1;
   SecureClassificationPipeline pipeline(data, config);

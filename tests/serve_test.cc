@@ -111,7 +111,9 @@ void SendQueryHead(Channel& ch, uint64_t id, const serve::SessionSetup& setup,
 
 // The client half of a raw request on a serving session: the evaluator
 // driver for the announced setup, on a caller-held OT stream (and pad pool,
-// when given) so tests can snapshot and rewind it. Returns each row's class.
+// when given) so tests can snapshot and rewind it. It decodes locally and
+// sends nothing after the label OT; the caller runs the refill tail.
+// Returns each row's class.
 std::vector<int> RunRawClient(Channel& ch, const serve::SessionSetup& setup,
                               const std::vector<std::vector<int>>& rows,
                               OtExtReceiver& ot,
@@ -121,41 +123,26 @@ std::vector<int> RunRawClient(Channel& ch, const serve::SessionSetup& setup,
       .classes;
 }
 
-// Channel decorator that forges the evaluator's output report as all-ones.
-// The report goes out as a u64 bit count, a u64 byte count, then the
-// bytes; the decorator matches it by that header, which no other frame
-// pair of a one-record query repeats.
-class ForgedReportChannel final : public Channel {
+// Garbler-side channel decorator that counts the bytes received since the
+// party's last send: zero when a run ends on a send.
+class RecvAfterSendChannel final : public Channel {
  public:
-  ForgedReportChannel(Channel& inner, uint64_t report_bits)
-      : inner_(inner), bits_(report_bits), bytes_((report_bits + 7) / 8) {}
+  explicit RecvAfterSendChannel(Channel& inner) : inner_(inner) {}
 
   void Send(const uint8_t* data, size_t n) override {
-    if (last_[0] == bits_ && last_[1] == bytes_ && n == bytes_) {
-      std::vector<uint8_t> ones(n, 0xFF);
-      inner_.Send(ones.data(), n);
-      ++forged;
-    } else {
-      inner_.Send(data, n);
-    }
-    uint64_t value = ~0ull;  // Not a u64 frame.
-    if (n == 8) {
-      value = 0;
-      for (int i = 7; i >= 0; --i) value = (value << 8) | data[i];
-    }
-    last_[0] = last_[1];
-    last_[1] = value;
+    received_since_send = 0;
+    inner_.Send(data, n);
   }
-  void Recv(uint8_t* data, size_t n) override { inner_.Recv(data, n); }
+  void Recv(uint8_t* data, size_t n) override {
+    inner_.Recv(data, n);
+    received_since_send += n;
+  }
   const ChannelStats& stats() const override { return inner_.stats(); }
 
-  int forged = 0;
+  uint64_t received_since_send = 0;
 
  private:
   Channel& inner_;
-  uint64_t bits_;
-  uint64_t bytes_;
-  uint64_t last_[2] = {~0ull, ~0ull};
 };
 
 // Polls a server-stats predicate; the serving path is asynchronous, so
@@ -903,49 +890,52 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
   }
 }
 
-TEST_F(ServeTest, ForgedOutputReportFailsSessionTyped) {
-  // The server decodes the output bits the client reports. A client that
-  // reports a class index past num_classes (all-ones on the 3-class
-  // model's 2 output bits) must fail its own session typed, not abort the
-  // server process every other session lives in.
+TEST_F(ServeTest, GarblerReceivesNothingAfterItsLabelOt) {
+  // The class stays with the client: the garbler driver's last message is
+  // its label OT, and it has read everything the evaluator sent by then,
+  // so no output report (or any other frame) follows.
   for (ClassifierKind kind :
        {ClassifierKind::kNaiveBayes, ClassifierKind::kDecisionTree,
         ClassifierKind::kLinear, ClassifierKind::kForest}) {
     SCOPED_TRACE(ClassifierName(kind));
     auto pipeline = MakePipeline(kind);
-    ClassificationServer server(ServingModel::FromPipeline(*pipeline),
-                                ServerConfig{});
-    server.Start();
-    const std::vector<int>& row = data_.row(9);
+    ServingModel model = ServingModel::FromPipeline(*pipeline);
+    MemChannelPair pair;
+    OtExtSender sender;
+    OtExtReceiver receiver;
+    Rng garbler_rng(5), evaluator_rng(6);
+    std::thread setup([&] { sender.Setup(pair.endpoint(0), garbler_rng); });
+    receiver.Setup(pair.endpoint(1), evaluator_rng);
+    setup.join();
 
-    auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
-    socket->set_recv_timeout_seconds(30 * kTimeScale);
-    FramedChannel framed(*socket);
-    OtExtReceiver ot;
-    serve::SessionSetup setup = RawHandshake(framed, &ot);
-    ASSERT_EQ(setup.num_classes, 3);  // All-ones on 2 bits decodes to 3.
-    ForgedReportChannel forged(framed, BitsFor(setup.num_classes));
-    EXPECT_THROW(
-        {
-          SendQueryHead(forged, 1, setup, row);
-          EXPECT_EQ(forged.RecvU64(),
-                    static_cast<uint64_t>(serve::ReplyStatus::kOk));
-          RunRawClient(forged, setup, {row}, ot);
-          forged.SendU64(0);  // Refill tail; the server has hung up.
-          (void)forged.RecvU64();
-        },
-        TransportError);
-    EXPECT_EQ(forged.forged, 1);
-    ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 1; }));
-    EXPECT_EQ(server.stats().sessions_failed, 1u);
-    EXPECT_EQ(server.stats().queries_served, 0u);
+    const std::vector<std::vector<int>> rows = {data_.row(3), data_.row(40)};
+    std::vector<std::vector<int>> keys;
+    for (const std::vector<int>& row : rows) {
+      std::vector<int>& key = keys.emplace_back();
+      for (int f : model.setup.plan_features) key.push_back(row[f]);
+    }
+    const uint64_t evaluator_sent_before = pair.endpoint(1).stats().bytes_sent;
+    const uint64_t garbler_received_before =
+        pair.endpoint(0).stats().bytes_received;
+    RecvAfterSendChannel garbler_ch(pair.endpoint(0));
+    serve::GarblerDriver garbler(model, model.setup.plan_features);
+    serve::SpecMap specs;
+    std::thread server([&] {
+      garbler.Run(garbler_ch, keys,
+                  serve::GarblerSession{sender, garbler_rng, specs});
+    });
+    serve::EvaluatorResult result =
+        serve::EvaluatorDriver(model.setup)
+            .Run(pair.endpoint(1), rows, serve::EvaluatorSession{receiver});
+    server.join();
 
-    // The server keeps serving everyone else.
-    ClassificationClient client(ClientFor(server));
-    EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
-    client.Close();
-    server.Stop();
-    EXPECT_EQ(server.stats().sessions_failed, 1u);
+    EXPECT_EQ(garbler_ch.received_since_send, 0u);
+    EXPECT_EQ(pair.endpoint(0).stats().bytes_received - garbler_received_before,
+              pair.endpoint(1).stats().bytes_sent - evaluator_sent_before);
+    ASSERT_EQ(result.classes.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(result.classes[i], pipeline->PlaintextPredict(rows[i]));
+    }
   }
 }
 

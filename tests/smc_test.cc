@@ -58,8 +58,7 @@ class SmcTest : public ::testing::Test {
 
   // One secure classification of `row` through the serving protocol
   // drivers, both parties in this process over the fixture's channel and
-  // OT session (opened by SetUpOt). The garbler's decoded class must match
-  // the evaluator's.
+  // OT session (opened by SetUpOt). Only the evaluator learns the class.
   serve::EvaluatorResult RunDrivers(const serve::ServingModel& model,
                                     const std::vector<int>& row) {
     serve::GarblerDriver garbler(model, model.setup.plan_features);
@@ -67,17 +66,14 @@ class SmcTest : public ::testing::Test {
     serve::SpecMap specs;
     std::vector<int> key;
     for (int f : model.setup.plan_features) key.push_back(row[f]);
-    std::vector<int> server_classes;
     std::thread server([&] {
-      server_classes =
-          garbler.Run(channel_.endpoint(0), {key},
-                      serve::GarblerSession{ot_sender_, server_rng_, specs});
+      garbler.Run(channel_.endpoint(0), {key},
+                  serve::GarblerSession{ot_sender_, server_rng_, specs});
     });
     serve::EvaluatorResult result =
         evaluator.Run(channel_.endpoint(1), {row},
                       serve::EvaluatorSession{ot_receiver_});
     server.join();
-    EXPECT_EQ(server_classes, result.classes);
     return result;
   }
 
@@ -224,7 +220,7 @@ TEST_F(SmcTest, SecureLinearMatchesPlaintext) {
     client_stats = protocol.RunClient(channel_.endpoint(1), keys, row,
                                       ot_receiver_, client_rng_);
     server.join();
-    EXPECT_EQ(server_stats.predicted_class, client_stats.predicted_class);
+    EXPECT_EQ(server_stats.predicted_class, -1);  // Only the client decodes.
     if (client_stats.predicted_class != linear_.Predict(row)) {
       ++fixed_point_flips;  // Allowed only on near-ties from quantization.
     }
@@ -283,7 +279,7 @@ TEST_F(SmcTest, SecureLinearPooledMatchesUnpooledAndPlaintext) {
                          client_rng_, GarblingScheme::kHalfGates, &client_pool);
   server.join();
 
-  EXPECT_EQ(server_stats.predicted_class, client_stats.predicted_class);
+  EXPECT_EQ(server_stats.predicted_class, -1);  // Only the client decodes.
   EXPECT_EQ(client_stats.predicted_class, base_stats.predicted_class);
   EXPECT_EQ(client_pool.stats().hits, static_cast<uint64_t>(client_pads));
   EXPECT_EQ(client_pool.stats().misses, 0u);
@@ -327,10 +323,10 @@ TEST_F(SmcTest, SecureLinearWithDisclosure) {
     std::map<int, int> disclosed = DiscloseFor(row, disclosure);
     SecureLinearProtocol protocol(data_.features(), data_.num_classes(),
                                   disclosed);
-    SmcRunStats server_stats, client_stats;
+    SmcRunStats client_stats;
     std::thread server([&] {
-      server_stats = protocol.RunServer(channel_.endpoint(0), linear_,
-                                        disclosed, ot_sender_, server_rng_);
+      protocol.RunServer(channel_.endpoint(0), linear_, disclosed, ot_sender_,
+                         server_rng_);
     });
     client_stats = protocol.RunClient(channel_.endpoint(1), keys, row,
                                       ot_receiver_, client_rng_);
@@ -366,7 +362,7 @@ TEST_F(SmcTest, AbyLinearMatchesFixedPointPlaintext) {
     });
     client_stats = protocol.RunClient(channel_.endpoint(1), row, ot_receiver_);
     server.join();
-    EXPECT_EQ(server_stats.predicted_class, client_stats.predicted_class);
+    EXPECT_EQ(server_stats.predicted_class, -1);  // Only the client decodes.
     // Exact fixed-point reference (shares reconstruct exactly).
     auto w = linear_.FixedWeights(kSmcScale);
     auto b = linear_.FixedBias(kSmcScale);
