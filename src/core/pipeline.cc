@@ -178,8 +178,10 @@ std::vector<int> SecureClassificationPipeline::RunProtocolOnce(
     client_channel->set_recv_timeout_seconds(recv_timeout);
   }
 
-  uint64_t bytes_before = channel_->TotalBytes();
-  uint64_t rounds_before = channel_->TotalRounds();
+  // The stats cover this query alone: both endpoints start fresh, so the
+  // flips count every one-way leg but the opening one, whichever party
+  // sends it and however the previous query ended.
+  channel_->ResetStats();
   Timer timer;
   // The first attempt on a fresh session (after construction or
   // ResetSession) opens it: each party runs its base OTs before the
@@ -269,8 +271,8 @@ std::vector<int> SecureClassificationPipeline::RunProtocolOnce(
 
   stats->predicted_class = client_result.classes.back();
   stats->and_gates = client_result.and_gates;
-  stats->bytes = channel_->TotalBytes() - bytes_before;
-  stats->rounds = channel_->TotalRounds() - rounds_before;
+  stats->bytes = channel_->TotalBytes();
+  stats->rounds = stats->bytes > 0 ? channel_->TotalRounds() + 1 : 0;
   stats->wall_seconds = timer.ElapsedSeconds();
   return client_result.classes;
 }

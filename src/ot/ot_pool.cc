@@ -1,5 +1,6 @@
 #include "ot/ot_pool.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -310,6 +311,22 @@ std::vector<Block> PooledOtRecv(Channel& channel, OtExtReceiver& ot,
     out[j] = flat[2 * j + (choices.Get(j) ? 1 : 0)] ^ pads[j];
   }
   return out;
+}
+
+void RefillReceiverPads(Channel& channel, OtExtReceiver& ot, Rng& rng,
+                        OtReceiverPadPool* pool) {
+  if (pool == nullptr) return;
+  const size_t count = std::min(pool->Deficit(), kMaxOtRefillPads);
+  if (count > 0) pool->Append(ot.RecvRandom(channel, rng, count));
+}
+
+void RefillSenderPads(Channel& channel, OtExtSender& ot,
+                      OtSenderPadPool* pool) {
+  if (pool == nullptr) return;
+  const size_t count = std::min(pool->Deficit(), kMaxOtRefillPads);
+  if (count > 0) {
+    pool->AddPending(count, ot.ReceiveRandomColumns(channel, count));
+  }
 }
 
 }  // namespace pafs

@@ -14,6 +14,13 @@
 // the sender refuses a mismatch (ProtocolError "ot pad pool desync") rather
 // than silently producing garbage labels.
 //
+// Lockstep refill: both pools have one target depth (the serving handshake
+// announces it) and lose the same pads on every pooled transfer, so their
+// deficits are equal. Each end derives a request's refill, min(deficit,
+// kMaxOtRefillPads) random OTs, from its own pool: the receiver sends that
+// many IKNP columns unasked, the sender reads exactly that many, and no
+// count crosses the wire. A pool out of step fails typed on the frame size.
+//
 // Refill determinism (serving-layer resumption): a refill is an extension
 // pass over the column PRGs, so pads are a pure function of OT-stream state
 // the resumption snapshot already covers. The client refills only inside a
@@ -42,9 +49,13 @@
 #include "net/channel.h"
 #include "ot/iknp.h"
 #include "util/bitvec.h"
+#include "util/random.h"
 #include "util/serial.h"
 
 namespace pafs {
+
+// Cap on one lockstep refill: a deeper pool fills over several requests.
+inline constexpr size_t kMaxOtRefillPads = size_t{1} << 16;
 
 // Sender-side pool: pad pairs {H(q_j), H(q_j ^ s)} awaiting derandomized
 // sends, plus not-yet-expanded column batches parked for an idle worker.
@@ -160,6 +171,13 @@ void PooledOtSend(Channel& channel, OtExtSender& ot,
 std::vector<Block> PooledOtRecv(Channel& channel, OtExtReceiver& ot,
                                 const BitVec& choices,
                                 OtReceiverPadPool* pool);
+
+// The lockstep refill (file comment), run by both ends at the same point:
+// the receiver sends the columns (RecvRandom), the sender parks them with
+// AddPending for an idle worker to expand. A null pool refills nothing.
+void RefillReceiverPads(Channel& channel, OtExtReceiver& ot, Rng& rng,
+                        OtReceiverPadPool* pool);
+void RefillSenderPads(Channel& channel, OtExtSender& ot, OtSenderPadPool* pool);
 
 }  // namespace pafs
 

@@ -127,10 +127,9 @@ RiskReport DisclosureRisk::EvaluateWithLabel(
     const std::vector<int>& disclosure_set) const {
   const Dataset& data = *background_;
   std::vector<int> cells(data.size(), 0);
-  int num_cells = 1;
   std::vector<int> refined;
   for (int f : disclosure_set) {
-    num_cells = RefinePartition(data, cells, f, &refined);
+    RefinePartition(data, cells, f, &refined);
     cells.swap(refined);
   }
   // One extra refinement by the label column.

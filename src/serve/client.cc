@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <string>
 #include <thread>
 
 #include "net/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/precompute.h"
 #include "util/check.h"
 #include "util/serial.h"
 #include "util/timer.h"
@@ -21,6 +19,8 @@ namespace {
 // Each backoff sleep is scaled by a uniform factor in [1 - j, 1 + j] so a
 // shed client herd does not reconnect in lockstep.
 constexpr double kRetryJitterFraction = 0.25;
+// Bound on one TCP/UDS connect; a retry follows a timeout like any fault.
+constexpr double kConnectTimeoutSeconds = 5;
 
 }  // namespace
 
@@ -47,7 +47,7 @@ void ClassificationClient::ConnectOnce() {
   // faulty_/socket_, faulty_ references socket_.
   framed_.reset();
   faulty_.reset();
-  socket_ = SocketConnect(config_.address, config_.connect_timeout_seconds);
+  socket_ = SocketConnect(config_.address, kConnectTimeoutSeconds);
   socket_->set_recv_timeout_seconds(config_.recv_timeout_seconds);
   Channel* wire = socket_.get();
   if (injector_.has_value()) {
@@ -102,11 +102,12 @@ void ClassificationClient::ConnectOnce() {
   // A new server session means new base OTs: the old extension state is
   // bound to the dead session's sender. Same for OT pads: the pool's
   // entries pair with the dead session's sender stream, so a fresh session
-  // starts from an empty pool (the first query's refill tail warms it).
+  // starts from an empty pool (the first query's refill warms it). The
+  // pool mirrors the server's: present exactly when the announced depth is.
   ot_ = OtExtReceiver();
   ot_.Setup(*framed_, rng_);
   const int pool_depth = driver_->setup().ot_pool_depth;
-  if (pool_depth > 0 && !PoolsDisabledByEnv()) {
+  if (pool_depth > 0) {
     ot_pads_ =
         std::make_unique<OtReceiverPadPool>(static_cast<size_t>(pool_depth));
   } else {
@@ -135,7 +136,6 @@ void ClassificationClient::SnapshotState() {
   rng_.Serialize(writer);
   ot_pads_snapshot_.clear();
   ByteWriter pads_writer(&ot_pads_snapshot_);
-  pads_writer.U32(ot_pads_ != nullptr ? 1 : 0);
   if (ot_pads_ != nullptr) ot_pads_->Serialize(pads_writer);
   snapshot_next_query_id_ = next_query_id_;
 }
@@ -144,18 +144,13 @@ void ClassificationClient::RestoreSnapshot() {
   ot_ = OtExtReceiver::Deserialize(ot_snapshot_);
   ByteReader reader(rng_snapshot_);
   rng_ = Rng::Deserialize(reader);
-  // OT pads are covered by the snapshot (the pool was serialized
-  // post-refill-tail), so a replayed retry re-spends the exact pads the
-  // transcript's corrections were computed from.
-  ByteReader pads_reader(ot_pads_snapshot_);
-  if (pads_reader.U32() == 1) {
-    if (ot_pads_ == nullptr) {
-      ot_pads_ = std::make_unique<OtReceiverPadPool>(
-          static_cast<size_t>(std::max(setup().ot_pool_depth, 1)));
-    }
+  // OT pads are covered by the snapshot (the pool was serialized after the
+  // refill), so a replayed retry re-spends the exact pads the transcript's
+  // corrections were computed from. The pool itself exists or not as the
+  // session's setup decided, which a resume keeps.
+  if (ot_pads_ != nullptr) {
+    ByteReader pads_reader(ot_pads_snapshot_);
     ot_pads_->Restore(pads_reader);
-  } else {
-    ot_pads_.reset();
   }
   next_query_id_ = snapshot_next_query_id_;
 }
@@ -295,10 +290,9 @@ void ClassificationClient::RunOnce(const std::vector<std::vector<int>>& rows,
   RecvAdmissionAck(ch);
   EvaluatorResult result =
       driver_->Run(ch, rows, EvaluatorSession{ot_, ot_pads_.get()});
-  // Refill tail (v4): top the receiver pad pool up while the round trip is
-  // already paid, before the commit point so the snapshot below covers the
-  // refilled pool.
-  ClientOtRefillTail(ch);
+  // The lockstep refill: its columns ride ahead of the completion ack,
+  // before the commit point so the snapshot below covers the refilled pool.
+  RefillReceiverPads(ch, ot_, rng_, ot_pads_.get());
   RecvCompletionAck(ch);
   stats->bytes += wire.bytes_sent + wire.bytes_received - bytes_before;
   stats->rounds += wire.direction_flips - rounds_before;
@@ -354,24 +348,6 @@ void ClassificationClient::RecvCompletionAck(Channel& ch) {
   }
   if (status != static_cast<uint64_t>(ReplyStatus::kOk)) {
     throw ProtocolError("serve client: malformed completion ack");
-  }
-}
-
-void ClassificationClient::ClientOtRefillTail(Channel& ch) {
-  // Receiver-driven: ask for the pool's deficit (0 when pooling is off —
-  // the server answers 0 in kind, so the tail costs two u64 frames). The
-  // server may grant less, never more.
-  uint64_t wanted = ot_pads_ != nullptr ? ot_pads_->Deficit() : 0;
-  ch.SendU64(wanted);
-  uint64_t granted = ch.RecvU64();
-  if (granted > wanted) {
-    throw ProtocolError("serve client: OT refill grant " +
-                        std::to_string(granted) + " exceeds request " +
-                        std::to_string(wanted));
-  }
-  if (granted > 0) {
-    obs::TraceSpan span("serve.client.ot_refill");
-    ot_pads_->Append(ot_.RecvRandom(ch, rng_, static_cast<size_t>(granted)));
   }
 }
 

@@ -50,7 +50,6 @@ struct RetryPolicy {
 
 struct ClientConfig {
   SocketAddress address;
-  double connect_timeout_seconds = 5;
   // Per-Recv deadline; generous because a loaded server may queue this
   // session's request behind num_threads running protocols.
   double recv_timeout_seconds = 60;
@@ -122,8 +121,8 @@ class ClassificationClient {
   uint64_t resumes() const { return resumes_; }
 
   // Pads ready in the receiver-side OT pool. The pool's target is the
-  // depth the server announced in the handshake (no pool when that is 0
-  // or PAFS_NO_POOL=1 is set here); the in-query refill tail tops it up.
+  // depth the server announced in the handshake (no pool when that is 0);
+  // every request's lockstep refill tops it up.
   size_t ot_pads_ready() const {
     return ot_pads_ != nullptr ? ot_pads_->depth() : 0;
   }
@@ -162,10 +161,6 @@ class ClassificationClient {
   void RecvCompletionAck(Channel& ch);
   // Programmer-error check: one in-range value for every schema feature.
   void CheckRow(const std::vector<int>& row) const;
-  // The v4 refill tail, run between the protocol and the completion ack:
-  // asks the server for the receiver pool's deficit in random OTs and
-  // absorbs whatever it grants.
-  void ClientOtRefillTail(Channel& ch);
   // Checkpoints ot_/rng_/next_query_id_ so a later kResumed handshake can
   // rewind to exactly the state the server's cached snapshot pairs with.
   void SnapshotState();
@@ -182,9 +177,9 @@ class ClassificationClient {
   // The evaluator driver for the announced setup; rebuilt on every fresh
   // handshake, kept across resumes.
   std::unique_ptr<EvaluatorDriver> driver_;
-  // Receiver-side OT pad pool (v4 refill tail), sized to the server's
-  // announced depth. Rebuilt on every fresh handshake (pads are bound to
-  // the dead session's sender state) and covered by the resumption
+  // Receiver-side OT pad pool, sized to the server's announced depth and
+  // null when that is 0. Rebuilt on every fresh handshake (pads are bound
+  // to the dead session's sender state) and covered by the resumption
   // snapshot so replayed retries re-spend the same pads.
   std::unique_ptr<OtReceiverPadPool> ot_pads_;
   OtExtReceiver ot_;

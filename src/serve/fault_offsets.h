@@ -24,11 +24,12 @@ inline constexpr uint64_t kHelloClientSends = kFrameSends;
 // Every request opens with one flight: tag, query id, record count and
 // every disclosed value, answered by the admission ack.
 inline constexpr uint64_t kRequestHeadSends = kFrameSends;
-// A one-record naive-Bayes query's flights past its request: the
-// evaluator's input-label OT (a pool miss's flag and IKNP columns, or a
-// pool hit's corrections), the refill ask, and the granted refill's IKNP
-// columns before the completion ack.
-inline constexpr uint64_t kNbQueryTailSends = 3 * kFrameSends;
+// A one-record naive-Bayes query's flights past its request on a pooled
+// session: the evaluator's input-label OT (a pool miss's flag and IKNP
+// columns, or a pool hit's corrections), then the lockstep refill's IKNP
+// columns before the completion ack. An unpooled session (announced OT
+// pool depth 0) sends no refill flight.
+inline constexpr uint64_t kNbQueryTailSends = 2 * kFrameSends;
 
 }  // namespace pafs
 

@@ -51,8 +51,11 @@ namespace serve {
 // v10 drops the evaluator's output report: the client decodes its class
 // locally and the server learns only the disclosed values, so a request's
 // third client flight carries the refill ask alone.
+// v11 drops the refill ask and grant: both ends derive each request's OT
+// pad refill from their lockstep pools (ot/ot_pool.h), so the client sends
+// the refill columns unasked and a warm query makes one round trip fewer.
 inline constexpr uint64_t kWireMagic = 0x5652455353464150ull;
-inline constexpr uint64_t kWireVersion = 10;
+inline constexpr uint64_t kWireVersion = 11;
 
 // Bounds on the limits a server announces in the handshake: a server
 // clamps its config to them, a client rejects anything past them typed.

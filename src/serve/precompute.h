@@ -95,8 +95,9 @@ class GcPool {
   Stats stats_;
 };
 
-// True when PAFS_NO_POOL is set to a nonzero value: both ends then garble
-// and extend OTs online, keeping the unpooled path covered.
+// True when PAFS_NO_POOL is set to a nonzero value: a server then zeroes
+// both pool depths and announces OT pool depth 0, so its clients run
+// unpooled too and the online path stays covered. Only the server reads it.
 bool PoolsDisabledByEnv();
 
 class SessionPrecompute {

@@ -28,6 +28,10 @@ constexpr uint64_t kListenerToken = 0;
 constexpr uint64_t kReaperToken = ~0ull - 1;
 constexpr uint64_t kWatchdogToken = ~0ull - 2;
 
+// Connects the kernel queues before accept; the acceptor drains it on
+// every listener wakeup, so it only absorbs a burst.
+constexpr int kListenBacklog = 128;
+
 // Reads a request's records after its query id: a count
 // (1..setup.batch_max_records), then each record's disclosure values in
 // plan order, range-checked.
@@ -200,8 +204,7 @@ ClassificationServer::~ClassificationServer() { Stop(); }
 
 void ClassificationServer::Start() {
   PAFS_CHECK(!running_);
-  listener_.emplace(
-      SocketListener::Listen(config_.address, config_.listen_backlog));
+  listener_.emplace(SocketListener::Listen(config_.address, kListenBacklog));
   loop_ = std::make_unique<EventLoop>();
   pool_ = std::make_unique<ThreadPool>(config_.num_threads + 1);
   loop_->Add(listener_->fd(), kListenerToken, EPOLLIN, /*oneshot=*/false,
@@ -574,7 +577,7 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
   qch.SendU64(static_cast<uint64_t>(ReplyStatus::kOk));
   {
     // The protocol region owns the OT stream end to end (transfers, the
-    // refill tail and the resume snapshot); any columns parked by a
+    // lockstep refill and the resume snapshot); any columns parked by a
     // previous refill must expand before the next transfer advances the
     // stream past them.
     std::lock_guard<std::mutex> ot_lock(s.ot_mu);
@@ -587,7 +590,7 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
     driver_.Run(qch, keys,
                 GarblerSession{s.ot, s.rng, s.specs, s.precompute.gc_pool(),
                                ot_pads});
-    ServerOtRefillTail(s, qch);
+    RefillSenderPads(qch, s.ot, ot_pads);
     ++s.queries;
     s.next_query_id = query_id + 1;
     s.transcript = rec.overflowed() ? nullptr : transcript;
@@ -621,28 +624,6 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
   served.Add();
   if (batch) batches.Add();
   (batch ? batch_latency : query_latency).Record(timer.ElapsedSeconds());
-}
-
-void ClassificationServer::ServerOtRefillTail(Session& s, Channel& ch) {
-  // Every request ends with a receiver-driven refill negotiation: the
-  // client asks for `wanted` random OTs, the server grants what its own
-  // pad pool can absorb (both pools must grow in lockstep for the pooled
-  // transfer to stay aligned). The grant only *receives* the IKNP columns
-  // here — the expensive PRG expansion and transpose are parked for an
-  // idle filler (OtSenderPadPool::Materialize). Caller holds s.ot_mu.
-  uint64_t wanted = ch.RecvU64();
-  OtSenderPadPool* pool = s.precompute.ot_pads();
-  uint64_t granted = 0;
-  if (wanted > 0 && pool != nullptr) {
-    granted = std::min<uint64_t>(wanted, pool->Deficit());
-    granted = std::min<uint64_t>(granted, uint64_t{1} << 16);
-  }
-  ch.SendU64(granted);
-  if (granted > 0) {
-    pool->AddPending(
-        static_cast<size_t>(granted),
-        s.ot.ReceiveRandomColumns(ch, static_cast<size_t>(granted)));
-  }
 }
 
 void ClassificationServer::ReplayQuery(Channel& ch,

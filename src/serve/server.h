@@ -83,7 +83,6 @@ struct ServerConfig {
   // hold registry slots forever. Clients keep long-lived sessions warm
   // with RequestTag::kPing. 0 = never reap.
   double idle_timeout_seconds = 300;
-  int listen_backlog = 128;
   uint64_t seed = 0x5AFE5EED;  // Per-session RNG streams derive from this.
   // Session resumption (wire v3): the server snapshots each session's
   // crypto state (OT extension + RNG + query cursor) after the handshake
@@ -113,8 +112,9 @@ struct ServerConfig {
   // back to online garbling).
   int gc_pool_depth = 2;
   // Target depth of the per-session sender-side OT pad pool, announced in
-  // the handshake: the client sizes its receiver pool to it and tops both
-  // up through the in-query refill tail. 0 disables.
+  // the handshake: the client sizes its receiver pool to it, and both ends
+  // top their pools up in lockstep at the end of every request
+  // (ot/ot_pool.h). 0 disables.
   int ot_pool_depth = 4096;
   // Upper bound on records per request, announced in the handshake so the
   // client chunks its batches to it; a larger count fails the session
@@ -213,8 +213,8 @@ class ClassificationServer {
     SessionPrecompute precompute;
     bool filling = false;
     // OT stream exclusivity: the query task holds this for the whole
-    // protocol region (every ot use plus the refill tail); the filler only
-    // try_locks it to materialize pending pad batches, so background
+    // protocol region (every ot use plus the lockstep refill); the filler
+    // only try_locks it to materialize pending pad batches, so background
     // expansion never interleaves with a live transfer.
     std::mutex ot_mu;
     // Tree/forest circuit specs per disclosure set: the first
@@ -262,10 +262,6 @@ class ClassificationServer {
   // transcript for at-most-once replay and refreshing the session's
   // resume-cache entry. A single query is the N = 1 case.
   void ExecuteRequest(Session& session, Channel& channel, uint64_t query_id);
-  // In-query OT pad refill (caller holds ot_mu, channel is the recording
-  // channel): answers the client's `wanted` announcement with a grant and
-  // parks the received columns for idle materialization.
-  void ServerOtRefillTail(Session& session, Channel& channel);
   // Answers a retried query id byte-for-byte from the recorded transcript.
   void ReplayQuery(Channel& channel, const QueryTranscript& transcript);
   // Handshake helpers (caller does not hold mu_).

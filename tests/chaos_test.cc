@@ -39,6 +39,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ot/iknp.h"
+#include "ot/ot_pool.h"
 #include "serve/client.h"
 #include "serve/engine.h"
 #include "serve/fault_offsets.h"
@@ -815,15 +816,27 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
     }
     EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
   };
+  // The lockstep refill, from the pre-query pool (empty, sized to the
+  // announced depth) and one fixed choice stream, so every attempt sends
+  // the same columns.
+  auto refill = [&](FramedChannel& ch, OtExtReceiver& o) {
+    Rng refill_rng(0x5EED);
+    std::unique_ptr<OtReceiverPadPool> pads;
+    if (setup.ot_pool_depth > 0) {
+      pads = std::make_unique<OtReceiverPadPool>(
+          static_cast<size_t>(setup.ot_pool_depth));
+    }
+    RefillReceiverPads(ch, o, refill_rng, pads.get());
+  };
   send_query_head(framed);
   int first =
       evaluator.Run(framed, {row}, serve::EvaluatorSession{ot}).classes[0];
-  framed.SendU64(0);  // v4 refill tail request (unpooled raw client).
-  framed.Flush();     // The crash below skips the Recv that would.
+  refill(framed, ot);
+  framed.Flush();  // The crash below skips the Recv that would.
   EXPECT_EQ(first, pipeline.PlaintextPredict(row));
   ASSERT_TRUE(
       WaitForStat([&] { return server.stats().queries_served >= 1; }));
-  socket->Close();  // Crash without reading the grant or completion ack.
+  socket->Close();  // Crash without reading the completion ack.
 
   auto resume = [&](std::vector<uint8_t>* fresh_ticket) {
     auto s = SocketConnect(server.address(), 5.0);
@@ -853,8 +866,7 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
   send_query_head(*ch3);
   int retry =
       evaluator.Run(*ch3, {row}, serve::EvaluatorSession{ot_retry}).classes[0];
-  ch3->SendU64(0);  // Replayed v4 refill tail: same request, same grant.
-  EXPECT_EQ(ch3->RecvU64(), 0u);
+  refill(*ch3, ot_retry);
   EXPECT_EQ(ch3->RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
   EXPECT_EQ(retry, first);
 

@@ -212,6 +212,30 @@ TEST(PipelineBatchTest, BatchMatchesIndividualCalls) {
   }
 }
 
+TEST(PipelineRoundsTest, RoundsCountTheQuerysOwnLegs) {
+  // SmcRunStats::rounds counts the one-way legs of the query itself: the
+  // same warm query reads the same rounds whatever query ran before it,
+  // and an empty disclosure drops exactly the disclosure leg.
+  Rng rng(57);
+  Dataset train = GenerateWarfarinCohort(1000, rng);
+  PipelineConfig config;
+  config.classifier = ClassifierKind::kNaiveBayes;
+  config.risk_budget = 0.05;
+  SecureClassificationPipeline pipeline(train, config);
+  ASSERT_FALSE(pipeline.plan().features.empty());
+  const std::vector<int>& row = train.row(9);
+  pipeline.Classify(row);  // Opens the session (base OTs).
+  pipeline.ClassifyWithDisclosure(row, {});
+  SmcRunStats after_empty = pipeline.Classify(row);
+  pipeline.Classify(row);
+  SmcRunStats after_plan = pipeline.Classify(row);
+  EXPECT_EQ(after_empty.rounds, after_plan.rounds);
+  // Disclosure, garbled tables, the label OT's columns, its reply.
+  EXPECT_EQ(after_plan.rounds, 4u);
+  SmcRunStats empty = pipeline.ClassifyWithDisclosure(row, {});
+  EXPECT_EQ(empty.rounds, after_plan.rounds - 1);
+}
+
 TEST(PipelineBatchTest, SpecCacheSurvivesDisclosureSwitch) {
   // Alternate between two disclosure sets: the cache must rebuild when the
   // set changes and results must stay correct either way.

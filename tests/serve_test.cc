@@ -112,8 +112,9 @@ void SendQueryHead(Channel& ch, uint64_t id, const serve::SessionSetup& setup,
 // The client half of a raw request on a serving session: the evaluator
 // driver for the announced setup, on a caller-held OT stream (and pad pool,
 // when given) so tests can snapshot and rewind it. It decodes locally and
-// sends nothing after the label OT; the caller runs the refill tail.
-// Returns each row's class.
+// sends nothing after the label OT; the caller runs the lockstep refill
+// (RefillReceiverPads) before reading the completion ack. Returns each
+// row's class.
 std::vector<int> RunRawClient(Channel& ch, const serve::SessionSetup& setup,
                               const std::vector<std::vector<int>>& rows,
                               OtExtReceiver& ot,
@@ -121,6 +122,15 @@ std::vector<int> RunRawClient(Channel& ch, const serve::SessionSetup& setup,
   return serve::EvaluatorDriver(setup)
       .Run(ch, rows, serve::EvaluatorSession{ot, pads})
       .classes;
+}
+
+// A raw client's receiver pad pool, mirroring the server's as the
+// production client does: sized to the announced depth, absent at depth 0.
+std::unique_ptr<OtReceiverPadPool> RawPadPool(
+    const serve::SessionSetup& setup) {
+  if (setup.ot_pool_depth == 0) return nullptr;
+  return std::make_unique<OtReceiverPadPool>(
+      static_cast<size_t>(setup.ot_pool_depth));
 }
 
 // Garbler-side channel decorator that counts the bytes received since the
@@ -605,7 +615,8 @@ TEST_F(ServeTest, FaultOffsetsPinTheHandshakeBoundary) {
   // fresh handshake: a disconnect on the last of them lands inside the
   // constructor's handshake (its retry is no reconnect, and no ticket was
   // issued to resume with), one on the next send (the first request's
-  // tag) lands past the ticket (the query reconnects by resuming).
+  // tag) lands past the ticket (the query reconnects, resuming when the
+  // server issues tickets).
   auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
                               ServerConfig{});
@@ -623,7 +634,10 @@ TEST_F(ServeTest, FaultOffsetsPinTheHandshakeBoundary) {
     EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
     const uint64_t past_handshake = first_op == handshake_sends ? 1u : 0u;
     EXPECT_EQ(client.reconnects(), past_handshake);
-    EXPECT_EQ(client.resumes(), past_handshake);
+    // With resumption off (PAFS_NO_RESUME=1) no ticket is issued, so the
+    // reconnect is a full handshake.
+    EXPECT_EQ(client.resumes(),
+              serve::ResumeDisabledByEnv() ? 0u : past_handshake);
     client.Close();
     ++failed;  // The faulted session, either way.
     ASSERT_TRUE(
@@ -850,10 +864,11 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
       SendQueryHead(ch, 1, setup, row);  // Same id both times: "the" query.
       EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
       int pred = RunRawClient(ch, setup, {row}, o)[0];
-      // The v4 refill tail: this raw client runs unpooled, so it asks for 0
-      // and the server must grant 0.
-      ch.SendU64(0);
-      EXPECT_EQ(ch.RecvU64(), 0u);
+      // The lockstep refill from the pre-query (empty) pool and the same
+      // choice stream, so the retry sends the same columns.
+      Rng refill_rng(0x5EED);
+      std::unique_ptr<OtReceiverPadPool> pads = RawPadPool(setup);
+      RefillReceiverPads(ch, o, refill_rng, pads.get());
       // Completion ack: the client-side commit point for the query.
       EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
       return pred;
@@ -1072,8 +1087,9 @@ TEST_F(ServeTest, ByeDropsTheSessionsResumeEntry) {
   EXPECT_EQ(framed.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
   EXPECT_EQ(RunRawClient(framed, setup, {row}, ot)[0],
             pipeline->PlaintextPredict(row));
-  framed.SendU64(0);  // Refill tail (unpooled raw client).
-  EXPECT_EQ(framed.RecvU64(), 0u);
+  Rng refill_rng(0x5EED);
+  std::unique_ptr<OtReceiverPadPool> pads = RawPadPool(setup);
+  RefillReceiverPads(framed, ot, refill_rng, pads.get());
   EXPECT_EQ(framed.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
   framed.SendU64(static_cast<uint64_t>(serve::RequestTag::kBye));
   framed.Flush();
@@ -1122,13 +1138,16 @@ TEST_F(ServeTest, RetryWithoutTranscriptIsAnsweredResync) {
   FramedChannel framed(*socket);
   OtExtReceiver ot;
   serve::SessionSetup setup = RawHandshake(framed, &ot);
+  Rng refill_rng(0x5EED);
+  std::unique_ptr<OtReceiverPadPool> pads = RawPadPool(setup);
   auto run_query = [&](uint64_t id, const std::vector<int>& r) {
     SendQueryHead(framed, id, setup, r);
     EXPECT_EQ(framed.RecvU64(),
               static_cast<uint64_t>(serve::ReplyStatus::kOk));
+    // Transfers run unpooled, so query 1's refill fills both pools and
+    // query 2's refills nothing.
     int pred = RunRawClient(framed, setup, {r}, ot)[0];
-    framed.SendU64(0);  // Refill tail (unpooled raw client).
-    EXPECT_EQ(framed.RecvU64(), 0u);
+    RefillReceiverPads(framed, ot, refill_rng, pads.get());
     EXPECT_EQ(framed.RecvU64(),
               static_cast<uint64_t>(serve::ReplyStatus::kOk));
     return pred;
@@ -1185,26 +1204,31 @@ TEST_F(ServeTest, ExpiredTicketFallsBackToFullHandshake) {
   PafsTelemetry::Disable();
 }
 
-TEST_F(ServeTest, PreV9PeersFailTypedAndServerKeepsServing) {
-  // Wire v9 changed the base-OT flights: a v8 hello is refused typed. A v9
-  // peer that sends the tag of the kQuery v8 retired fails its own session
-  // typed, like any unknown tag. Neither takes the server down.
+TEST_F(ServeTest, StalePeersFailTypedAndServerKeepsServing) {
+  // Wire v9 changed the base-OT flights and v11 dropped the refill ask: v8
+  // and v10 hellos are refused typed. A peer that sends the tag of the
+  // kQuery v8 retired fails its own session typed, like any unknown tag.
+  // None takes the server down.
   auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
                               ServerConfig{});
   server.Start();
-  {
+  uint64_t failed = 0;
+  for (uint64_t version : {8, 10}) {
+    SCOPED_TRACE(version);
     auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
     socket->set_recv_timeout_seconds(5.0 * kTimeScale);
     FramedChannel framed(*socket);
     serve::ClientHello hello;
-    hello.version = 8;
+    hello.version = version;
     serve::SendClientHello(framed, hello);
     EXPECT_EQ(framed.RecvU64(),
               static_cast<uint64_t>(serve::ReplyStatus::kRejected));
     EXPECT_THROW(framed.RecvU64(), ChannelError);
+    ++failed;
+    ASSERT_TRUE(
+        WaitFor([&] { return server.stats().sessions_failed >= failed; }));
   }
-  ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 1; }));
   {
     auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
     socket->set_recv_timeout_seconds(5.0 * kTimeScale);
@@ -1218,7 +1242,7 @@ TEST_F(ServeTest, PreV9PeersFailTypedAndServerKeepsServing) {
         },
         TransportError);
   }
-  ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 2; }));
+  ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 3; }));
   EXPECT_EQ(server.stats().queries_served, 0u);
 
   ClassificationClient client(ClientFor(server));
@@ -1226,7 +1250,7 @@ TEST_F(ServeTest, PreV9PeersFailTypedAndServerKeepsServing) {
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
   client.Close();
   server.Stop();
-  EXPECT_EQ(server.stats().sessions_failed, 2u);
+  EXPECT_EQ(server.stats().sessions_failed, 3u);
 }
 
 TEST_F(ServeTest, SmallOrderBaseOtPointFailsSessionTyped) {
@@ -1289,7 +1313,7 @@ TEST_F(ServeTest, ResumeDisabledClientAlwaysFullHandshakes) {
 TEST_F(ServeTest, PooledLinearServingHitsPoolAndStaysCorrect) {
   // Offline/online split through the whole serving stack on the linear
   // path: query 1 registers the session's argmax circuit with the GC pool
-  // and stocks both ends' OT pad pools through the refill tail; idle
+  // and stocks both ends' OT pad pools through the lockstep refill; idle
   // workers pre-garble and expand between queries, so query 2 spends
   // pooled OTs (phase 1 and argmax labels) and a pre-garbled argmax —
   // verified by the telemetry counters.
@@ -1326,7 +1350,10 @@ TEST_F(ServeTest, PooledLinearServingHitsPoolAndStaysCorrect) {
 TEST_F(ServeTest, WarmQuerySendsOneFlightPerTurn) {
   // The client's framed channel coalesces each flight (everything sent
   // before its next Recv) into one socket write, so a warm query makes at
-  // most one write per direction flip, plus the request that opens it.
+  // most one write per direction flip, plus the request that opens it. A
+  // warm NB query's flights are its request head, its label OT and, on a
+  // pooled session, the lockstep refill's columns: no refill count is
+  // asked or granted, so every send starts a new turn.
   for (ClassifierKind kind :
        {ClassifierKind::kNaiveBayes, ClassifierKind::kLinear,
         ClassifierKind::kForest}) {
@@ -1347,8 +1374,12 @@ TEST_F(ServeTest, WarmQuerySendsOneFlightPerTurn) {
     const uint64_t flips = after.direction_flips - before.direction_flips;
     EXPECT_LE(sent, flips + 1);
     if (kind == ClassifierKind::kNaiveBayes) {
-      // Pins the fault-plan offsets the chaos tests aim with.
-      EXPECT_EQ(sent, kRequestHeadSends + kNbQueryTailSends);
+      // Pins the fault-plan offsets the chaos tests aim with. An unpooled
+      // session (PAFS_NO_POOL=1 announces depth 0) sends no refill flight.
+      const uint64_t refill =
+          client.setup().ot_pool_depth > 0 ? 0 : kFrameSends;
+      EXPECT_EQ(sent, kRequestHeadSends + kNbQueryTailSends - refill);
+      EXPECT_EQ(flips, sent);
     }
     client.Close();
   }
@@ -1383,8 +1414,8 @@ TEST_F(ServeTest, StopMidRefillDrainsCleanly) {
   config.ot_pool_depth = 1 << 16;
   ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
   server.Start();
-  // The client sizes its pool to the announced depth, so the refill tail
-  // asks for a large grant.
+  // The client sizes its pool to the announced depth, so the first refill
+  // is a large one.
   ClassificationClient client(ClientFor(server));
   const std::vector<int>& row = data_.row(3);
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
@@ -1403,7 +1434,6 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
   // transcript and fails the session on the first diverging byte — so this
   // passes only if the restored pads reproduce the original corrections.
   if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
-  const bool pooled = !serve::PoolsDisabledByEnv();
   auto pipeline = MakePipeline(ClassifierKind::kLinear);
   ClassificationServer server(ServingModel::FromPipeline(*pipeline),
                               ServerConfig{});
@@ -1418,30 +1448,26 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
   OtExtReceiver ot;
   serve::SessionSetup setup = RawHandshake(framed, &ot, &ticket);
   ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
+  const bool pooled = setup.ot_pool_depth > 0;
 
   auto run_query = [&](FramedChannel& ch, uint64_t id,
                        const std::vector<int>& r_row, OtExtReceiver& o,
-                       Rng& r, OtReceiverPadPool& pads) {
+                       Rng& r, OtReceiverPadPool* pads) {
     SendQueryHead(ch, id, setup, r_row);
     EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
-    int pred = RunRawClient(ch, setup, {r_row}, o, &pads)[0];
-    // The v4 refill tail: ask for the pool's deficit, absorb the grant.
-    uint64_t wanted = pads.Deficit();
-    ch.SendU64(wanted);
-    uint64_t granted = ch.RecvU64();
-    EXPECT_LE(granted, wanted);
-    if (granted > 0) pads.Append(o.RecvRandom(ch, r, granted));
+    int pred = RunRawClient(ch, setup, {r_row}, o, pads)[0];
+    RefillReceiverPads(ch, o, r, pads);
     EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
     return pred;
   };
 
   // Query 1 runs unpooled and stocks both ends' pad pools.
   Rng rng(0xABCD);
-  OtReceiverPadPool pads(4096);
-  EXPECT_EQ(run_query(framed, 1, row, ot, rng, pads),
+  std::unique_ptr<OtReceiverPadPool> pads = RawPadPool(setup);
+  EXPECT_EQ(run_query(framed, 1, row, ot, rng, pads.get()),
             pipeline->PlaintextPredict(row));
   if (pooled) {
-    EXPECT_EQ(pads.depth(), 4096u);
+    EXPECT_EQ(pads->depth(), static_cast<size_t>(setup.ot_pool_depth));
   }
 
   // Snapshot the post-query-1 client state — exactly what a crashed
@@ -1453,12 +1479,12 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
     ByteWriter writer(&rng_snapshot);
     rng.Serialize(writer);
     ByteWriter pads_writer(&pads_snapshot);
-    pads.Serialize(pads_writer);
+    if (pooled) pads->Serialize(pads_writer);
   }
-  int first = run_query(framed, 2, row2, ot, rng, pads);
+  int first = run_query(framed, 2, row2, ot, rng, pads.get());
   EXPECT_EQ(first, pipeline->PlaintextPredict(row2));
   if (pooled) {
-    EXPECT_GT(pads.stats().hits, 0u);
+    EXPECT_GT(pads->stats().hits, 0u);
   }
   ASSERT_TRUE(WaitFor([&] { return server.stats().queries_served >= 2; }));
 
@@ -1467,9 +1493,11 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
   OtExtReceiver ot_retry = OtExtReceiver::Deserialize(ot_snapshot);
   ByteReader rng_reader(rng_snapshot);
   Rng rng_retry = Rng::Deserialize(rng_reader);
-  OtReceiverPadPool pads_retry(4096);
-  ByteReader pads_reader(pads_snapshot);
-  pads_retry.Restore(pads_reader);
+  std::unique_ptr<OtReceiverPadPool> pads_retry = RawPadPool(setup);
+  if (pooled) {
+    ByteReader pads_reader(pads_snapshot);
+    pads_retry->Restore(pads_reader);
+  }
   auto socket2 = SocketConnect(server.address(), 2.0 * kTimeScale);
   socket2->set_recv_timeout_seconds(30 * kTimeScale);
   FramedChannel framed2(*socket2);
@@ -1480,10 +1508,11 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
             static_cast<uint64_t>(serve::ReplyStatus::kResumed));
   (void)serve::RecvTicketFrame(framed2);
 
-  int retry = run_query(framed2, 2, row2, ot_retry, rng_retry, pads_retry);
+  int retry =
+      run_query(framed2, 2, row2, ot_retry, rng_retry, pads_retry.get());
   EXPECT_EQ(retry, first);
   if (pooled) {
-    EXPECT_GT(pads_retry.stats().hits, 0u);
+    EXPECT_GT(pads_retry->stats().hits, 0u);
   }
   ASSERT_TRUE(WaitFor([&] { return server.stats().replay_hits >= 1; }));
   ServerStats stats = server.stats();
@@ -1642,7 +1671,7 @@ TEST_F(ServeTest, BatchChunksAtServerAnnouncedCap) {
 TEST_F(ServeTest, ClientPoolFillsToServerAnnouncedDepth) {
   // The OT pad-pool depth travels in the handshake too: with no client
   // setting, the receiver pool's target is the server's depth, and the
-  // refill tail fills it there.
+  // lockstep refill fills it there.
   if (serve::PoolsDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_POOL set";
   auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
   ServerConfig config;
@@ -1726,8 +1755,8 @@ TEST_F(ServeTest, ResumedSessionRestoresGcAndOtPools) {
 
   ClassificationClient client(ClientFor(server));
   const std::vector<int>& row = data_.row(31);
-  // Query 1 registers the disclosure key (a GC miss) and, through the v4
-  // refill tail, stocks both ends' OT pad pools.
+  // Query 1 registers the disclosure key (a GC miss) and, through the
+  // lockstep refill, stocks both ends' OT pad pools.
   EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
   ASSERT_TRUE(WaitFor([&] {
     return server.stats().gc_pregarbled >= 2 &&
@@ -1808,9 +1837,11 @@ TEST_F(ServeTest, RetriedBatchIsReplayedNotReExecuted) {
     }
     EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
     std::vector<int> preds = RunRawClient(ch, setup, rows, o);
-    // The v4 refill tail (unpooled raw client: ask 0, granted 0).
-    ch.SendU64(0);
-    EXPECT_EQ(ch.RecvU64(), 0u);
+    // The lockstep refill from the pre-batch (empty) pool and the same
+    // choice stream, so the retry sends the same columns.
+    Rng refill_rng(0x5EED);
+    std::unique_ptr<OtReceiverPadPool> pads = RawPadPool(setup);
+    RefillReceiverPads(ch, o, refill_rng, pads.get());
     EXPECT_EQ(ch.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
     return preds;
   };
@@ -1858,10 +1889,14 @@ TEST_F(ServeTest, BatchRetryAbsorbsInjectedDisconnect) {
   ClientConfig cc = ClientFor(server);
   cc.fault_plan.kind = FaultKind::kDisconnect;
   cc.fault_plan.seed = 7;
-  // Past the handshake, inside the batch: its second flight after the
-  // request.
-  cc.fault_plan.first_op =
-      kHelloClientSends + kBaseOtClientSends + kRequestHeadSends + 1;
+  // Past the handshake, inside the batch: its last flight before the
+  // completion ack (the refill columns, or the label OT when the server
+  // runs unpooled and no refill flight follows).
+  const uint64_t tail = serve::PoolsDisabledByEnv()
+                            ? kNbQueryTailSends - kFrameSends
+                            : kNbQueryTailSends;
+  cc.fault_plan.first_op = kHelloClientSends + kBaseOtClientSends +
+                           kRequestHeadSends + tail - kFrameSends;
   cc.fault_plan.max_faults = 1;
   ClassificationClient client(cc);
 
