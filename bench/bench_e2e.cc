@@ -189,13 +189,13 @@ BatchSplit RunBatched(const E2eOptions& opt, int records) {
     // known yet, and none of this material depends on them.
     Timer push_timer;
     std::vector<GcGarbleItem> gitems(records);
-    std::vector<GarbledCircuit> pre(records);
+    std::vector<serve::GcPool::Garbled> pre(records);
     GcGarblerPushed pushed;
     std::thread push_srv([&] {
       for (int i = 0; i < records; ++i) {
         gitems[i].circuit = &spec.circuit();
         gitems[i].garbler_bits = &garbler_bits;
-        if (gc_pool.TryTake({}, &pre[i])) gitems[i].pregarbled = &pre[i];
+        if (gc_pool.TryTake({}, &pre[i])) gitems[i].pregarbled = pre[i].get();
       }
       pushed = GcGarblerPushBatch(channel.endpoint(0), gitems, rng_g,
                                   GarblingScheme::kHalfGates,

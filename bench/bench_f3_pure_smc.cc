@@ -18,17 +18,20 @@ int main(int argc, char** argv) {
   for (ClassifierKind kind : AllClassifiers()) {
     PipelineConfig config;
     config.classifier = kind;
-    config.risk_budget = 0.0;  // Forces the empty disclosure set.
+    config.risk_budget = 0.0;
     SecureClassificationPipeline pipeline(cohort, config);
 
-    // Warm up (base-OT setup amortizes across the session), then measure.
-    pipeline.Classify(cohort.row(0));
+    // Every query runs with the empty disclosure set, bypassing the plan:
+    // even budget 0 may disclose a zero-lift feature. Warm up (base-OT
+    // setup amortizes across the session), then measure.
+    pipeline.ClassifyWithDisclosure(cohort.row(0), {});
     const int kQueries = 5;
     double cpu_ms = 0;
     uint64_t bytes = 0, rounds = 0;
     size_t gates = 0;
     for (int q = 0; q < kQueries; ++q) {
-      SmcRunStats stats = pipeline.Classify(cohort.row(100 + q * 37));
+      SmcRunStats stats =
+          pipeline.ClassifyWithDisclosure(cohort.row(100 + q * 37), {});
       cpu_ms += stats.wall_seconds * 1e3;
       bytes += stats.bytes;
       rounds += stats.rounds;

@@ -40,11 +40,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # parallel kernels, concurrent pad-pool refillers (crypto_test), the
   # pipeline (core_test) and the driver-level protocol suites (smc_test,
   # forest_test): both serving drivers and two-thread base-OT opens on
-  # two threads, garbling on the global pool; and the end-to-end serving
-  # smoke. The remaining numeric/protocol suites are single-threaded and
-  # covered by the ASan gate.
+  # two threads, garbling on the global pool; the OT pad pools, whose
+  # segments a live session, its resume entry and the filler share
+  # (ot_test); and the end-to-end serving smoke. The remaining
+  # numeric/protocol suites are single-threaded and covered by the ASan
+  # gate.
   ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-    -R '^(net_test|serve_test|chaos_test|core_test|smc_test|forest_test|util_test|obs_test|kernel_test|crypto_test|bench_serving_smoke|bench_serving_smoke_linear|bench_e2e_smoke)$'
+    -R '^(net_test|serve_test|chaos_test|core_test|smc_test|forest_test|util_test|obs_test|kernel_test|crypto_test|ot_test|bench_serving_smoke|bench_serving_smoke_linear|bench_e2e_smoke)$'
   echo "check.sh: tsan green"
   exit 0
 fi

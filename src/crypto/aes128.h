@@ -31,10 +31,6 @@ class Aes128 {
   // garbling schemes (Bellare et al., S&P 2013).
   static const Aes128& FixedKeyInstance();
 
-  // The original cipher key: FIPS-197 stores it verbatim as round key 0,
-  // so snapshot/restore (crypto/prg.h Serialize) needs no extra state.
-  Block key() const { return Block::FromBytes(round_keys_); }
-
  private:
   // Expanded round keys, byte layout per FIPS-197 (11 x 16 bytes). Both
   // arms read the same expansion, which keeps them bit-identical.

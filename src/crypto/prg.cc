@@ -47,27 +47,6 @@ bool Prg::NextBit() {
   return bit;
 }
 
-void Prg::Serialize(ByteWriter& w) const {
-  uint8_t buf[16];
-  aes_.key().ToBytes(buf);
-  w.Bytes(buf, 16);
-  w.U64(counter_);
-  bit_cache_.ToBytes(buf);
-  w.Bytes(buf, 16);
-  w.U32(static_cast<uint32_t>(bits_left_));
-}
-
-Prg Prg::Deserialize(ByteReader& r) {
-  uint8_t buf[16];
-  r.Bytes(buf, 16);
-  Prg prg(Block::FromBytes(buf));
-  prg.counter_ = r.U64();
-  r.Bytes(buf, 16);
-  prg.bit_cache_ = Block::FromBytes(buf);
-  prg.bits_left_ = static_cast<int>(r.U32());
-  return prg;
-}
-
 Block HashBlock(const Block& x, uint64_t tweak) {
   Block input = HashBlockInput(x, tweak);
   return Aes128::FixedKeyInstance().Encrypt(input) ^ input;

@@ -10,7 +10,6 @@
 
 #include "crypto/aes128.h"
 #include "crypto/block.h"
-#include "util/serial.h"
 
 namespace pafs {
 
@@ -28,12 +27,6 @@ class Prg {
   void FillBytes(uint8_t* out, size_t n);
   std::vector<uint8_t> Bytes(size_t n);
   bool NextBit();
-
-  // Checkpoint/restore of the keystream position (seed key, block counter,
-  // bit cache). A Deserialize'd Prg continues the byte and bit streams
-  // exactly where Serialize left them — the basis of session resumption.
-  void Serialize(ByteWriter& w) const;
-  static Prg Deserialize(ByteReader& r);
 
  private:
   Aes128 aes_;

@@ -47,7 +47,7 @@ enum class GarblingScheme { kHalfGates, kClassic };
 struct GcGarbleItem {
   const Circuit* circuit;
   const BitVec* garbler_bits;
-  GarbledCircuit* pregarbled = nullptr;
+  const GarbledCircuit* pregarbled = nullptr;
 };
 
 // One evaluator-side batch entry.

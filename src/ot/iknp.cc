@@ -5,7 +5,6 @@
 #include "ot/transpose.h"
 #include "util/check.h"
 #include "util/random.h"
-#include "util/serial.h"
 
 namespace pafs {
 
@@ -310,79 +309,6 @@ std::vector<std::array<Block, 2>> OtExtSender::ExpandRandomColumns(
   }
   tweak_ += m;
   return out;
-}
-
-// Snapshot layout (all little-endian): a u32 setup flag, then — when set —
-// the role's secrets and every per-column PRG position. The sender's
-// choice bits are not stored separately: s_bits_ is exactly the bits of
-// s_block_, so restore rebuilds it.
-
-std::vector<uint8_t> OtExtSender::Serialize() const {
-  std::vector<uint8_t> out;
-  ByteWriter w(&out);
-  w.U32(is_setup() ? 1 : 0);
-  if (!is_setup()) return out;
-  uint8_t buf[16];
-  s_block_.ToBytes(buf);
-  w.Bytes(buf, 16);
-  w.U64(tweak_);
-  for (const Prg& prg : column_prgs_) prg.Serialize(w);
-  return out;
-}
-
-OtExtSender OtExtSender::Deserialize(const std::vector<uint8_t>& bytes) {
-  ByteReader r(bytes);
-  OtExtSender sender;
-  if (r.U32() == 0) {
-    PAFS_CHECK_MSG(r.done(), "OT sender snapshot has trailing bytes");
-    return sender;
-  }
-  uint8_t buf[16];
-  r.Bytes(buf, 16);
-  sender.s_block_ = Block::FromBytes(buf);
-  sender.s_bits_ = BitVec(kOtExtensionWidth);
-  for (int i = 0; i < 64; ++i) {
-    sender.s_bits_.Set(i, (sender.s_block_.lo >> i) & 1ull);
-    sender.s_bits_.Set(64 + i, (sender.s_block_.hi >> i) & 1ull);
-  }
-  sender.tweak_ = r.U64();
-  sender.column_prgs_.reserve(kOtExtensionWidth);
-  for (int i = 0; i < kOtExtensionWidth; ++i) {
-    sender.column_prgs_.push_back(Prg::Deserialize(r));
-  }
-  PAFS_CHECK_MSG(r.done(), "OT sender snapshot has trailing bytes");
-  return sender;
-}
-
-std::vector<uint8_t> OtExtReceiver::Serialize() const {
-  std::vector<uint8_t> out;
-  ByteWriter w(&out);
-  w.U32(is_setup() ? 1 : 0);
-  if (!is_setup()) return out;
-  w.U64(tweak_);
-  for (const Prg& prg : column_prgs0_) prg.Serialize(w);
-  for (const Prg& prg : column_prgs1_) prg.Serialize(w);
-  return out;
-}
-
-OtExtReceiver OtExtReceiver::Deserialize(const std::vector<uint8_t>& bytes) {
-  ByteReader r(bytes);
-  OtExtReceiver receiver;
-  if (r.U32() == 0) {
-    PAFS_CHECK_MSG(r.done(), "OT receiver snapshot has trailing bytes");
-    return receiver;
-  }
-  receiver.tweak_ = r.U64();
-  receiver.column_prgs0_.reserve(kOtExtensionWidth);
-  receiver.column_prgs1_.reserve(kOtExtensionWidth);
-  for (int i = 0; i < kOtExtensionWidth; ++i) {
-    receiver.column_prgs0_.push_back(Prg::Deserialize(r));
-  }
-  for (int i = 0; i < kOtExtensionWidth; ++i) {
-    receiver.column_prgs1_.push_back(Prg::Deserialize(r));
-  }
-  PAFS_CHECK_MSG(r.done(), "OT receiver snapshot has trailing bytes");
-  return receiver;
 }
 
 }  // namespace pafs

@@ -67,14 +67,6 @@ class OtExtSender {
 
   bool is_setup() const { return !column_prgs_.empty(); }
 
-  // Full-state checkpoint/restore (choice bits, per-column PRG positions,
-  // hash tweak). A restored sender continues the extension exactly where
-  // its peer's restored receiver does, with no new base OTs — the payload
-  // of serving-layer session resumption. Snapshots are trusted in-process
-  // bytes, never wire data.
-  std::vector<uint8_t> Serialize() const;
-  static OtExtSender Deserialize(const std::vector<uint8_t>& bytes);
-
  private:
   Block s_block_;
   BitVec s_bits_;
@@ -100,10 +92,6 @@ class OtExtReceiver {
   RandomOtBatch RecvRandom(Channel& channel, Rng& rng, size_t count);
 
   bool is_setup() const { return !column_prgs0_.empty(); }
-
-  // Checkpoint/restore mirroring OtExtSender::Serialize.
-  std::vector<uint8_t> Serialize() const;
-  static OtExtReceiver Deserialize(const std::vector<uint8_t>& bytes);
 
  private:
   std::vector<Prg> column_prgs0_;

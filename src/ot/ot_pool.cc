@@ -37,24 +37,28 @@ void CountRefill(size_t count) {
 
 }  // namespace
 
-void OtSenderPadPool::Append(std::vector<std::array<Block, 2>> pads) {
+void OtSenderPadPool::Append(PadPairs pads) {
+  const size_t count = pads.size();
+  auto batch = std::make_shared<const PadPairs>(std::move(pads));
   std::lock_guard<std::mutex> lock(mu_);
-  stats_.refilled += pads.size();
-  CountRefill(pads.size());
-  for (auto& pair : pads) pads_.push_back(pair);
-  RecordDepth(pads_.size());
+  stats_.refilled += count;
+  CountRefill(count);
+  state_.ready.Append(std::move(batch), count);
+  RecordDepth(state_.ready.size());
 }
 
 void OtSenderPadPool::AddPending(size_t count,
                                  std::vector<std::vector<uint8_t>> u_columns) {
+  auto batch = std::make_shared<const PendingBatch>(
+      PendingBatch{count, std::move(u_columns)});
   std::lock_guard<std::mutex> lock(mu_);
-  pending_count_ += count;
-  pending_.push_back(PendingBatch{count, std::move(u_columns)});
+  state_.pending_count += count;
+  state_.pending.push_back(std::move(batch));
 }
 
 bool OtSenderPadPool::HasPending() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return !pending_.empty();
+  return !state_.pending.empty();
 }
 
 size_t OtSenderPadPool::Materialize(OtExtSender& ot) {
@@ -64,104 +68,64 @@ size_t OtSenderPadPool::Materialize(OtExtSender& ot) {
   // advanced its own PRG state — so the streams stay aligned.
   size_t total = 0;
   for (;;) {
-    PendingBatch batch;
+    std::shared_ptr<const PendingBatch> batch;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (pending_.empty()) break;
-      batch = std::move(pending_.front());
-      pending_.pop_front();
-      pending_count_ -= batch.count;
+      if (state_.pending.empty()) break;
+      batch = std::move(state_.pending.front());
+      state_.pending.pop_front();
+      state_.pending_count -= batch->count;
     }
-    std::vector<std::array<Block, 2>> pads =
-        ot.ExpandRandomColumns(batch.u_columns, batch.count);
+    PadPairs pads = ot.ExpandRandomColumns(batch->u_columns, batch->count);
     total += pads.size();
     Append(std::move(pads));
   }
   return total;
 }
 
-bool OtSenderPadPool::TryTake(size_t count,
-                              std::vector<std::array<Block, 2>>* pads,
+bool OtSenderPadPool::TryTake(size_t count, PadPairs* pads,
                               uint64_t* start_seq) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (pads_.size() < count) {
+  if (state_.ready.size() < count) {
     stats_.misses += count;
     CountTake(false, count);
-    RecordDepth(pads_.size());
+    RecordDepth(state_.ready.size());
     return false;
   }
-  pads->assign(pads_.begin(), pads_.begin() + static_cast<long>(count));
-  pads_.erase(pads_.begin(), pads_.begin() + static_cast<long>(count));
-  *start_seq = head_seq_;
-  head_seq_ += count;
+  pads->clear();
+  pads->reserve(count);
+  state_.ready.Take(count, [pads](const PadPairs& batch, size_t i) {
+    pads->push_back(batch[i]);
+  });
+  *start_seq = state_.head_seq;
+  state_.head_seq += count;
   stats_.hits += count;
   CountTake(true, count);
-  RecordDepth(pads_.size());
+  RecordDepth(state_.ready.size());
   return true;
 }
 
 size_t OtSenderPadPool::Deficit() const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t have = pads_.size() + pending_count_;
+  size_t have = state_.ready.size() + state_.pending_count;
   return have >= target_ ? 0 : target_ - have;
 }
 
 size_t OtSenderPadPool::depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return pads_.size();
+  return state_.ready.size();
 }
 
-void OtSenderPadPool::Serialize(ByteWriter& w) const {
+OtSenderPadPool::State OtSenderPadPool::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  w.U64(head_seq_);
-  w.U32(static_cast<uint32_t>(pads_.size()));
-  uint8_t buf[16];
-  for (const auto& pair : pads_) {
-    pair[0].ToBytes(buf);
-    w.Bytes(buf, 16);
-    pair[1].ToBytes(buf);
-    w.Bytes(buf, 16);
-  }
-  w.U32(static_cast<uint32_t>(pending_.size()));
-  for (const PendingBatch& batch : pending_) {
-    w.U64(batch.count);
-    for (const auto& column : batch.u_columns) {
-      PAFS_CHECK_EQ(column.size(), (batch.count + 7) / 8);
-      w.Bytes(column.data(), column.size());
-    }
-  }
+  return state_;
 }
 
-void OtSenderPadPool::Restore(ByteReader& r) {
+void OtSenderPadPool::Restore(State state) {
+  // Swapped, so the replaced contents are released after the lock.
   std::lock_guard<std::mutex> lock(mu_);
-  pads_.clear();
-  pending_.clear();
-  pending_count_ = 0;
-  head_seq_ = r.U64();
-  uint32_t ready = r.U32();
-  uint8_t buf[16];
-  for (uint32_t i = 0; i < ready; ++i) {
-    std::array<Block, 2> pair;
-    r.Bytes(buf, 16);
-    pair[0] = Block::FromBytes(buf);
-    r.Bytes(buf, 16);
-    pair[1] = Block::FromBytes(buf);
-    pads_.push_back(pair);
-  }
-  uint32_t batches = r.U32();
-  for (uint32_t i = 0; i < batches; ++i) {
-    PendingBatch batch;
-    batch.count = r.U64();
-    size_t col_bytes = (batch.count + 7) / 8;
-    batch.u_columns.resize(kOtExtensionWidth);
-    for (auto& column : batch.u_columns) {
-      column.resize(col_bytes);
-      r.Bytes(column.data(), col_bytes);
-    }
-    pending_count_ += batch.count;
-    pending_.push_back(std::move(batch));
-  }
-  RecordDepth(pads_.size());
+  std::swap(state_, state);
+  RecordDepth(state_.ready.size());
 }
 
 OtSenderPadPool::Stats OtSenderPadPool::stats() const {
@@ -169,78 +133,63 @@ OtSenderPadPool::Stats OtSenderPadPool::stats() const {
   return stats_;
 }
 
-void OtReceiverPadPool::Append(const RandomOtBatch& batch) {
+void OtReceiverPadPool::Append(RandomOtBatch batch) {
   PAFS_CHECK_EQ(batch.choices.size(), batch.pads.size());
+  const size_t count = batch.pads.size();
+  auto shared = std::make_shared<const RandomOtBatch>(std::move(batch));
   std::lock_guard<std::mutex> lock(mu_);
-  stats_.refilled += batch.pads.size();
-  CountRefill(batch.pads.size());
-  for (size_t j = 0; j < batch.pads.size(); ++j) {
-    entries_.push_back(Entry{batch.choices.Get(j), batch.pads[j]});
-  }
-  RecordDepth(entries_.size());
+  stats_.refilled += count;
+  CountRefill(count);
+  state_.ready.Append(std::move(shared), count);
+  RecordDepth(state_.ready.size());
 }
 
 bool OtReceiverPadPool::TryTake(size_t count, BitVec* choices,
                                 std::vector<Block>* pads,
                                 uint64_t* start_seq) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.size() < count) {
+  if (state_.ready.size() < count) {
     stats_.misses += count;
     CountTake(false, count);
-    RecordDepth(entries_.size());
+    RecordDepth(state_.ready.size());
     return false;
   }
   *choices = BitVec(count);
   pads->resize(count);
-  for (size_t j = 0; j < count; ++j) {
-    choices->Set(j, entries_[j].choice);
-    (*pads)[j] = entries_[j].pad;
-  }
-  entries_.erase(entries_.begin(), entries_.begin() + static_cast<long>(count));
-  *start_seq = head_seq_;
-  head_seq_ += count;
+  size_t j = 0;
+  state_.ready.Take(count, [&](const RandomOtBatch& batch, size_t i) {
+    choices->Set(j, batch.choices.Get(i));
+    (*pads)[j] = batch.pads[i];
+    ++j;
+  });
+  *start_seq = state_.head_seq;
+  state_.head_seq += count;
   stats_.hits += count;
   CountTake(true, count);
-  RecordDepth(entries_.size());
+  RecordDepth(state_.ready.size());
   return true;
 }
 
 size_t OtReceiverPadPool::Deficit() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size() >= target_ ? 0 : target_ - entries_.size();
+  const size_t have = state_.ready.size();
+  return have >= target_ ? 0 : target_ - have;
 }
 
 size_t OtReceiverPadPool::depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return state_.ready.size();
 }
 
-void OtReceiverPadPool::Serialize(ByteWriter& w) const {
+OtReceiverPadPool::State OtReceiverPadPool::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  w.U64(head_seq_);
-  w.U32(static_cast<uint32_t>(entries_.size()));
-  uint8_t buf[16];
-  for (const Entry& e : entries_) {
-    w.U32(e.choice ? 1 : 0);
-    e.pad.ToBytes(buf);
-    w.Bytes(buf, 16);
-  }
+  return state_;
 }
 
-void OtReceiverPadPool::Restore(ByteReader& r) {
+void OtReceiverPadPool::Restore(State state) {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  head_seq_ = r.U64();
-  uint32_t count = r.U32();
-  uint8_t buf[16];
-  for (uint32_t i = 0; i < count; ++i) {
-    Entry e;
-    e.choice = r.U32() != 0;
-    r.Bytes(buf, 16);
-    e.pad = Block::FromBytes(buf);
-    entries_.push_back(e);
-  }
-  RecordDepth(entries_.size());
+  std::swap(state_, state);
+  RecordDepth(state_.ready.size());
 }
 
 OtReceiverPadPool::Stats OtReceiverPadPool::stats() const {

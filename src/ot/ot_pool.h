@@ -27,22 +27,33 @@
 // query (after its snapshot point), clears nothing on restore — the
 // snapshot *includes* the pool — and a replayed retry regenerates the same
 // columns byte-for-byte. The sender side may defer the expensive expansion
-// (AddPending → Materialize) to an idle worker; pending batches serialize
-// as raw column bytes since their PRG state has not advanced yet.
+// (AddPending → Materialize) past the reply; a snapshot keeps pending
+// batches as raw columns since their PRG state has not advanced yet.
+//
+// Snapshots share, never copy: ready pads and parked columns live in
+// immutable reference-counted segments, one per Append/AddPending batch,
+// and a pool's State is those segment pointers plus head offsets. Taking
+// from a pool (or a restored copy) advances only that copy's offsets, so a
+// snapshot keeps handing out exactly what the pool held when it was taken.
 //
 // Thread safety: all pool methods lock internally. Materialize additionally
 // requires the caller to hold whatever exclusivity guards the OtExtSender
 // stream itself (serve/server.cc's per-session ot_mu) — the expansion
 // advances shared PRG/tweak state that live transfers also touch.
+// Segments are immutable once appended, so a pool, its snapshots and the
+// pools restored from them may run on different threads.
 // Telemetry: ot.pool.hit / .miss / .refill counters and an ot.pool.depth
 // histogram, mirroring the Paillier pool.
 #ifndef PAFS_OT_OT_POOL_H_
 #define PAFS_OT_OT_POOL_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "crypto/block.h"
@@ -50,23 +61,80 @@
 #include "ot/iknp.h"
 #include "util/bitvec.h"
 #include "util/random.h"
-#include "util/serial.h"
 
 namespace pafs {
 
 // Cap on one lockstep refill: a deeper pool fills over several requests.
 inline constexpr size_t kMaxOtRefillPads = size_t{1} << 16;
 
+// A FIFO of items stored in immutable, reference-counted batches: one
+// segment per appended batch plus the offset of its first unspent item.
+// Copying the queue copies segment pointers and offsets, never items.
+template <typename Batch>
+class SegmentQueue {
+ public:
+  size_t size() const { return size_; }
+
+  // Appends the first `count` items of `batch`.
+  void Append(std::shared_ptr<const Batch> batch, size_t count) {
+    if (count == 0) return;
+    segments_.push_back(Segment{std::move(batch), 0, count});
+    size_ += count;
+  }
+
+  // Calls take(batch, index) for the first `count` items in FIFO order,
+  // then drops them. Requires count <= size().
+  template <typename Visit>
+  void Take(size_t count, Visit&& take) {
+    size_ -= count;
+    while (count > 0) {
+      Segment& seg = segments_.front();
+      const size_t n = std::min(count, seg.end - seg.begin);
+      for (size_t i = seg.begin; i < seg.begin + n; ++i) take(*seg.batch, i);
+      seg.begin += n;
+      count -= n;
+      if (seg.begin == seg.end) segments_.pop_front();
+    }
+  }
+
+ private:
+  struct Segment {
+    std::shared_ptr<const Batch> batch;
+    size_t begin;
+    size_t end;
+  };
+  std::deque<Segment> segments_;
+  size_t size_ = 0;
+};
+
 // Sender-side pool: pad pairs {H(q_j), H(q_j ^ s)} awaiting derandomized
-// sends, plus not-yet-expanded column batches parked for an idle worker.
+// sends, plus not-yet-expanded column batches parked for Materialize.
 class OtSenderPadPool {
  public:
+  using PadPairs = std::vector<std::array<Block, 2>>;
+  // A received-but-unexpanded refill (ReceiveRandomColumns output).
+  struct PendingBatch {
+    size_t count;
+    std::vector<std::vector<uint8_t>> u_columns;
+  };
+
+  // The pool's contents and stream position: what a resumption snapshot
+  // holds. Copies share the pads and columns with the pool (file comment).
+  class State {
+   private:
+    friend class OtSenderPadPool;
+    SegmentQueue<PadPairs> ready;
+    std::deque<std::shared_ptr<const PendingBatch>> pending;
+    size_t pending_count = 0;
+    uint64_t head_seq = 0;  // Stream position of the first ready pad.
+  };
+
   explicit OtSenderPadPool(size_t target_depth) : target_(target_depth) {}
 
   size_t target_depth() const { return target_; }
 
   // Appends freshly expanded pad pairs (from SendRandom or Materialize).
-  void Append(std::vector<std::array<Block, 2>> pads);
+  void Append(PadPairs pads);
 
   // Parks a received-but-unexpanded batch (ReceiveRandomColumns output).
   // Counts toward Deficit immediately; Materialize turns it into pads.
@@ -80,18 +148,17 @@ class OtSenderPadPool {
   // All-or-nothing take of `count` consecutive pads; *start_seq gets the
   // stream position of the first one. False (a pool miss) when fewer than
   // `count` ready pads remain — partial spends would desync the streams.
-  bool TryTake(size_t count, std::vector<std::array<Block, 2>>* pads,
-               uint64_t* start_seq);
+  bool TryTake(size_t count, PadPairs* pads, uint64_t* start_seq);
 
   // Pads (ready + pending) short of target_depth.
   size_t Deficit() const;
   size_t depth() const;
 
-  // Snapshot/restore for serving-layer resumption (trusted in-process
-  // bytes). Pending batches serialize as raw columns: their expansion
-  // state lives in the OtExtSender snapshot taken alongside.
-  void Serialize(ByteWriter& w) const;
-  void Restore(ByteReader& r);
+  // Snapshot/restore for serving-layer resumption. Pending batches stay
+  // raw columns: their expansion state lives in the OtExtSender copy
+  // taken alongside.
+  State snapshot() const;
+  void Restore(State state);
 
   struct Stats {
     uint64_t hits = 0;
@@ -101,29 +168,29 @@ class OtSenderPadPool {
   Stats stats() const;
 
  private:
-  struct PendingBatch {
-    size_t count;
-    std::vector<std::vector<uint8_t>> u_columns;
-  };
-
   size_t target_;
   mutable std::mutex mu_;
-  std::deque<std::array<Block, 2>> pads_;
-  std::deque<PendingBatch> pending_;
-  size_t pending_count_ = 0;
-  uint64_t head_seq_ = 0;  // Stream position of pads_.front().
+  State state_;
   Stats stats_;
 };
 
 // Receiver-side pool: random choice bits c_j with their pads H(t_j).
 class OtReceiverPadPool {
  public:
+  // Mirrors OtSenderPadPool::State.
+  class State {
+   private:
+    friend class OtReceiverPadPool;
+    SegmentQueue<RandomOtBatch> ready;
+    uint64_t head_seq = 0;
+  };
+
   explicit OtReceiverPadPool(size_t target_depth) : target_(target_depth) {}
 
   size_t target_depth() const { return target_; }
 
   // Appends a RecvRandom batch.
-  void Append(const RandomOtBatch& batch);
+  void Append(RandomOtBatch batch);
 
   // All-or-nothing take mirroring OtSenderPadPool::TryTake.
   bool TryTake(size_t count, BitVec* choices, std::vector<Block>* pads,
@@ -132,8 +199,8 @@ class OtReceiverPadPool {
   size_t Deficit() const;
   size_t depth() const;
 
-  void Serialize(ByteWriter& w) const;
-  void Restore(ByteReader& r);
+  State snapshot() const;
+  void Restore(State state);
 
   struct Stats {
     uint64_t hits = 0;
@@ -143,15 +210,9 @@ class OtReceiverPadPool {
   Stats stats() const;
 
  private:
-  struct Entry {
-    bool choice;
-    Block pad;
-  };
-
   size_t target_;
   mutable std::mutex mu_;
-  std::deque<Entry> entries_;
-  uint64_t head_seq_ = 0;
+  State state_;
   Stats stats_;
 };
 
@@ -174,7 +235,8 @@ std::vector<Block> PooledOtRecv(Channel& channel, OtExtReceiver& ot,
 
 // The lockstep refill (file comment), run by both ends at the same point:
 // the receiver sends the columns (RecvRandom), the sender parks them with
-// AddPending for an idle worker to expand. A null pool refills nothing.
+// AddPending for a later Materialize (the server's, once it has sent the
+// request's completion ack). A null pool refills nothing.
 void RefillReceiverPads(Channel& channel, OtExtReceiver& ot, Rng& rng,
                         OtReceiverPadPool* pool);
 void RefillSenderPads(Channel& channel, OtExtSender& ot, OtSenderPadPool* pool);

@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/serial.h"
 #include "util/timer.h"
 
 namespace pafs::serve {
@@ -76,7 +75,7 @@ void ClassificationClient::ConnectOnce() {
     // Ticket hit: the server restored our session's snapshot, so we rewind
     // to the matching client state. No setup and no base OTs follow — only
     // the rotated ticket (the presented one is spent).
-    if (ticket_.empty() || ot_snapshot_.empty()) {
+    if (ticket_.empty() || !snapshot_.has_value()) {
       throw ProtocolError("serve client: unsolicited resume");
     }
     ticket_ = RecvTicketFrame(*framed_);
@@ -130,37 +129,29 @@ void ClassificationClient::ConnectOnce() {
 }
 
 void ClassificationClient::SnapshotState() {
-  ot_snapshot_ = ot_.Serialize();
-  rng_snapshot_.clear();
-  ByteWriter writer(&rng_snapshot_);
-  rng_.Serialize(writer);
-  ot_pads_snapshot_.clear();
-  ByteWriter pads_writer(&ot_pads_snapshot_);
-  if (ot_pads_ != nullptr) ot_pads_->Serialize(pads_writer);
-  snapshot_next_query_id_ = next_query_id_;
+  obs::TraceSpan span("serve.snapshot");
+  if (!snapshot_.has_value()) snapshot_.emplace();
+  snapshot_->ot = ot_;  // Assigns into the previous copy's storage.
+  snapshot_->rng = rng_;
+  snapshot_->ot_pads =
+      ot_pads_ != nullptr ? ot_pads_->snapshot() : OtReceiverPadPool::State();
+  snapshot_->next_query_id = next_query_id_;
 }
 
 void ClassificationClient::RestoreSnapshot() {
-  ot_ = OtExtReceiver::Deserialize(ot_snapshot_);
-  ByteReader reader(rng_snapshot_);
-  rng_ = Rng::Deserialize(reader);
-  // OT pads are covered by the snapshot (the pool was serialized after the
+  ot_ = snapshot_->ot;
+  rng_ = snapshot_->rng;
+  // OT pads are covered by the snapshot (the pool was snapshot after the
   // refill), so a replayed retry re-spends the exact pads the transcript's
   // corrections were computed from. The pool itself exists or not as the
   // session's setup decided, which a resume keeps.
-  if (ot_pads_ != nullptr) {
-    ByteReader pads_reader(ot_pads_snapshot_);
-    ot_pads_->Restore(pads_reader);
-  }
-  next_query_id_ = snapshot_next_query_id_;
+  if (ot_pads_ != nullptr) ot_pads_->Restore(snapshot_->ot_pads);
+  next_query_id_ = snapshot_->next_query_id;
 }
 
 void ClassificationClient::ForgetResumeState() {
   ticket_.clear();
-  ot_snapshot_.clear();
-  rng_snapshot_.clear();
-  ot_pads_snapshot_.clear();
-  snapshot_next_query_id_ = 1;
+  snapshot_.reset();
 }
 
 void ClassificationClient::DropConnection() noexcept { Abandon(); }

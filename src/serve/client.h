@@ -184,13 +184,17 @@ class ClassificationClient {
   std::unique_ptr<OtReceiverPadPool> ot_pads_;
   OtExtReceiver ot_;
   Rng rng_;
-  // Resumption state: the live ticket plus the serialized crypto snapshot
-  // taken after the handshake and after every successful query.
+  // Resumption state: the live ticket plus copies of the crypto state
+  // taken after the handshake and after every successful query. The pad
+  // pool's state shares its segments with the live pool.
+  struct Snapshot {
+    OtExtReceiver ot;
+    Rng rng;
+    OtReceiverPadPool::State ot_pads;
+    uint64_t next_query_id = 1;
+  };
   std::vector<uint8_t> ticket_;
-  std::vector<uint8_t> ot_snapshot_;
-  std::vector<uint8_t> rng_snapshot_;
-  std::vector<uint8_t> ot_pads_snapshot_;
-  uint64_t snapshot_next_query_id_ = 1;
+  std::optional<Snapshot> snapshot_;
   uint64_t next_query_id_ = 1;  // Stamped on the next request.
   bool open_ = false;      // Current session is live.
   bool finished_ = false;  // Close() was called; no further queries.

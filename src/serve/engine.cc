@@ -123,7 +123,7 @@ void GarblerDriver::Run(Channel& channel,
   std::vector<BitVec> garbler_bits(n);
   std::vector<std::array<Block, 2>> messages;
   std::vector<GcGarbleItem> items(n);
-  std::vector<GarbledCircuit> pre(n);
+  std::vector<GcPool::Garbled> pre(n);
   for (size_t i = 0; i < n; ++i) {
     if (session_circuit != nullptr) {
       obs::TraceSpan encode("smc.encode");
@@ -148,7 +148,7 @@ void GarblerDriver::Run(Channel& channel,
         session_circuit != nullptr ? session_key : keys[i];
     if (session.gc_pool != nullptr &&
         session.gc_pool->TryTake(pool_key, &pre[i])) {
-      items[i].pregarbled = &pre[i];
+      items[i].pregarbled = pre[i].get();
     }
   }
   // Linear phase 1: one correlated OT per message, all records at once.

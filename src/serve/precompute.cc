@@ -32,68 +32,6 @@ void CountGcRefill() {
   refills.Add();
 }
 
-void SerializeBlock(ByteWriter& w, const Block& b) {
-  uint8_t buf[16];
-  b.ToBytes(buf);
-  w.Bytes(buf, 16);
-}
-
-Block RestoreBlock(ByteReader& r) {
-  uint8_t buf[16];
-  r.Bytes(buf, 16);
-  return Block::FromBytes(buf);
-}
-
-void SerializeBits(ByteWriter& w, const BitVec& bits) {
-  w.U64(bits.size());
-  std::vector<uint8_t> bytes = bits.ToBytes();
-  w.Bytes(bytes.data(), bytes.size());
-}
-
-BitVec RestoreBits(ByteReader& r) {
-  uint64_t n = r.U64();
-  std::vector<uint8_t> bytes((n + 7) / 8);
-  r.Bytes(bytes.data(), bytes.size());
-  return BitVec::FromBytes(bytes.data(), n);
-}
-
-// Garbled-circuit material is snapshot-only state (trusted in-process
-// bytes), so the layout can stay simple: delta, label pairs, tables,
-// decode bits.
-void SerializeGarbled(ByteWriter& w, const GarbledCircuit& gc) {
-  SerializeBlock(w, gc.delta);
-  w.U64(gc.input_labels.size());
-  for (const auto& pair : gc.input_labels) {
-    SerializeBlock(w, pair[0]);
-    SerializeBlock(w, pair[1]);
-  }
-  w.U64(gc.and_tables.size());
-  for (const GarbledTable& t : gc.and_tables) {
-    SerializeBlock(w, t.tg);
-    SerializeBlock(w, t.te);
-  }
-  SerializeBits(w, gc.output_decode);
-}
-
-GarbledCircuit RestoreGarbled(ByteReader& r) {
-  GarbledCircuit gc;
-  gc.delta = RestoreBlock(r);
-  uint64_t inputs = r.U64();
-  gc.input_labels.resize(inputs);
-  for (auto& pair : gc.input_labels) {
-    pair[0] = RestoreBlock(r);
-    pair[1] = RestoreBlock(r);
-  }
-  uint64_t tables = r.U64();
-  gc.and_tables.resize(tables);
-  for (GarbledTable& t : gc.and_tables) {
-    t.tg = RestoreBlock(r);
-    t.te = RestoreBlock(r);
-  }
-  gc.output_decode = RestoreBits(r);
-  return gc;
-}
-
 }  // namespace
 
 bool PoolsDisabledByEnv() {
@@ -113,7 +51,7 @@ void GcPool::RegisterKey(const std::vector<int>& key,
   // key pins the circuit shape, but guard against a mismatched snapshot
   // rather than hand out unusable material.
   if (!entry.ready.empty() &&
-      entry.ready.front().input_labels.size() !=
+      entry.ready.front()->input_labels.size() !=
           circuit->garbler_inputs() + circuit->evaluator_inputs()) {
     entry.ready.clear();
   }
@@ -122,7 +60,7 @@ void GcPool::RegisterKey(const std::vector<int>& key,
   EvictOverCapLocked();
 }
 
-bool GcPool::TryTake(const std::vector<int>& key, GarbledCircuit* out) {
+bool GcPool::TryTake(const std::vector<int>& key, Garbled* out) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.ready.empty()) {
@@ -175,7 +113,7 @@ bool GcPool::RefillOne(Rng& rng) {
   if (circuit == nullptr) return false;
 
   Prg prg(Block(rng.NextU64(), rng.NextU64()));
-  GarbledCircuit gc = Garble(*circuit, prg);
+  auto gc = std::make_shared<const GarbledCircuit>(Garble(*circuit, prg));
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
@@ -188,34 +126,21 @@ bool GcPool::RefillOne(Rng& rng) {
   return true;
 }
 
-void GcPool::Serialize(ByteWriter& w) const {
+GcPool::Snapshot GcPool::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  w.U32(static_cast<uint32_t>(entries_.size()));
-  for (const auto& [key, entry] : entries_) {
-    w.U32(static_cast<uint32_t>(key.size()));
-    for (int v : key) w.U64(static_cast<uint64_t>(v));
-    w.U32(static_cast<uint32_t>(entry.ready.size()));
-    for (const GarbledCircuit& gc : entry.ready) SerializeGarbled(w, gc);
-  }
+  Snapshot snapshot;
+  for (const auto& [key, entry] : entries_) snapshot.emplace(key, entry.ready);
+  return snapshot;
 }
 
-void GcPool::Restore(ByteReader& r) {
+void GcPool::Restore(Snapshot snapshot) {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
-  uint32_t keys = r.U32();
-  for (uint32_t i = 0; i < keys; ++i) {
-    uint32_t key_len = r.U32();
-    std::vector<int> key(key_len);
-    for (uint32_t j = 0; j < key_len; ++j) {
-      key[j] = static_cast<int>(r.U64());
-    }
+  for (auto& [key, ready] : snapshot) {
     Entry entry;
-    uint32_t ready = r.U32();
-    for (uint32_t j = 0; j < ready; ++j) {
-      entry.ready.push_back(RestoreGarbled(r));
-    }
+    entry.ready = std::move(ready);
     entry.last_used = ++clock_;
-    entries_.emplace(std::move(key), std::move(entry));
+    entries_.emplace(key, std::move(entry));
   }
 }
 
@@ -258,20 +183,18 @@ size_t SessionPrecompute::RefillStep(const std::atomic<bool>* stop) {
   return gc_pool_->RefillOne(fill_rng_) ? 1 : 0;
 }
 
-void SessionPrecompute::Serialize(ByteWriter& w) const {
-  w.U32(gc_pool_ != nullptr ? 1 : 0);
-  if (gc_pool_ != nullptr) gc_pool_->Serialize(w);
-  w.U32(ot_pads_ != nullptr ? 1 : 0);
-  if (ot_pads_ != nullptr) ot_pads_->Serialize(w);
+SessionPrecompute::Snapshot SessionPrecompute::snapshot() const {
+  Snapshot snapshot;
+  if (gc_pool_ != nullptr) snapshot.gc = gc_pool_->snapshot();
+  if (ot_pads_ != nullptr) snapshot.ot_pads = ot_pads_->snapshot();
+  return snapshot;
 }
 
-void SessionPrecompute::Restore(ByteReader& r) {
+void SessionPrecompute::Restore(Snapshot snapshot) {
   // Snapshots come from sessions of the same server, whose pool depths are
   // fixed at construction, so a snapshot holds exactly this session's pools.
-  PAFS_CHECK_EQ(r.U32() != 0, gc_pool_ != nullptr);
-  if (gc_pool_ != nullptr) gc_pool_->Restore(r);
-  PAFS_CHECK_EQ(r.U32() != 0, ot_pads_ != nullptr);
-  if (ot_pads_ != nullptr) ot_pads_->Restore(r);
+  if (gc_pool_ != nullptr) gc_pool_->Restore(std::move(snapshot.gc));
+  if (ot_pads_ != nullptr) ot_pads_->Restore(std::move(snapshot.ot_pads));
 }
 
 }  // namespace pafs::serve

@@ -29,7 +29,6 @@
 #include "gc/garble.h"
 #include "ot/ot_pool.h"
 #include "util/random.h"
-#include "util/serial.h"
 
 namespace pafs::serve {
 
@@ -43,13 +42,19 @@ namespace pafs::serve {
 // stops quickly. Bounded to `max_keys` disclosure sets, evicting the least
 // recently used.
 //
-// Restore (session resumption) brings back the garbled material but not
-// the circuits, which live in the serving layer's spec map; a restored
+// Garbled circuits are immutable once garbled and held by shared_ptr, so
+// a snapshot (session resumption) shares them with the live pool instead
+// of copying their tables. Restore brings back the garbled material but
+// not the circuits, which live in the serving layer's spec map; a restored
 // key serves TryTake immediately and resumes refilling once RegisterKey
 // re-attaches its circuit. Telemetry: gc.pool.hit / .miss / .refill
 // counters and a gc.pool.depth histogram.
 class GcPool {
  public:
+  using Garbled = std::shared_ptr<const GarbledCircuit>;
+  // Every key's ready queue, oldest first.
+  using Snapshot = std::map<std::vector<int>, std::deque<Garbled>>;
+
   GcPool(size_t depth, size_t max_keys);
 
   // Registers (or re-attaches) the circuit for a key and bumps its LRU
@@ -60,7 +65,7 @@ class GcPool {
 
   // Pops one pre-garbled circuit for `key`. False (a miss — caller garbles
   // online) when the key is unknown or its queue is empty.
-  bool TryTake(const std::vector<int>& key, GarbledCircuit* out);
+  bool TryTake(const std::vector<int>& key, Garbled* out);
 
   // Garbled circuits short of depth, summed over keys with a circuit.
   size_t Deficit() const;
@@ -68,8 +73,8 @@ class GcPool {
   // Returns false when nothing needs refilling.
   bool RefillOne(Rng& rng);
 
-  void Serialize(ByteWriter& w) const;
-  void Restore(ByteReader& r);
+  Snapshot snapshot() const;
+  void Restore(Snapshot snapshot);
 
   struct Stats {
     uint64_t hits = 0;
@@ -81,7 +86,7 @@ class GcPool {
  private:
   struct Entry {
     std::shared_ptr<const Circuit> circuit;  // Null until RegisterKey.
-    std::deque<GarbledCircuit> ready;
+    std::deque<Garbled> ready;
     uint64_t last_used = 0;
   };
 
@@ -102,6 +107,13 @@ bool PoolsDisabledByEnv();
 
 class SessionPrecompute {
  public:
+  // Both pools' contents for the session's resumption snapshot, sharing
+  // their immutable material (garbled circuits, pad segments).
+  struct Snapshot {
+    GcPool::Snapshot gc;
+    OtSenderPadPool::State ot_pads;
+  };
+
   // `gc_depth` pre-garbled circuits per disclosure key (for up to
   // kDefaultMaxSpecKeys keys before LRU eviction) and a sender-side OT pad
   // pool of `ot_pads` random OTs, each one label transfer.
@@ -119,9 +131,8 @@ class SessionPrecompute {
   // circuit unless `stop` is set. Returns the number of circuits added.
   size_t RefillStep(const std::atomic<bool>* stop);
 
-  // GC and OT pool contents for the session's resumption snapshot.
-  void Serialize(ByteWriter& w) const;
-  void Restore(ByteReader& r);
+  Snapshot snapshot() const;
+  void Restore(Snapshot snapshot);
 
  private:
   Rng fill_rng_;  // Dedicated: garbling seeds have no determinism constraint.

@@ -14,7 +14,6 @@
 #include "net/framing.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/serial.h"
 #include "util/timer.h"
 
 namespace pafs::serve {
@@ -421,6 +420,8 @@ void ClassificationServer::FillerStep(const std::shared_ptr<Session>& s) {
   // (Session::filling) keeps the fill rng race-free.
   size_t added = s->precompute.RefillStep(&stop_fill_);
   // Materialize parked OT columns — the other half of the offline work.
+  // A request expands its own refill after its ack, so columns are parked
+  // here only when a resume restored a snapshot taken before that step.
   // try_lock only: the OT stream belongs to a live query when ot_mu is
   // held, and that query materializes at its own start anyway.
   size_t ot_added = 0;
@@ -494,8 +495,10 @@ bool ClassificationServer::ServeOne(Session& s) {
     // A client that said bye never presents its ticket again: drop the
     // entry (its OT state, pads and garbled tables) now rather than at
     // LRU eviction. Failed and dropped sessions keep theirs to resume.
+    ResumeEntry dropped;  // Destroyed after mu_ is released.
     std::lock_guard<std::mutex> lock(mu_);
-    resume_cache_.erase(s.ticket);
+    auto it = resume_cache_.find(s.ticket);
+    if (it != resume_cache_.end()) dropped = TakeResumeEntryLocked(it);
     return false;
   }
   if (tag == static_cast<uint64_t>(RequestTag::kPing)) {
@@ -575,18 +578,15 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
   // shed path answers the same slot in the conversation with kBusy, so a
   // client always learns its request's fate from this one frame.
   qch.SendU64(static_cast<uint64_t>(ReplyStatus::kOk));
+  std::vector<ResumeEntry> dropped;
   {
     // The protocol region owns the OT stream end to end (transfers, the
     // lockstep refill and the resume snapshot); any columns parked by a
     // previous refill must expand before the next transfer advances the
     // stream past them.
     std::lock_guard<std::mutex> ot_lock(s.ot_mu);
+    MaterializeParkedPads(s);
     OtSenderPadPool* ot_pads = s.precompute.ot_pads();
-    if (ot_pads != nullptr && ot_pads->HasPending()) {
-      size_t added = ot_pads->Materialize(s.ot);
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.ot_pads_precomputed += added;
-    }
     driver_.Run(qch, keys,
                 GarblerSession{s.ot, s.rng, s.specs, s.precompute.gc_pool(),
                                ot_pads});
@@ -599,7 +599,7 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
     // instantly reconnect with the ticket and must hit the post-request
     // entry. The entry shares this transcript object, so the ack recorded
     // below is replayed too.
-    RefreshResumeEntry(s);
+    dropped = RefreshResumeEntry(s);
   }
   // Completion ack — the client's commit point. Because the server commits
   // strictly first, its state is never *behind* the client's: a lost ack
@@ -624,6 +624,25 @@ void ClassificationServer::ExecuteRequest(Session& s, Channel& ch,
   served.Add();
   if (batch) batches.Add();
   (batch ? batch_latency : query_latency).Record(timer.ElapsedSeconds());
+  // The reply leaves first; then, while the client reads it and prepares
+  // its next request, this worker expands the refill's columns and frees
+  // the displaced snapshot and transcript. The next query thus always
+  // finds its pads ready, rather than racing a filler for ot_mu and
+  // expanding them itself whenever the filler started late.
+  qch.Flush();
+  {
+    std::lock_guard<std::mutex> ot_lock(s.ot_mu);
+    MaterializeParkedPads(s);
+  }
+  dropped.clear();
+}
+
+void ClassificationServer::MaterializeParkedPads(Session& s) {
+  OtSenderPadPool* ot_pads = s.precompute.ot_pads();
+  if (ot_pads == nullptr || !ot_pads->HasPending()) return;
+  size_t added = ot_pads->Materialize(s.ot);
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.ot_pads_precomputed += added;
 }
 
 void ClassificationServer::ReplayQuery(Channel& ch,
@@ -655,8 +674,11 @@ void ClassificationServer::ReplayQuery(Channel& ch,
 
 bool ClassificationServer::TryResumeSession(Session& s,
                                             const std::vector<uint8_t>& ticket) {
-  std::array<uint8_t, kResumeTicketBytes> key{};
+  Ticket key{};
   std::copy(ticket.begin(), ticket.end(), key.begin());
+  // Declared before the lock, so an expired entry is destroyed after mu_
+  // is released.
+  ResumeEntry entry;
   std::lock_guard<std::mutex> lock(mu_);
   auto miss = [this] {
     ++stats_.resume_misses;
@@ -668,8 +690,7 @@ bool ClassificationServer::TryResumeSession(Session& s,
   if (it == resume_cache_.end()) return miss();  // Evicted, replayed, forged.
   // Consume-on-use: hit or expired, a presented ticket is spent, so a
   // later replay of the same bytes cannot touch this state again.
-  ResumeEntry entry = std::move(it->second);
-  resume_cache_.erase(it);
+  entry = TakeResumeEntryLocked(it);
   if (config_.resume_ticket_ttl_seconds > 0 &&
       std::chrono::steady_clock::now() - entry.stored_at >
           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -677,15 +698,11 @@ bool ClassificationServer::TryResumeSession(Session& s,
                   config_.resume_ticket_ttl_seconds))) {
     return miss();
   }
-  s.ot = OtExtSender::Deserialize(entry.ot_state);
-  ByteReader rng_reader(entry.rng_state);
-  s.rng = Rng::Deserialize(rng_reader);
-  if (!entry.precompute_state.empty()) {
-    // Suspended pads come back with the session, so its first query after
-    // resumption is as pooled as its last one before.
-    ByteReader pre_reader(entry.precompute_state);
-    s.precompute.Restore(pre_reader);
-  }
+  s.ot = std::move(entry.ot);
+  s.rng = entry.rng;
+  // Suspended pads come back with the session, so its first query after
+  // resumption is as pooled as its last one before.
+  s.precompute.Restore(std::move(entry.precompute));
   s.next_query_id = entry.next_query_id;
   s.queries = entry.queries;
   s.transcript = std::move(entry.transcript);
@@ -711,37 +728,47 @@ void ClassificationServer::IssueTicket(Session& s, Channel& ch) {
   }
   ch.SendBytes(std::vector<uint8_t>(s.ticket.begin(), s.ticket.end()));
   std::lock_guard<std::mutex> ot_lock(s.ot_mu);
-  RefreshResumeEntry(s);
+  RefreshResumeEntry(s);  // What it displaced is freed here, outside mu_.
 }
 
-void ClassificationServer::RefreshResumeEntry(Session& s) {
-  if (config_.resume_cache_entries == 0) return;
+std::vector<ClassificationServer::ResumeEntry>
+ClassificationServer::RefreshResumeEntry(Session& s) {
+  std::vector<ResumeEntry> dropped;
+  if (config_.resume_cache_entries == 0) return dropped;
+  obs::TraceSpan span("serve.snapshot");
   ResumeEntry entry;
-  entry.ot_state = s.ot.Serialize();
-  ByteWriter rng_writer(&entry.rng_state);
-  s.rng.Serialize(rng_writer);
+  entry.ot = s.ot;
+  entry.rng = s.rng;
   // The caller's ot_mu keeps a filler from materializing between the OT
-  // and pad-pool serializations (it advances the OT stream, then appends
-  // the pads). GC pads a filler pushes meanwhile are safe under the pool's
-  // own lock; the entry captures whichever depth the fill had reached.
-  ByteWriter pre_writer(&entry.precompute_state);
-  s.precompute.Serialize(pre_writer);
+  // copy and the pad-pool snapshot (it advances the OT stream, then
+  // appends the pads). GC pads a filler pushes meanwhile are safe under
+  // the pool's own lock; the entry captures whichever depth the fill had
+  // reached.
+  entry.precompute = s.precompute.snapshot();
   entry.next_query_id = s.next_query_id;
   entry.queries = s.queries;
   entry.transcript = s.transcript;
   entry.stored_at = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
+  auto it = resume_cache_.find(s.ticket);
+  if (it != resume_cache_.end()) dropped.push_back(TakeResumeEntryLocked(it));
   entry.lru_seq = ++resume_lru_seq_;
-  resume_cache_[s.ticket] = std::move(entry);
-  // Bounded cache: evict least-recently-refreshed. Linear scan is fine at
-  // the configured sizes (hundreds to a few thousand entries).
+  resume_lru_.emplace(entry.lru_seq, s.ticket);
+  resume_cache_.emplace(s.ticket, std::move(entry));
+  // Bounded cache: evict least-recently-refreshed.
   while (static_cast<int>(resume_cache_.size()) > config_.resume_cache_entries) {
-    auto victim = resume_cache_.begin();
-    for (auto it = resume_cache_.begin(); it != resume_cache_.end(); ++it) {
-      if (it->second.lru_seq < victim->second.lru_seq) victim = it;
-    }
-    resume_cache_.erase(victim);
+    dropped.push_back(TakeResumeEntryLocked(
+        resume_cache_.find(resume_lru_.begin()->second)));
   }
+  return dropped;
+}
+
+ClassificationServer::ResumeEntry ClassificationServer::TakeResumeEntryLocked(
+    std::map<Ticket, ResumeEntry>::iterator it) {
+  ResumeEntry entry = std::move(it->second);
+  resume_lru_.erase(entry.lru_seq);
+  resume_cache_.erase(it);
+  return entry;
 }
 
 void ClassificationServer::CancelOverdueQueries() {

@@ -181,6 +181,7 @@ class ClassificationServer {
 
  private:
   enum class SessionState { kAwaitHello, kIdle, kBusy };
+  using Ticket = std::array<uint8_t, kResumeTicketBytes>;
 
   struct Session {
     uint64_t id = 0;
@@ -198,7 +199,7 @@ class ClassificationServer {
     // (rotated on every resume; unused when resumption is off), the id the
     // next query must carry, and the transcript of the last executed query
     // for replay.
-    std::array<uint8_t, kResumeTicketBytes> ticket{};
+    Ticket ticket{};
     uint64_t next_query_id = 1;
     std::shared_ptr<QueryTranscript> transcript;
     // Watchdog: set while a worker is inside ServeQuery (mu_-guarded);
@@ -213,9 +214,11 @@ class ClassificationServer {
     SessionPrecompute precompute;
     bool filling = false;
     // OT stream exclusivity: the query task holds this for the whole
-    // protocol region (every ot use plus the lockstep refill); the filler
-    // only try_locks it to materialize pending pad batches, so background
-    // expansion never interleaves with a live transfer.
+    // protocol region (every ot use plus the lockstep refill) and again to
+    // expand the refill's columns right after the completion ack; the
+    // filler only try_locks it to materialize what a resumed snapshot
+    // parked, so background expansion never interleaves with a live
+    // transfer.
     std::mutex ot_mu;
     // Tree/forest circuit specs per disclosure set: the first
     // kDefaultMaxSpecKeys sets stay cached, none is evicted.
@@ -226,15 +229,16 @@ class ClassificationServer {
   };
 
   // A suspended session's restorable state, keyed by its ticket in the
-  // resume cache. Holds serialized crypto state (snapshot taken after the
-  // handshake and refreshed after every executed query) plus the last
-  // query's transcript so a resumed retry can still replay.
+  // resume cache: copies of the crypto state (taken after the handshake
+  // and refreshed after every executed query) plus the last query's
+  // transcript so a resumed retry can still replay.
   struct ResumeEntry {
-    std::vector<uint8_t> ot_state;   // OtExtSender::Serialize.
-    std::vector<uint8_t> rng_state;  // Rng::Serialize.
-    // SessionPrecompute::Serialize — precomputed pads survive suspension,
-    // so a resumed session's first query still runs pooled.
-    std::vector<uint8_t> precompute_state;
+    OtExtSender ot;
+    Rng rng;
+    // Precomputed pads and garbled circuits survive suspension, so a
+    // resumed session's first query still runs pooled. Shared with the
+    // live session, not copied.
+    SessionPrecompute::Snapshot precompute;
     uint64_t next_query_id = 1;
     uint64_t queries = 0;
     std::shared_ptr<QueryTranscript> transcript;
@@ -262,15 +266,24 @@ class ClassificationServer {
   // transcript for at-most-once replay and refreshing the session's
   // resume-cache entry. A single query is the N = 1 case.
   void ExecuteRequest(Session& session, Channel& channel, uint64_t query_id);
+  // Expands the OT columns the session's pad pool has parked, so its next
+  // transfer finds them as pads. Caller holds session.ot_mu.
+  void MaterializeParkedPads(Session& session);
   // Answers a retried query id byte-for-byte from the recorded transcript.
   void ReplayQuery(Channel& channel, const QueryTranscript& transcript);
   // Handshake helpers (caller does not hold mu_).
   bool TryResumeSession(Session& session, const std::vector<uint8_t>& ticket);
   void IssueTicket(Session& session, Channel& channel);
   // Re-snapshots the session's crypto state into the resume cache under its
-  // current ticket; evicts LRU entries beyond resume_cache_entries. Caller
-  // holds s.ot_mu.
-  void RefreshResumeEntry(Session& session);
+  // current ticket; evicts LRU entries beyond resume_cache_entries. Returns
+  // the entries it displaced or evicted, for the caller to destroy later:
+  // dropping the last reference to a transcript, pad segment or garbled
+  // circuit frees it. Caller holds s.ot_mu.
+  std::vector<ResumeEntry> RefreshResumeEntry(Session& session);
+  // Unlinks a resume-cache entry from the cache and the LRU index and
+  // returns it, so the caller can destroy it after releasing mu_. Caller
+  // holds mu_.
+  ResumeEntry TakeResumeEntryLocked(std::map<Ticket, ResumeEntry>::iterator it);
   // Watchdog tick (event-loop thread): cancels sessions whose in-flight
   // query has exceeded query_budget_seconds.
   void CancelOverdueQueries();
@@ -309,8 +322,10 @@ class ClassificationServer {
 
   // Resume cache (mu_-guarded): ticket -> suspended-session snapshot.
   // Tickets come from an entropy-seeded PRG and are consumed on use.
-  std::map<std::array<uint8_t, kResumeTicketBytes>, ResumeEntry>
-      resume_cache_;
+  std::map<Ticket, ResumeEntry> resume_cache_;
+  // LRU index over resume_cache_: lru_seq -> ticket, least recently
+  // refreshed first.
+  std::map<uint64_t, Ticket> resume_lru_;
   uint64_t resume_lru_seq_ = 0;
   std::optional<Prg> ticket_prg_;  // Seeded from std::random_device.
 };

@@ -25,16 +25,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) s = SplitMix64(x);
 }
 
-void Rng::Serialize(ByteWriter& w) const {
-  for (uint64_t s : s_) w.U64(s);
-}
-
-Rng Rng::Deserialize(ByteReader& r) {
-  Rng rng(0);
-  for (auto& s : rng.s_) s = r.U64();
-  return rng;
-}
-
 uint64_t Rng::NextU64() {
   const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
   const uint64_t t = s_[1] << 17;

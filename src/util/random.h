@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/serial.h"
 
 namespace pafs {
 
@@ -35,13 +34,6 @@ class Rng {
   size_t NextCategorical(const std::vector<double>& weights);
   // Fills `out` with uniform bytes (NOT cryptographically secure).
   void FillBytes(uint8_t* out, size_t n);
-
-  // Checkpoint/restore of the full xoshiro256** state (32 bytes); a
-  // Deserialize'd Rng continues the stream exactly. Used by session
-  // resumption to keep both parties' protocol randomness in lockstep
-  // across a reconnect.
-  void Serialize(ByteWriter& w) const;
-  static Rng Deserialize(ByteReader& r);
 
   // In-place Fisher-Yates shuffle of indices/containers.
   template <typename T>

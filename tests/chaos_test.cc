@@ -806,7 +806,7 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
   std::vector<uint8_t> ticket = serve::RecvTicketFrame(framed);
   ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
   serve::EvaluatorDriver evaluator(setup);
-  std::vector<uint8_t> ot_snapshot = ot.Serialize();
+  const OtExtReceiver ot_snapshot = ot;
   auto send_query_head = [&](FramedChannel& ch) {
     ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
     ch.SendU64(1);  // Every attempt retries "the" query...
@@ -861,7 +861,7 @@ TEST(ServingChaosTest, CrashInReplyWindowIsAnsweredFromReplayCache) {
 
   // Final attempt: resume and drive the retry to completion from the
   // restored snapshot; the whole conversation is replayed.
-  OtExtReceiver ot_retry = OtExtReceiver::Deserialize(ot_snapshot);
+  OtExtReceiver ot_retry = ot_snapshot;
   auto [s3, ch3] = resume(&ticket);
   send_query_head(*ch3);
   int retry =

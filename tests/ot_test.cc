@@ -14,7 +14,6 @@
 #include "ot/ot_pool.h"
 #include "util/bitvec.h"
 #include "util/random.h"
-#include "util/serial.h"
 
 namespace pafs {
 namespace {
@@ -247,7 +246,7 @@ TEST_F(OtPoolTest, SplitReceiveThenMaterializeMatchesEagerExpansion) {
 }
 
 TEST_F(OtPoolTest, PoolsResumeFromSnapshotsMidStream) {
-  // Serving-layer resumption shape: pools and OT endpoints are serialized
+  // Serving-layer resumption shape: pools and OT endpoints are snapshot
   // together mid-stream (pending columns still raw) and the restored pair
   // continues the derandomized stream with zero new base OTs.
   SetUpSessions();
@@ -261,22 +260,17 @@ TEST_F(OtPoolTest, PoolsResumeFromSnapshotsMidStream) {
   sender_thread.join();
   RunPooled(10, 1, &spool, &rpool);  // Advance head_seq past zero.
 
-  std::vector<uint8_t> sender_bytes = sender_.Serialize();
-  std::vector<uint8_t> receiver_bytes = receiver_.Serialize();
-  std::vector<uint8_t> spool_bytes, rpool_bytes;
-  ByteWriter sw(&spool_bytes);
-  spool.Serialize(sw);
-  ByteWriter rw(&rpool_bytes);
-  rpool.Serialize(rw);
+  const OtExtSender sender_snapshot = sender_;
+  const OtExtReceiver receiver_snapshot = receiver_;
+  const OtSenderPadPool::State spool_snapshot = spool.snapshot();
+  const OtReceiverPadPool::State rpool_snapshot = rpool.snapshot();
 
-  sender_ = OtExtSender::Deserialize(sender_bytes);
-  receiver_ = OtExtReceiver::Deserialize(receiver_bytes);
+  sender_ = sender_snapshot;
+  receiver_ = receiver_snapshot;
   OtSenderPadPool spool2(48);
   OtReceiverPadPool rpool2(48);
-  ByteReader sr(spool_bytes);
-  spool2.Restore(sr);
-  ByteReader rr(rpool_bytes);
-  rpool2.Restore(rr);
+  spool2.Restore(spool_snapshot);
+  rpool2.Restore(rpool_snapshot);
   EXPECT_TRUE(spool2.HasPending());
   EXPECT_EQ(spool2.Materialize(sender_), 24u);
   RunPooled(38, 2, &spool2, &rpool2);  // 14 ready + 24 materialized.

@@ -34,7 +34,6 @@
 #include "serve/precompute.h"
 #include "serve/server.h"
 #include "util/random.h"
-#include "util/serial.h"
 
 namespace pafs {
 namespace {
@@ -804,7 +803,7 @@ TEST_F(ServeTest, ResumedReconnectSkipsBaseOts) {
 }
 
 TEST_F(ServeTest, ResumeSnapshotsStayInStepWithOverlappingFillers) {
-  // The post-request resume snapshot serializes the OT stream and the pad
+  // The post-request resume snapshot copies the OT stream and the pad
   // pools while a filler that was in flight when the request arrived may
   // materialize parked OT columns. Back-to-back pooled forest queries keep
   // fillers overlapping requests, and every few queries a crash-like drop
@@ -858,7 +857,7 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
     ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
     // Snapshot the pre-query client state — exactly what a crashed client
     // would restore before retrying.
-    std::vector<uint8_t> ot_snapshot = ot.Serialize();
+    const OtExtReceiver ot_snapshot = ot;
 
     auto run_query = [&](FramedChannel& ch, OtExtReceiver& o) {
       SendQueryHead(ch, 1, setup, row);  // Same id both times: "the" query.
@@ -881,7 +880,7 @@ TEST_F(ServeTest, RetriedQueryIsReplayedNotReExecuted) {
     // The reply is "lost": drop the connection, rewind to the snapshot, and
     // resume with the ticket.
     socket->Close();
-    OtExtReceiver ot_retry = OtExtReceiver::Deserialize(ot_snapshot);
+    OtExtReceiver ot_retry = ot_snapshot;
     auto socket2 = SocketConnect(server.address(), 2.0 * kTimeScale);
     socket2->set_recv_timeout_seconds(30 * kTimeScale);
     FramedChannel framed2(*socket2);
@@ -1118,6 +1117,37 @@ TEST_F(ServeTest, ByeDropsTheSessionsResumeEntry) {
   EXPECT_EQ(stats.resume_misses, 1u);
   EXPECT_EQ(stats.resumptions, 0u);
   EXPECT_EQ(stats.sessions_failed, 0u);
+}
+
+TEST_F(ServeTest, ResumeCacheEvictsTheLeastRecentlyRefreshedTicket) {
+  // A full cache evicts by refresh order, not insertion order: `a` opens
+  // first but its query refreshes its entry after `b` opened, so when `c`
+  // overflows a two-entry cache, `b`'s ticket is the one that goes.
+  if (serve::ResumeDisabledByEnv()) GTEST_SKIP() << "PAFS_NO_RESUME set";
+  auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
+  ServerConfig config;
+  config.resume_cache_entries = 2;
+  ClassificationServer server(ServingModel::FromPipeline(*pipeline), config);
+  server.Start();
+  const std::vector<int>& row = data_.row(17);
+
+  ClassificationClient a(ClientFor(server));
+  ClassificationClient b(ClientFor(server));
+  EXPECT_EQ(a.Classify(row), pipeline->PlaintextPredict(row));
+  ClassificationClient c(ClientFor(server));
+  // `b` goes last: its miss re-handshakes and evicts whichever entry is
+  // oldest by then.
+  for (ClassificationClient* client : {&a, &c, &b}) {
+    client->DropConnection();
+    EXPECT_EQ(client->Classify(row), pipeline->PlaintextPredict(row));
+  }
+  EXPECT_EQ(a.resumes(), 1u);
+  EXPECT_EQ(c.resumes(), 1u);
+  EXPECT_EQ(b.resumes(), 0u);
+  EXPECT_EQ(b.reconnects(), 1u);
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.resumptions, 2u);
+  EXPECT_EQ(stats.resume_misses, 1u);
 }
 
 TEST_F(ServeTest, RetryWithoutTranscriptIsAnsweredResync) {
@@ -1472,15 +1502,10 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
 
   // Snapshot the post-query-1 client state — exactly what a crashed
   // client would restore before retrying query 2.
-  std::vector<uint8_t> ot_snapshot = ot.Serialize();
-  std::vector<uint8_t> rng_snapshot;
-  std::vector<uint8_t> pads_snapshot;
-  {
-    ByteWriter writer(&rng_snapshot);
-    rng.Serialize(writer);
-    ByteWriter pads_writer(&pads_snapshot);
-    if (pooled) pads->Serialize(pads_writer);
-  }
+  const OtExtReceiver ot_snapshot = ot;
+  const Rng rng_snapshot = rng;
+  OtReceiverPadPool::State pads_snapshot;
+  if (pooled) pads_snapshot = pads->snapshot();
   int first = run_query(framed, 2, row2, ot, rng, pads.get());
   EXPECT_EQ(first, pipeline->PlaintextPredict(row2));
   if (pooled) {
@@ -1490,14 +1515,10 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
 
   // "Crash": rewind to the snapshot and retry query 2 with the ticket.
   socket->Close();
-  OtExtReceiver ot_retry = OtExtReceiver::Deserialize(ot_snapshot);
-  ByteReader rng_reader(rng_snapshot);
-  Rng rng_retry = Rng::Deserialize(rng_reader);
+  OtExtReceiver ot_retry = ot_snapshot;
+  Rng rng_retry = rng_snapshot;
   std::unique_ptr<OtReceiverPadPool> pads_retry = RawPadPool(setup);
-  if (pooled) {
-    ByteReader pads_reader(pads_snapshot);
-    pads_retry->Restore(pads_reader);
-  }
+  if (pooled) pads_retry->Restore(pads_snapshot);
   auto socket2 = SocketConnect(server.address(), 2.0 * kTimeScale);
   socket2->set_recv_timeout_seconds(30 * kTimeScale);
   FramedChannel framed2(*socket2);
@@ -1824,7 +1845,7 @@ TEST_F(ServeTest, RetriedBatchIsReplayedNotReExecuted) {
   OtExtReceiver ot;
   serve::SessionSetup setup = RawHandshake(framed, &ot, &ticket);
   ASSERT_EQ(ticket.size(), serve::kResumeTicketBytes);
-  std::vector<uint8_t> ot_snapshot = ot.Serialize();
+  const OtExtReceiver ot_snapshot = ot;
 
   auto run_batch = [&](FramedChannel& ch, OtExtReceiver& o) {
     ch.SendU64(static_cast<uint64_t>(serve::RequestTag::kBatch));
@@ -1855,7 +1876,7 @@ TEST_F(ServeTest, RetriedBatchIsReplayedNotReExecuted) {
   // The ack is "lost": drop the connection, rewind to the snapshot, and
   // resume with the ticket.
   socket->Close();
-  OtExtReceiver ot_retry = OtExtReceiver::Deserialize(ot_snapshot);
+  OtExtReceiver ot_retry = ot_snapshot;
   auto socket2 = SocketConnect(server.address(), 2.0 * kTimeScale);
   socket2->set_recv_timeout_seconds(30 * kTimeScale);
   FramedChannel framed2(*socket2);
@@ -1921,7 +1942,7 @@ TEST(GcPoolTest, TakesAreSingleUseAndRefillRestocks) {
   Rng rng(41);
 
   const std::vector<int> key = {1, 2};
-  GarbledCircuit taken;
+  serve::GcPool::Garbled taken;
   EXPECT_FALSE(pool.TryTake(key, &taken));  // Unknown key: a miss.
   pool.RegisterKey(key, circuit);
   EXPECT_EQ(pool.Deficit(), 2u);
@@ -1932,7 +1953,7 @@ TEST(GcPoolTest, TakesAreSingleUseAndRefillRestocks) {
 
   // Entries are single-use: two takes drain the queue, the third misses.
   EXPECT_TRUE(pool.TryTake(key, &taken));
-  EXPECT_EQ(taken.input_labels.size(),
+  EXPECT_EQ(taken->input_labels.size(),
             circuit->garbler_inputs() + circuit->evaluator_inputs());
   EXPECT_TRUE(pool.TryTake(key, &taken));
   EXPECT_FALSE(pool.TryTake(key, &taken));
@@ -1954,7 +1975,7 @@ TEST(GcPoolTest, EvictsLeastRecentlyUsedKeyAtCap) {
   pool.RegisterKey({2}, circuit);
   pool.RegisterKey({3}, circuit);  // Over cap: {1} is LRU and falls out.
 
-  GarbledCircuit taken;
+  serve::GcPool::Garbled taken;
   EXPECT_FALSE(pool.TryTake({1}, &taken));  // Evicted with its material.
   EXPECT_TRUE(pool.RefillOne(rng));
   EXPECT_TRUE(pool.RefillOne(rng));
@@ -1973,35 +1994,131 @@ TEST(GcPoolTest, RestoreServesMaterialAndDropsMismatchedShapes) {
   ASSERT_TRUE(pool.RefillOne(rng));
   ASSERT_TRUE(pool.RefillOne(rng));
 
-  std::vector<uint8_t> snapshot;
-  {
-    ByteWriter w(&snapshot);
-    pool.Serialize(w);
-  }
+  const serve::GcPool::Snapshot snapshot = pool.snapshot();
   // A restored key serves TryTake before any circuit is re-attached (the
   // material is self-contained; the circuit is only needed to refill).
   serve::GcPool restored(/*depth=*/2, /*max_keys=*/4);
-  {
-    ByteReader r(snapshot);
-    restored.Restore(r);
-  }
-  GarbledCircuit taken;
+  restored.Restore(snapshot);
+  serve::GcPool::Garbled taken;
   EXPECT_TRUE(restored.TryTake(key, &taken));
-  EXPECT_EQ(taken.input_labels.size(),
+  EXPECT_EQ(taken->input_labels.size(),
             circuit->garbler_inputs() + circuit->evaluator_inputs());
   // Re-attaching a circuit of a different shape (snapshot/model mismatch)
   // must drop the stale material rather than hand out unusable labels.
   serve::GcPool mismatched(/*depth=*/2, /*max_keys=*/4);
-  {
-    ByteReader r(snapshot);
-    mismatched.Restore(r);
-  }
+  mismatched.Restore(snapshot);
   CircuitBuilder b2(2, 2);
   b2.AddOutputWord(b2.XorW(b2.GarblerWord(0, 2), b2.EvaluatorWord(0, 2)));
   auto other = std::make_shared<const Circuit>(b2.Build());
   mismatched.RegisterKey(key, other);
   EXPECT_FALSE(mismatched.TryTake(key, &taken));
   EXPECT_EQ(mismatched.Deficit(), 2u);  // And it refills for the new shape.
+}
+
+TEST(SessionPrecomputeTest, SnapshotIsIsolatedFromTheLiveSession) {
+  // A resume snapshot shares the session's garbled circuits and pad
+  // segments. Whatever the live session takes, refills or garbles after
+  // it, restoring the snapshot hands out exactly what the pools held when
+  // it was taken: the same GarbledCircuit objects and byte-identical pads.
+  CircuitBuilder b(4, 4);
+  b.AddOutputWord(b.AddW(b.GarblerWord(0, 4), b.EvaluatorWord(0, 4)));
+  auto circuit = std::make_shared<const Circuit>(b.Build());
+  const std::vector<int> key = {3};
+  // Distinct synthetic pads: batch `tag`, item j.
+  auto sender_pads = [](uint64_t tag, size_t n) {
+    OtSenderPadPool::PadPairs pads(n);
+    for (size_t j = 0; j < n; ++j) {
+      pads[j] = {Block(tag, 2 * j), Block(tag, 2 * j + 1)};
+    }
+    return pads;
+  };
+  auto receiver_pads = [](uint64_t tag, size_t n) {
+    RandomOtBatch batch{BitVec(n), std::vector<Block>(n)};
+    for (size_t j = 0; j < n; ++j) {
+      batch.choices.Set(j, (tag + j) % 3 == 0);
+      batch.pads[j] = Block(tag, j);
+    }
+    return batch;
+  };
+
+  serve::SessionPrecompute live(/*gc_depth=*/2, /*ot_pads=*/64,
+                                /*seed=*/53);
+  live.gc_pool()->RegisterKey(key, circuit);
+  while (live.RefillStep(nullptr) > 0) {
+  }
+  OtReceiverPadPool rlive(64);
+  for (uint64_t tag : {1, 2}) {
+    live.ot_pads()->Append(sender_pads(tag, 24));
+    rlive.Append(receiver_pads(tag, 24));
+  }
+  // Spend part of the first segment, so the snapshot starts mid-segment.
+  OtSenderPadPool::PadPairs spent;
+  BitVec spent_choices;
+  std::vector<Block> spent_pads;
+  uint64_t seq = 0;
+  ASSERT_TRUE(live.ot_pads()->TryTake(10, &spent, &seq));
+  ASSERT_TRUE(rlive.TryTake(10, &spent_choices, &spent_pads, &seq));
+
+  const serve::SessionPrecompute::Snapshot snapshot = live.snapshot();
+  const OtReceiverPadPool::State rsnapshot = rlive.snapshot();
+  std::vector<const GarbledCircuit*> circuits;
+  for (const serve::GcPool::Garbled& gc : snapshot.gc.at(key)) {
+    circuits.push_back(gc.get());
+  }
+  ASSERT_EQ(circuits.size(), 2u);
+  OtSenderPadPool::PadPairs expected = sender_pads(1, 24);
+  expected.erase(expected.begin(), expected.begin() + 10);
+  OtSenderPadPool::PadPairs second = sender_pads(2, 24);
+  expected.insert(expected.end(), second.begin(), second.end());
+  RandomOtBatch rfirst = receiver_pads(1, 24);
+  RandomOtBatch rsecond = receiver_pads(2, 24);
+
+  // The live session runs on: queries take circuits and pads, the
+  // lockstep refill appends new segments, and filler passes re-garble.
+  for (uint64_t tag = 3; tag < 6; ++tag) {
+    serve::GcPool::Garbled taken;
+    EXPECT_TRUE(live.gc_pool()->TryTake(key, &taken));
+    EXPECT_EQ(live.RefillStep(nullptr), 1u);
+    ASSERT_TRUE(live.ot_pads()->TryTake(20, &spent, &seq));
+    ASSERT_TRUE(rlive.TryTake(20, &spent_choices, &spent_pads, &seq));
+    live.ot_pads()->Append(sender_pads(tag, 20));
+    rlive.Append(receiver_pads(tag, 20));
+  }
+
+  serve::SessionPrecompute restored(/*gc_depth=*/2, /*ot_pads=*/64,
+                                    /*seed=*/59);
+  restored.Restore(snapshot);
+  for (const GarbledCircuit* expected_gc : circuits) {
+    serve::GcPool::Garbled taken;
+    ASSERT_TRUE(restored.gc_pool()->TryTake(key, &taken));
+    EXPECT_EQ(taken.get(), expected_gc);
+  }
+  serve::GcPool::Garbled extra;
+  EXPECT_FALSE(restored.gc_pool()->TryTake(key, &extra));
+
+  OtSenderPadPool::PadPairs pads;
+  ASSERT_TRUE(restored.ot_pads()->TryTake(38, &pads, &seq));
+  EXPECT_EQ(seq, 10u);
+  ASSERT_EQ(pads.size(), expected.size());
+  for (size_t j = 0; j < pads.size(); ++j) {
+    EXPECT_EQ(pads[j][0], expected[j][0]) << j;
+    EXPECT_EQ(pads[j][1], expected[j][1]) << j;
+  }
+  EXPECT_EQ(restored.ot_pads()->depth(), 0u);
+
+  OtReceiverPadPool rrestored(64);
+  rrestored.Restore(rsnapshot);
+  BitVec choices;
+  std::vector<Block> rpads;
+  ASSERT_TRUE(rrestored.TryTake(38, &choices, &rpads, &seq));
+  EXPECT_EQ(seq, 10u);
+  for (size_t j = 0; j < 38; ++j) {
+    const RandomOtBatch& batch = j < 14 ? rfirst : rsecond;
+    const size_t i = j < 14 ? j + 10 : j - 14;
+    EXPECT_EQ(choices.Get(j), batch.choices.Get(i)) << j;
+    EXPECT_EQ(rpads[j], batch.pads[i]) << j;
+  }
+  EXPECT_EQ(rrestored.depth(), 0u);
 }
 
 }  // namespace
