@@ -1,13 +1,26 @@
 #!/usr/bin/env bash
 # Pre-PR gate: build the whole tree from scratch with AddressSanitizer and
 # run the test suite under it, then (optionally) smoke the benches in the
-# regular build. Usage:
+# regular build. Every mode first fails if src/ reads an environment
+# variable outside the allowed switches. Usage:
 #   scripts/check.sh           # sanitized build + ctest
 #   scripts/check.sh --bench   # additionally run every bench (regular build)
 #   scripts/check.sh --tsan    # ThreadSanitizer build + concurrency suites
 #   scripts/check.sh --ubsan   # UndefinedBehaviorSanitizer build + full ctest
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Every mode first checks which environment variables the library reads.
+# An environment-read knob silently changes every binary that links the
+# library, so a new one must be added to this list on purpose.
+ALLOWED_ENV='PAFS_THREADS|PAFS_TELEMETRY|PAFS_FORCE_PORTABLE|PAFS_NO_POOL|PAFS_NO_RESUME'
+STRAY_ENV=$(grep -rn 'getenv' src/ | grep -vE "getenv\(\"($ALLOWED_ENV)\"\)" || true)
+if [[ -n "$STRAY_ENV" ]]; then
+  echo "check.sh: src/ reads an environment variable outside" \
+       "$ALLOWED_ENV:" >&2
+  echo "$STRAY_ENV" >&2
+  exit 1
+fi
 
 if [[ "${1:-}" == "--ubsan" ]]; then
   UBSAN_BUILD=build-ubsan

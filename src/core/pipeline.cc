@@ -1,11 +1,8 @@
 #include "core/pipeline.h"
 
-#include <chrono>
 #include <exception>
-#include <string>
 #include <thread>
 
-#include "net/framing.h"
 #include "obs/trace.h"
 #include "serve/engine.h"
 #include "util/timer.h"
@@ -42,12 +39,8 @@ serve::ServingModel serve::ServingModel::FromPipeline(
 SecureClassificationPipeline::SecureClassificationPipeline(
     const Dataset& train, PipelineConfig config)
     : config_(config),
-      channel_(std::make_unique<MemChannelPair>()),
       server_rng_(config.seed * 2 + 1),
       client_rng_(config.seed * 2 + 2) {
-  if (config.fault_plan.enabled()) {
-    fault_injector_ = std::make_unique<FaultInjector>(config.fault_plan);
-  }
   model_.setup.features = train.features();
   model_.setup.num_classes = train.num_classes();
   model_.setup.classifier = config.classifier;
@@ -124,68 +117,17 @@ std::vector<int> SecureClassificationPipeline::ClassifyRows(
     drivers_ = std::make_unique<Drivers>(model_, disclosure);
   }
 
-  // Supervision: transport faults tear the session down and retry on a
-  // fresh one with capped exponential backoff; anything else propagates
-  // (it is a bug, not an environment failure).
-  for (int attempt = 1;; ++attempt) {
-    try {
-      return RunProtocolOnce(rows, stats);
-    } catch (const TransportError& e) {
-      static obs::Counter& failures = obs::GetCounter("pipeline.failures");
-      failures.Add();
-      ResetSession();
-      if (attempt >= config_.max_attempts) {
-        throw ClassificationError(
-            "classification failed after " + std::to_string(attempt) +
-            " attempt(s): " + e.what());
-      }
-      static obs::Counter& retries = obs::GetCounter("pipeline.retries");
-      retries.Add();
-      double backoff = config_.retry_backoff_seconds *
-                       static_cast<double>(1ull << (attempt - 1));
-      if (backoff > 0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      }
-    }
-  }
-}
-
-std::vector<int> SecureClassificationPipeline::RunProtocolOnce(
-    const std::vector<std::vector<int>>& rows, SmcRunStats* stats) {
-  const std::vector<int>& disclosure = drivers_->plan();
-  const std::vector<FeatureSpec>& features = model_.setup.features;
-  // Per-attempt channel stack. Under fault injection both sides speak CRC
-  // framing (so mangled frames become typed errors, not silent garbage)
-  // and the client side additionally passes through the injector.
-  Channel* server_channel = &channel_->endpoint(0);
-  Channel* client_channel = &channel_->endpoint(1);
-  std::unique_ptr<FaultInjectingChannel> faulty;
-  std::unique_ptr<FramedChannel> server_framed;
-  std::unique_ptr<FramedChannel> client_framed;
-  double recv_timeout = config_.recv_timeout_seconds;
-  if (fault_injector_ != nullptr) {
-    faulty = std::make_unique<FaultInjectingChannel>(*client_channel,
-                                                     *fault_injector_);
-    server_framed = std::make_unique<FramedChannel>(*server_channel);
-    client_framed = std::make_unique<FramedChannel>(*faulty);
-    server_channel = server_framed.get();
-    client_channel = client_framed.get();
-    // A dropped message must surface as a timeout, never a hang.
-    if (recv_timeout <= 0) recv_timeout = 5.0;
-  }
-  if (recv_timeout > 0) {
-    server_channel->set_recv_timeout_seconds(recv_timeout);
-    client_channel->set_recv_timeout_seconds(recv_timeout);
-  }
+  Channel& server_channel = channel_.endpoint(0);
+  Channel& client_channel = channel_.endpoint(1);
 
   // The stats cover this query alone: both endpoints start fresh, so the
   // flips count every one-way leg but the opening one, whichever party
   // sends it and however the previous query ended.
-  channel_->ResetStats();
+  channel_.ResetStats();
   Timer timer;
-  // The first attempt on a fresh session (after construction or
-  // ResetSession) opens it: each party runs its base OTs before the
-  // disclosure, so that query's stats include the session setup.
+  // The first query opens the session: each party runs its base OTs
+  // before the disclosure, so that query's stats include the session
+  // setup.
   const bool open_session = !ot_sender_.is_setup();
 
   // Disclosure phase: the client reveals every row's values of the plan's
@@ -200,53 +142,40 @@ std::vector<int> SecureClassificationPipeline::RunProtocolOnce(
     obs::SetThreadParty("server");
     obs::TraceSpan root("classify");
     try {
-      if (open_session) ot_sender_.Setup(*server_channel, server_rng_);
-      std::vector<std::vector<int>> keys(rows.size());
-      for (std::vector<int>& key : keys) {
-        for (int f : disclosure) {
-          uint64_t v = server_channel->RecvU64();
-          // Disclosed values are wire data: validate against the schema
-          // before they parameterize model specialization.
-          if (v >= static_cast<uint64_t>(features[f].cardinality)) {
-            throw ProtocolError("pipeline: disclosed value " +
-                                std::to_string(v) + " out of range for " +
-                                features[f].name);
-          }
-          key.push_back(static_cast<int>(v));
-        }
-      }
+      if (open_session) ot_sender_.Setup(server_channel, server_rng_);
+      const std::vector<std::vector<int>> keys = serve::RecvDisclosures(
+          server_channel, drivers_->evaluator.setup(), rows.size());
       drivers_->garbler.Run(
-          *server_channel, keys,
+          server_channel, keys,
           serve::GarblerSession{ot_sender_, server_rng_, drivers_->specs});
-      server_channel->Flush();  // A framed party's last flight.
     } catch (...) {
       server_error = std::current_exception();
-      channel_->Close();  // Unblock the peer; it fails with kClosed.
+      channel_.Close();  // Unblock the peer; it fails with kClosed.
     }
   });
 
   obs::SetThreadParty("client");
   obs::TraceSpan root("classify");
   try {
-    if (open_session) ot_receiver_.Setup(*client_channel, client_rng_);
+    if (open_session) ot_receiver_.Setup(client_channel, client_rng_);
     {
       obs::TraceSpan disclose("disclose");
       for (const std::vector<int>& row : rows) {
         for (int f : disclosure) {
-          client_channel->SendU64(static_cast<uint64_t>(row[f]));
+          client_channel.SendU64(static_cast<uint64_t>(row[f]));
         }
       }
     }
     client_result = drivers_->evaluator.Run(
-        *client_channel, rows, serve::EvaluatorSession{ot_receiver_});
+        client_channel, rows, serve::EvaluatorSession{ot_receiver_});
   } catch (...) {
     client_error = std::current_exception();
-    channel_->Close();
+    channel_.Close();
   }
   server.join();
 
   if (server_error != nullptr || client_error != nullptr) {
-    // Both parties usually fail (the faulted one plus its peer unblocked
+    // Both parties usually fail (the failing one plus its peer unblocked
     // with kClosed). Rethrow the root cause, not the echo: a non-transport
     // exception is a bug and wins outright; otherwise ProtocolError beats
     // timeout beats closed.
@@ -271,19 +200,10 @@ std::vector<int> SecureClassificationPipeline::RunProtocolOnce(
 
   stats->predicted_class = client_result.classes.back();
   stats->and_gates = client_result.and_gates;
-  stats->bytes = channel_->TotalBytes();
-  stats->rounds = stats->bytes > 0 ? channel_->TotalRounds() + 1 : 0;
+  stats->bytes = channel_.TotalBytes();
+  stats->rounds = stats->bytes > 0 ? channel_.TotalRounds() + 1 : 0;
   stats->wall_seconds = timer.ElapsedSeconds();
   return client_result.classes;
-}
-
-void SecureClassificationPipeline::ResetSession() {
-  channel_ = std::make_unique<MemChannelPair>();
-  // OT endpoints carry per-session correlation state; fresh base OTs run
-  // on the next attempt. The fault injector deliberately survives so its
-  // budget does not reset (a one-shot fault stays one-shot).
-  ot_sender_ = OtExtSender();
-  ot_receiver_ = OtExtReceiver();
 }
 
 }  // namespace pafs

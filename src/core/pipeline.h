@@ -9,18 +9,20 @@
 // The pipeline runs both parties in-process on two threads over the
 // simulated network, measuring real compute and exact traffic. Step 3 is
 // the serving engine's two protocol drivers (serve/engine.h) with no
-// pools: the same online path an unpooled server and client run.
+// pools: the same online path an unpooled server and client run. Each
+// query runs once: the in-process queue cannot fail by itself, so there
+// is nothing to retry (retry belongs to the serving client's RetryPolicy,
+// serve/client.h). A query that throws closes the session, and later
+// queries on the pipeline fail with ChannelError{kClosed}.
 #ifndef PAFS_CORE_PIPELINE_H_
 #define PAFS_CORE_PIPELINE_H_
 
 #include <memory>
-#include <stdexcept>
 
 #include "core/selection.h"
 #include "ml/linear_model.h"
 #include "ml/naive_bayes.h"
 #include "net/channel.h"
-#include "net/fault.h"
 #include "ot/iknp.h"
 #include "serve/model.h"
 #include "smc/common.h"
@@ -35,27 +37,6 @@ struct PipelineConfig {
   // (and CostCalibration::Measure times); no key is generated.
   int paillier_bits = 512;
   uint64_t seed = 42;
-
-  // Fault tolerance. A query attempt that dies with a TransportError is
-  // retried on a fresh session (new channel, new OT setup) with capped
-  // exponential backoff, up to max_attempts total attempts.
-  int max_attempts = 3;
-  double retry_backoff_seconds = 0.005;  // Doubles per retry.
-  // Per-Recv deadline. 0 = wait forever, except under fault injection,
-  // where a silent drop must not hang the query: there 0 means 5 s.
-  double recv_timeout_seconds = 0;
-  // Deterministic fault injection (client->server sends), off by default;
-  // FromEnv() lets any binary opt in via PAFS_FAULT_* variables. When
-  // enabled, both endpoints run over CRC framing so corruption and
-  // truncation surface as typed errors instead of garbage plaintext.
-  FaultPlan fault_plan = FaultPlan::FromEnv();
-};
-
-// Terminal classification failure: every attempt died on a transport or
-// protocol fault. What() carries the final attempt's root cause.
-class ClassificationError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
 };
 
 class SecureClassificationPipeline {
@@ -91,13 +72,6 @@ class SecureClassificationPipeline {
 
   int PlaintextPredict(const std::vector<int>& row) const;
 
-  // Faults injected so far (0 when injection is disabled). The count
-  // persists across retries: a one-shot plan fires once, then the retried
-  // attempt runs clean.
-  uint64_t faults_injected() const {
-    return fault_injector_ ? fault_injector_->injected() : 0;
-  }
-
   const NaiveBayes& naive_bayes() const { return model_.nb; }
   const DecisionTree& tree() const { return model_.tree; }
   const LinearModel& linear() const { return model_.linear; }
@@ -121,25 +95,14 @@ class SecureClassificationPipeline {
   struct Drivers;
   std::unique_ptr<Drivers> drivers_;
 
-  // Runs `rows` under `disclosure` as one exchange, retrying transport
-  // faults on a fresh session; Classify is the one-row case.
+  // Runs `rows` under `disclosure` as one exchange; Classify is the
+  // one-row case. When a party throws, the root cause is rethrown as is.
   std::vector<int> ClassifyRows(const std::vector<std::vector<int>>& rows,
                                 const std::vector<int>& disclosure,
                                 SmcRunStats* stats);
-  // One protocol attempt over the current session with the current
-  // drivers; throws TransportError on channel/peer faults.
-  std::vector<int> RunProtocolOnce(const std::vector<std::vector<int>>& rows,
-                                   SmcRunStats* stats);
-  // Discards the (possibly wedged) session: fresh channel pair, fresh OT
-  // endpoints. Base OTs re-run on the next attempt.
-  void ResetSession();
 
   // Long-lived protocol session state (base OTs amortize across calls).
-  // The channel is a pointer so a faulted session can be torn down and
-  // rebuilt; the fault injector outlives it to keep its budget across
-  // retries.
-  std::unique_ptr<MemChannelPair> channel_;
-  std::unique_ptr<FaultInjector> fault_injector_;
+  MemChannelPair channel_;
   OtExtSender ot_sender_;
   OtExtReceiver ot_receiver_;
   Rng server_rng_;

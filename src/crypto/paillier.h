@@ -86,10 +86,6 @@ class PaillierPrivateKey {
   // path.
   BigInt DecryptFullWidth(const BigInt& c) const;
 
-  // Prime factors, exposed for key serialization (key_io.h).
-  const BigInt& p() const { return p_; }
-  const BigInt& q() const { return q_; }
-
  private:
   PaillierPublicKey public_key_;
   BigInt p_, q_;

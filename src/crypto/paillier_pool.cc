@@ -87,32 +87,6 @@ void PaillierPadPool::Clear() {
   pads_.clear();
 }
 
-void PaillierPadPool::Serialize(ByteWriter& w) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  w.U32(static_cast<uint32_t>(pads_.size()));
-  for (const BigInt& pad : pads_) {
-    std::vector<uint8_t> bytes = pad.ToBytes();
-    w.U32(static_cast<uint32_t>(bytes.size()));
-    w.Bytes(bytes.data(), bytes.size());
-  }
-}
-
-void PaillierPadPool::Restore(ByteReader& r) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pads_.clear();
-  uint32_t count = r.U32();
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t len = r.U32();
-    std::vector<uint8_t> bytes(len);
-    r.Bytes(bytes.data(), len);
-    // Clamp to this pool's target: a snapshot taken under a larger
-    // --pool-depth must not leave a smaller restarted pool permanently
-    // over target. The whole pad block is still consumed so the reader
-    // lands on the next snapshot field. FIFO order keeps the oldest pads.
-    if (pads_.size() < target_) pads_.push_back(BigInt::FromBytes(bytes));
-  }
-}
-
 PaillierPadPool::Stats PaillierPadPool::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;

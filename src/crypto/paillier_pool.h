@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "crypto/paillier.h"
-#include "util/serial.h"
 
 namespace pafs {
 
@@ -60,12 +59,6 @@ class PaillierPadPool {
   // Drops every pad. A client restoring a resumption snapshot must call
   // this before re-running a query (see the determinism contract above).
   void Clear();
-
-  // Snapshot/restore of the pad contents for serving-layer resumption
-  // (trusted in-process bytes, never wire data). Restore replaces the
-  // current contents; the key is the creator's and is not serialized.
-  void Serialize(ByteWriter& w) const;
-  void Restore(ByteReader& r);
 
   struct Stats {
     uint64_t hits = 0;

@@ -2,9 +2,10 @@
 // library throws: a peer dying mid-protocol, a receive deadline expiring,
 // or malformed bytes arriving off the wire are *environment* faults, not
 // programmer errors (PAFS_CHECK) and not parse results (Status) — they must
-// unwind an in-flight protocol run so a supervisor (the pipeline, a chaos
-// harness) can tear the session down and retry. See DESIGN.md "Fault
-// tolerance" for the full taxonomy.
+// unwind an in-flight protocol run so a supervisor (the serving client's
+// RetryPolicy, the server's session loop, a chaos harness) can tear the
+// session down and retry or drop it. See DESIGN.md "Fault tolerance" for
+// the full taxonomy.
 #ifndef PAFS_NET_ERROR_H_
 #define PAFS_NET_ERROR_H_
 

@@ -1,7 +1,7 @@
 #include "net/fault.h"
 
 #include <chrono>
-#include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -9,20 +9,6 @@
 #include "obs/trace.h"
 
 namespace pafs {
-
-namespace {
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtod(v, nullptr) : fallback;
-}
-
-}  // namespace
 
 const char* FaultKindName(FaultKind kind) {
   switch (kind) {
@@ -40,28 +26,6 @@ const char* FaultKindName(FaultKind kind) {
       return "disconnect";
   }
   return "none";
-}
-
-FaultKind FaultKindFromName(const std::string& name) {
-  if (name == "drop") return FaultKind::kDrop;
-  if (name == "truncate") return FaultKind::kTruncate;
-  if (name == "corrupt") return FaultKind::kCorrupt;
-  if (name == "delay") return FaultKind::kDelay;
-  if (name == "disconnect") return FaultKind::kDisconnect;
-  return FaultKind::kNone;
-}
-
-FaultPlan FaultPlan::FromEnv() {
-  FaultPlan plan;
-  const char* kind = std::getenv("PAFS_FAULT_KIND");
-  if (kind != nullptr) plan.kind = FaultKindFromName(kind);
-  plan.seed = EnvU64("PAFS_FAULT_SEED", plan.seed);
-  plan.probability = EnvDouble("PAFS_FAULT_PROB", plan.probability);
-  plan.first_op = EnvU64("PAFS_FAULT_OP", plan.first_op);
-  plan.max_faults = EnvU64("PAFS_FAULT_MAX", plan.max_faults);
-  plan.delay_seconds = EnvDouble("PAFS_FAULT_DELAY", plan.delay_seconds);
-  plan.target_len = EnvU64("PAFS_FAULT_LEN", plan.target_len);
-  return plan;
 }
 
 FaultKind FaultInjector::NextSendFault(size_t send_bytes) {

@@ -4,8 +4,10 @@
 // budget) and a seed that makes the run reproducible. A FaultInjector owns
 // the plan's mutable state — the op counter, the RNG stream, the remaining
 // budget — and is shared by reference so that state survives across
-// pipeline retries: a max_faults=1 plan fires once, the retry runs clean,
-// and "drop mid-query is retried transparently" is actually testable.
+// reconnects: the serving client (ClientConfig::fault_plan) keeps one
+// injector for its lifetime, so a max_faults=1 plan fires once, the
+// RetryPolicy retry runs clean, and "one fault, zero client-visible
+// failures" is actually testable.
 //
 // FaultInjectingChannel is a Channel decorator that consults the injector
 // on every Send. Stack it *beneath* FramedChannel so a fault mangles one
@@ -19,7 +21,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 
 #include "net/channel.h"
 #include "util/random.h"
@@ -36,9 +37,6 @@ enum class FaultKind {
 };
 
 const char* FaultKindName(FaultKind kind);
-// Parses "drop", "truncate", "corrupt", "delay", "disconnect" (or "none");
-// anything else returns kNone so a typo'd env var degrades to a clean run.
-FaultKind FaultKindFromName(const std::string& name);
 
 struct FaultPlan {
   FaultKind kind = FaultKind::kNone;
@@ -55,16 +53,10 @@ struct FaultPlan {
   uint64_t target_len = 0;
 
   bool enabled() const { return kind != FaultKind::kNone && probability > 0; }
-
-  // Reads PAFS_FAULT_KIND, PAFS_FAULT_SEED, PAFS_FAULT_PROB, PAFS_FAULT_OP,
-  // PAFS_FAULT_MAX, PAFS_FAULT_LEN; unset variables keep the defaults
-  // above. Lets any bench or demo binary run under faults without new
-  // flags.
-  static FaultPlan FromEnv();
 };
 
 // Shared, thread-safe fault oracle. One instance per emulated link (or per
-// pipeline), consulted by however many decorator channels observe it.
+// serving client), consulted by however many decorator channels observe it.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan)

@@ -18,8 +18,8 @@
 // frames, a corrupted or truncated message is *detected* (ProtocolError /
 // deadline) instead of silently decoding into garbage labels, and a
 // dropped message removes a whole frame so the byte stream never comes
-// back misaligned. The pipeline enables it automatically whenever fault
-// injection is configured; chaos tests always run under it.
+// back misaligned. Every socket session (server and client) runs over it,
+// and so do the chaos tests.
 #ifndef PAFS_NET_FRAMING_H_
 #define PAFS_NET_FRAMING_H_
 

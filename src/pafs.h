@@ -5,7 +5,6 @@
 
 #include "core/pipeline.h"           // End-to-end pipeline + plans.
 #include "core/selection.h"          // Disclosure selection algorithms.
-#include "crypto/key_io.h"           // Paillier key persistence.
 #include "data/csv.h"                // Dataset CSV IO.
 #include "data/hypertension_gen.h"   // Synthetic cohort #2.
 #include "data/warfarin_gen.h"       // Synthetic cohort #1 (+ extended).

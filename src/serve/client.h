@@ -56,9 +56,9 @@ struct ClientConfig {
   uint64_t seed = 0xC11E47;
   RetryPolicy retry;
   // Chaos hook: when enabled, every send is routed through a
-  // FaultInjectingChannel beneath the CRC framing (the pipeline's
-  // injection stack), so serving tests and benches can prove the retry
-  // path absorbs drops/corruption/disconnects end to end.
+  // FaultInjectingChannel beneath the CRC framing, so serving tests and
+  // benches can prove the retry path absorbs drops/corruption/disconnects
+  // end to end.
   FaultPlan fault_plan;
   // Session resumption: present the server-issued ticket on reconnect and
   // restore the post-last-success crypto snapshot, skipping the base OTs.

@@ -4,8 +4,7 @@
 // sends before its next Recv leaves as one frame. So these constants
 // count flights, and a length-prefixed helper (SendBytes, SendBlocks) adds
 // none of its own. The one place that knows the client's flight shape:
-// the tests and bench_serving aim their fault plans with it, and the
-// pipeline's client opens with the same base-OT flights.
+// the tests and bench_serving aim their fault plans with it.
 #ifndef PAFS_SERVE_FAULT_OFFSETS_H_
 #define PAFS_SERVE_FAULT_OFFSETS_H_
 

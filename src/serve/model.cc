@@ -105,6 +105,23 @@ ClientHello RecvClientHello(Channel& channel) {
   return hello;
 }
 
+std::vector<std::vector<int>> RecvDisclosures(Channel& channel,
+                                              const SessionSetup& setup,
+                                              size_t count) {
+  std::vector<std::vector<int>> keys(count);
+  for (std::vector<int>& key : keys) {
+    for (int f : setup.plan_features) {
+      uint64_t v = channel.RecvU64();
+      if (v >= static_cast<uint64_t>(setup.features[f].cardinality)) {
+        throw ProtocolError("serve: disclosed value " + std::to_string(v) +
+                            " out of range for " + setup.features[f].name);
+      }
+      key.push_back(static_cast<int>(v));
+    }
+  }
+  return keys;
+}
+
 std::vector<uint8_t> RecvTicketFrame(Channel& channel) {
   std::vector<uint8_t> ticket = channel.RecvBytes();
   if (!ticket.empty() && ticket.size() != kResumeTicketBytes) {

@@ -152,6 +152,16 @@ struct ClientHello {
 void SendClientHello(Channel& channel, const ClientHello& hello);
 ClientHello RecvClientHello(Channel& channel);
 
+// Reads `count` records' disclosed values off `channel`: each record's
+// values of setup.plan_features, in plan order. Disclosed values are wire
+// data, so each is range-checked against its feature's cardinality before
+// it parameterizes model specialization; a value out of range is a
+// ProtocolError. The server reads a request's records with it after the
+// record count, the pipeline (which sends no count) directly.
+std::vector<std::vector<int>> RecvDisclosures(Channel& channel,
+                                              const SessionSetup& setup,
+                                              size_t count);
+
 // Decodes a server-issued ticket frame (hello-ack tail). Empty means the
 // server has resumption disabled; otherwise exactly kResumeTicketBytes.
 std::vector<uint8_t> RecvTicketFrame(Channel& channel);

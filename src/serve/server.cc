@@ -32,8 +32,7 @@ constexpr uint64_t kWatchdogToken = ~0ull - 2;
 constexpr int kListenBacklog = 128;
 
 // Reads a request's records after its query id: a count
-// (1..setup.batch_max_records), then each record's disclosure values in
-// plan order, range-checked.
+// (1..setup.batch_max_records), then the records' disclosed values.
 std::vector<std::vector<int>> RecvRequest(Channel& ch,
                                           const SessionSetup& setup) {
   const uint64_t count = ch.RecvU64();
@@ -43,18 +42,7 @@ std::vector<std::vector<int>> RecvRequest(Channel& ch,
                         " out of range (max " +
                         std::to_string(setup.batch_max_records) + ")");
   }
-  std::vector<std::vector<int>> keys(count);
-  for (std::vector<int>& key : keys) {
-    for (int f : setup.plan_features) {
-      uint64_t v = ch.RecvU64();
-      if (v >= static_cast<uint64_t>(setup.features[f].cardinality)) {
-        throw ProtocolError("serve: disclosed value " + std::to_string(v) +
-                            " out of range for " + setup.features[f].name);
-      }
-      key.push_back(static_cast<int>(v));
-    }
-  }
-  return keys;
+  return RecvDisclosures(ch, setup, count);
 }
 
 // Best-effort typed reject: one nonblocking write of a whole CRC frame

@@ -351,69 +351,6 @@ TEST(ChaosTest, PaillierLinearSurvivesEveryFaultKind) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline-level chaos: the supervisor must absorb transient faults via
-// session teardown + retry and surface a typed error once the budget of
-// attempts is spent.
-
-class PipelineChaosTest : public ::testing::Test {
- protected:
-  PipelineChaosTest() : rng_(11), data_(GenerateWarfarinCohort(400, rng_)) {}
-
-  PipelineConfig BaseConfig() const {
-    PipelineConfig config;
-    config.classifier = ClassifierKind::kNaiveBayes;
-    config.recv_timeout_seconds = kRecvTimeout;
-    config.retry_backoff_seconds = 0.001;
-    return config;
-  }
-
-  Rng rng_;
-  Dataset data_;
-};
-
-TEST_F(PipelineChaosTest, DropMidQueryIsRetriedTransparently) {
-  PipelineConfig config = BaseConfig();
-  config.fault_plan.kind = FaultKind::kDrop;
-  config.fault_plan.seed = 3;
-  // The query's label-OT flight. The disclosure leaves in the same flight
-  // as the masked seed pairs (the client receives nothing in between), so
-  // this is the first flight past the base OTs, and the client's last.
-  config.fault_plan.first_op = kBaseOtClientSends;
-  config.fault_plan.max_faults = 1;
-  SecureClassificationPipeline pipeline(data_, config);
-  const std::vector<int>& row = data_.row(7);
-  SmcRunStats stats = pipeline.Classify(row);
-  EXPECT_EQ(stats.predicted_class, pipeline.PlaintextPredict(row));
-  EXPECT_EQ(pipeline.faults_injected(), 1u);
-}
-
-TEST_F(PipelineChaosTest, DisconnectMidQueryIsRetriedTransparently) {
-  PipelineConfig config = BaseConfig();
-  config.fault_plan.kind = FaultKind::kDisconnect;
-  config.fault_plan.seed = 9;
-  // The disclosure, which rides in the masked seed pairs' flight.
-  config.fault_plan.first_op = kBaseOtClientSends - kFrameSends;
-  config.fault_plan.max_faults = 1;
-  SecureClassificationPipeline pipeline(data_, config);
-  const std::vector<int>& row = data_.row(13);
-  SmcRunStats stats = pipeline.Classify(row);
-  EXPECT_EQ(stats.predicted_class, pipeline.PlaintextPredict(row));
-  EXPECT_EQ(pipeline.faults_injected(), 1u);
-}
-
-TEST_F(PipelineChaosTest, ExhaustedRetriesSurfaceTypedError) {
-  PipelineConfig config = BaseConfig();
-  config.fault_plan.kind = FaultKind::kDrop;
-  config.fault_plan.seed = 4;
-  config.fault_plan.max_faults = 0;  // Unlimited: every attempt dies.
-  config.max_attempts = 2;
-  config.recv_timeout_seconds = 0.25;  // Fail fast; every send drops anyway.
-  SecureClassificationPipeline pipeline(data_, config);
-  EXPECT_THROW(pipeline.Classify(data_.row(1)), ClassificationError);
-  EXPECT_GE(pipeline.faults_injected(), 2u);
-}
-
-// ---------------------------------------------------------------------------
 // Chaos over the real wire: the same seed-deterministic fault matrix
 // stacked over a loopback TCP connection (FramedChannel over
 // FaultInjectingChannel over SocketChannel), plus socket-specific faults

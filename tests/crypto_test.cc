@@ -1,8 +1,7 @@
 // Unit tests for src/crypto: AES-128 against FIPS-197 vectors, SHA-256
 // against FIPS 180-4 vectors, PRG determinism, garbling hash properties,
-// Paillier homomorphic identities, and commitments.
+// and Paillier homomorphic identities and pad pools.
 #include <atomic>
-#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
@@ -12,14 +11,11 @@
 
 #include "crypto/aes128.h"
 #include "crypto/block.h"
-#include "crypto/commit.h"
-#include "crypto/key_io.h"
 #include "crypto/paillier.h"
 #include "crypto/paillier_pool.h"
 #include "crypto/prg.h"
 #include "crypto/sha256.h"
 #include "util/random.h"
-#include "util/serial.h"
 
 namespace pafs {
 namespace {
@@ -265,82 +261,6 @@ TEST(PaillierKeyGenTest, LargerKeysWork) {
   EXPECT_EQ(keys.private_key.Decrypt(c).ToDecimal(), "98765432109876543210");
 }
 
-TEST(KeyIoTest, PrivateKeyRoundTrip) {
-  Rng rng(91);
-  PaillierKeyPair keys = GeneratePaillierKey(rng, 256);
-  std::string path = "/tmp/pafs_key_test.key";
-  ASSERT_TRUE(SavePaillierKey(keys, path).ok());
-  StatusOr<PaillierKeyPair> loaded = LoadPaillierKey(path);
-  ASSERT_TRUE(loaded.ok());
-  // The reloaded key decrypts fresh ciphertexts from the original public key.
-  BigInt c = keys.public_key.Encrypt(BigInt(-777), rng);
-  EXPECT_EQ(loaded.value().private_key.Decrypt(c).ToI64(), -777);
-  std::remove(path.c_str());
-}
-
-TEST(KeyIoTest, PublicKeyRoundTrip) {
-  Rng rng(92);
-  PaillierKeyPair keys = GeneratePaillierKey(rng, 256);
-  std::string path = "/tmp/pafs_pub_test.key";
-  ASSERT_TRUE(SavePaillierPublicKey(keys.public_key, path).ok());
-  StatusOr<PaillierPublicKey> loaded = LoadPaillierPublicKey(path);
-  ASSERT_TRUE(loaded.ok());
-  BigInt c = loaded.value().Encrypt(BigInt(123), rng);
-  EXPECT_EQ(keys.private_key.Decrypt(c).ToI64(), 123);
-  std::remove(path.c_str());
-}
-
-TEST(KeyIoTest, RejectsCorruptFactors) {
-  std::string path = "/tmp/pafs_badkey_test.key";
-  {
-    FILE* f = fopen(path.c_str(), "w");
-    // 15 is not prime.
-    fputs("pafs_paillier_private v1\np f\nq 11\n", f);
-    fclose(f);
-  }
-  StatusOr<PaillierKeyPair> loaded = LoadPaillierKey(path);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(path.c_str());
-}
-
-TEST(KeyIoTest, RejectsWrongMagic) {
-  std::string path = "/tmp/pafs_magic_test.key";
-  {
-    FILE* f = fopen(path.c_str(), "w");
-    fputs("something_else v1\nn ff\n", f);
-    fclose(f);
-  }
-  EXPECT_FALSE(LoadPaillierKey(path).ok());
-  EXPECT_FALSE(LoadPaillierPublicKey(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(CommitTest, OpensCorrectly) {
-  Rng rng(8);
-  std::vector<uint8_t> value = {1, 2, 3, 4};
-  CommitmentOpening opening;
-  Commitment c = Commit(value, rng, &opening);
-  EXPECT_TRUE(VerifyCommitment(c, opening));
-}
-
-TEST(CommitTest, RejectsTamperedValue) {
-  Rng rng(8);
-  std::vector<uint8_t> value = {1, 2, 3, 4};
-  CommitmentOpening opening;
-  Commitment c = Commit(value, rng, &opening);
-  opening.value[0] ^= 1;
-  EXPECT_FALSE(VerifyCommitment(c, opening));
-}
-
-TEST(CommitTest, HidingAcrossRandomness) {
-  Rng rng(8);
-  std::vector<uint8_t> value = {9, 9};
-  CommitmentOpening o1, o2;
-  Commitment c1 = Commit(value, rng, &o1);
-  Commitment c2 = Commit(value, rng, &o2);
-  EXPECT_NE(DigestToHex(c1.digest), DigestToHex(c2.digest));
-}
-
 class PaillierPoolTest : public ::testing::Test {
  protected:
   PaillierPoolTest() : rng_(404), keys_(GeneratePaillierKey(rng_, 256)) {}
@@ -405,27 +325,6 @@ TEST_F(PaillierPoolTest, DryPoolMissesAndBatchFallsBack) {
   }
 }
 
-TEST_F(PaillierPoolTest, SerializeRestoreKeepsPadsAndOrder) {
-  PaillierPadPool pool(keys_.public_key, 6);
-  pool.Refill(rng_, 6);
-  std::vector<uint8_t> bytes;
-  ByteWriter writer(&bytes);
-  pool.Serialize(writer);
-
-  PaillierPadPool restored(keys_.public_key, 6);
-  ByteReader reader(bytes);
-  restored.Restore(reader);
-  EXPECT_EQ(restored.depth(), 6u);
-  // FIFO order must survive the round trip — it is the rng-stream order
-  // the determinism contract depends on.
-  for (int i = 0; i < 6; ++i) {
-    BigInt a, b;
-    ASSERT_TRUE(pool.TryTake(&a));
-    ASSERT_TRUE(restored.TryTake(&b));
-    EXPECT_EQ(a, b);
-  }
-}
-
 TEST_F(PaillierPoolTest, RefillRespectsTargetAndStopFlag) {
   PaillierPadPool pool(keys_.public_key, 3);
   EXPECT_EQ(pool.Refill(rng_, 10), 3u);  // Never grows past target.
@@ -434,31 +333,6 @@ TEST_F(PaillierPoolTest, RefillRespectsTargetAndStopFlag) {
   EXPECT_EQ(pool.depth(), 0u);
   std::atomic<bool> stop{true};
   EXPECT_EQ(pool.Refill(rng_, 10, &stop), 0u);  // Stop beats the batch.
-}
-
-TEST_F(PaillierPoolTest, RestoreClampsToSmallerTarget) {
-  // A snapshot taken under a larger --pool-depth restored after a restart
-  // with a smaller depth must not leave the pool permanently over target.
-  PaillierPadPool pool(keys_.public_key, 6);
-  pool.Refill(rng_, 6);
-  std::vector<uint8_t> bytes;
-  ByteWriter writer(&bytes);
-  pool.Serialize(writer);
-
-  PaillierPadPool shrunk(keys_.public_key, 2);
-  ByteReader reader(bytes);
-  shrunk.Restore(reader);
-  EXPECT_EQ(shrunk.depth(), 2u);
-  EXPECT_EQ(shrunk.Deficit(), 0u);
-  // The kept pads are the oldest two, in FIFO order.
-  for (int i = 0; i < 2; ++i) {
-    BigInt a, b;
-    ASSERT_TRUE(pool.TryTake(&a));
-    ASSERT_TRUE(shrunk.TryTake(&b));
-    EXPECT_EQ(a, b);
-  }
-  BigInt extra;
-  EXPECT_FALSE(shrunk.TryTake(&extra));
 }
 
 TEST_F(PaillierPoolTest, ConcurrentRefillersNeverOvershootTarget) {

@@ -16,7 +16,9 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "serve/client.h"
 #include "serve/fault_offsets.h"
+#include "serve/server.h"
 #include "util/random.h"
 
 namespace pafs {
@@ -398,33 +400,40 @@ TEST_F(ObsTest, JsonReportRoundTrips) {
 }
 
 TEST_F(ObsTest, RetriedQueryAppearsInReport) {
-  // A query that survives a dropped message via pipeline retry must leave
-  // its trail in the telemetry report: the fault, the retry, the timeout.
+  // A serving query that survives an injected disconnect via the client's
+  // RetryPolicy must leave its trail in the telemetry report: the fault
+  // and the retry.
   Rng rng(21);
   Dataset data = GenerateWarfarinCohort(300, rng);
   PipelineConfig config;
   config.classifier = ClassifierKind::kNaiveBayes;
-  config.recv_timeout_seconds = 1.0;
-  config.retry_backoff_seconds = 0.001;
-  config.fault_plan.kind = FaultKind::kDrop;
-  config.fault_plan.seed = 2;
-  // The query's label-OT flight, the first client send past the base OTs
-  // (the disclosure leaves with the masked seed pairs).
-  config.fault_plan.first_op = kBaseOtClientSends;
-  config.fault_plan.max_faults = 1;
   SecureClassificationPipeline pipeline(data, config);
+  serve::ClassificationServer server(
+      serve::ServingModel::FromPipeline(pipeline), serve::ServerConfig{});
+  server.Start();
+
+  serve::ClientConfig cc;
+  cc.address = server.address();
+  cc.fault_plan.kind = FaultKind::kDisconnect;
+  cc.fault_plan.seed = 2;
+  // Past the handshake, inside query 1: its first flight after the request.
+  cc.fault_plan.first_op =
+      kHelloClientSends + kBaseOtClientSends + kRequestHeadSends;
+  cc.fault_plan.max_faults = 1;
+  serve::ClassificationClient client(cc);
   const std::vector<int>& row = data.row(3);
-  SmcRunStats stats = pipeline.Classify(row);
-  EXPECT_EQ(stats.predicted_class, pipeline.PlaintextPredict(row));
-  EXPECT_EQ(pipeline.faults_injected(), 1u);
-  EXPECT_GE(obs::GetCounter("pipeline.retries").value(), 1u);
-  EXPECT_GE(obs::GetCounter("faults.injected").value(), 1u);
+  EXPECT_EQ(client.Classify(row), pipeline.PlaintextPredict(row));
+  EXPECT_EQ(client.retries(), 1u);
+  client.Close();
+  server.Stop();
+  EXPECT_EQ(obs::GetCounter("faults.injected").value(), 1u);
+  EXPECT_GE(obs::GetCounter("serve.client.retries").value(), 1u);
 
   std::string text = obs::RenderText();
-  EXPECT_NE(text.find("pipeline.retries"), std::string::npos);
+  EXPECT_NE(text.find("serve.client.retries"), std::string::npos);
   EXPECT_NE(text.find("faults.injected"), std::string::npos);
   std::string json = obs::RenderJson();
-  EXPECT_NE(json.find("\"pipeline.retries\""), std::string::npos);
+  EXPECT_NE(json.find("\"serve.client.retries\""), std::string::npos);
   EXPECT_NE(json.find("\"faults.injected\""), std::string::npos);
 }
 
