@@ -198,7 +198,6 @@ BatchSplit RunBatched(const E2eOptions& opt, int records) {
         if (gc_pool.TryTake({}, &pre[i])) gitems[i].pregarbled = pre[i].get();
       }
       pushed = GcGarblerPushBatch(channel.endpoint(0), gitems, rng_g,
-                                  GarblingScheme::kHalfGates,
                                   ThreadPool::Global());
     });
     std::vector<const Circuit*> circuits(records, &spec.circuit());
@@ -383,12 +382,10 @@ LinearSplit RunLinear(const E2eOptions& opt) {
     Timer timer;
     std::thread server([&] {
       protocol.RunServer(channel.endpoint(0), model, {}, sender, server_rng,
-                         GarblingScheme::kHalfGates, pool_for);
+                         pool_for);
     });
-    client_stats =
-        protocol.RunClient(channel.endpoint(1), keys, row, receiver,
-                           client_rng, GarblingScheme::kHalfGates,
-                           &client_pool);
+    client_stats = protocol.RunClient(channel.endpoint(1), keys, row,
+                                      receiver, client_rng, &client_pool);
     server.join();
     double ms = timer.ElapsedMillis();
     sum += ms;

@@ -42,7 +42,6 @@ struct PreparedItem {
   const std::vector<std::array<Block, 2>>* input_labels;
   const BitVec* output_decode;
   GarbledCircuit storage;
-  ClassicGarbledCircuit classic_storage;
 };
 
 std::vector<Block> FlattenHalfGates(const std::vector<GarbledTable>& tables) {
@@ -59,14 +58,10 @@ std::vector<Block> FlattenHalfGates(const std::vector<GarbledTable>& tables) {
 
 GcGarblerPushed GcGarblerPushBatch(Channel& channel,
                                    const std::vector<GcGarbleItem>& items,
-                                   Rng& rng, GarblingScheme scheme,
-                                   ThreadPool* pool) {
+                                   Rng& rng, ThreadPool* pool) {
   const size_t n = items.size();
   for (const GcGarbleItem& item : items) {
     PAFS_CHECK_EQ(item.garbler_bits->size(), item.circuit->garbler_inputs());
-    PAFS_CHECK_MSG(
-        item.pregarbled == nullptr || scheme == GarblingScheme::kHalfGates,
-        "pre-garbled circuits are half-gates only");
   }
 
   // 1. Garble (or adopt pre-garbled material) and ship the tables plus the
@@ -92,20 +87,10 @@ GcGarblerPushed GcGarblerPushBatch(Channel& channel,
   auto garble_one = [&](size_t i, ThreadPool* inner) {
     Prg prg(seeds[i]);
     PreparedItem& p = prepared[i];
-    if (scheme == GarblingScheme::kHalfGates) {
-      p.storage = Garble(*items[i].circuit, prg, inner);
-      p.flat_tables = FlattenHalfGates(p.storage.and_tables);
-      p.input_labels = &p.storage.input_labels;
-      p.output_decode = &p.storage.output_decode;
-    } else {
-      p.classic_storage = GarbleClassic(*items[i].circuit, prg, inner);
-      p.flat_tables.reserve(p.classic_storage.and_tables.size() * 4);
-      for (const auto& rows : p.classic_storage.and_tables) {
-        p.flat_tables.insert(p.flat_tables.end(), rows.begin(), rows.end());
-      }
-      p.input_labels = &p.classic_storage.input_labels;
-      p.output_decode = &p.classic_storage.output_decode;
-    }
+    p.storage = Garble(*items[i].circuit, prg, inner);
+    p.flat_tables = FlattenHalfGates(p.storage.and_tables);
+    p.input_labels = &p.storage.input_labels;
+    p.output_decode = &p.storage.output_decode;
   };
   if (fresh.size() == 1) {
     // A lone fresh circuit parallelizes internally (across forest members).
@@ -171,33 +156,28 @@ void GcGarblerOnlineBatch(Channel& channel, GcGarblerPushed pushed,
 }
 
 void GcRunGarblerBatch(Channel& channel, const std::vector<GcGarbleItem>& items,
-                       OtExtSender& ot, Rng& rng, GarblingScheme scheme,
-                       ThreadPool* pool, OtSenderPadPool* ot_pads) {
-  GcGarblerPushed pushed =
-      GcGarblerPushBatch(channel, items, rng, scheme, pool);
+                       OtExtSender& ot, Rng& rng, ThreadPool* pool,
+                       OtSenderPadPool* ot_pads) {
+  GcGarblerPushed pushed = GcGarblerPushBatch(channel, items, rng, pool);
   GcGarblerOnlineBatch(channel, std::move(pushed), ot, ot_pads);
 }
 
 GcEvaluatorPulled GcEvaluatorPullBatch(
-    Channel& channel, const std::vector<const Circuit*>& circuits,
-    GarblingScheme scheme) {
+    Channel& channel, const std::vector<const Circuit*>& circuits) {
   const size_t n = circuits.size();
-  const size_t blocks_per_gate =
-      scheme == GarblingScheme::kHalfGates ? 2 : 4;
-
   GcEvaluatorPulled pulled;
   pulled.circuits = circuits;
-  pulled.scheme = scheme;
 
-  // 1. Per-item garbled tables and garbler active labels. The evaluator
-  // knows each circuit, so it knows the exact frame sizes — demand them
-  // instead of trusting the wire lengths.
+  // 1. Per-item garbled tables (two half-gates blocks per AND gate) and
+  // garbler active labels. The evaluator knows each circuit, so it knows
+  // the exact frame sizes — demand them instead of trusting the wire
+  // lengths.
   pulled.flats.resize(n);
   pulled.garbler_labels.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const Circuit& circuit = *circuits[i];
-    pulled.flats[i] = channel.RecvBlocksExpected(circuit.Stats().and_gates *
-                                                 blocks_per_gate);
+    pulled.flats[i] =
+        channel.RecvBlocksExpected(circuit.Stats().and_gates * 2);
     pulled.garbler_labels[i] =
         channel.RecvBlocksExpected(circuit.garbler_inputs());
   }
@@ -231,7 +211,6 @@ std::vector<BitVec> GcEvaluatorOnlineBatch(Channel& channel,
     PAFS_CHECK_EQ(items[i].evaluator_bits->size(),
                   items[i].circuit->evaluator_inputs());
   }
-  const GarblingScheme scheme = pulled.scheme;
   std::vector<std::vector<Block>>& flats = pulled.flats;
   std::vector<std::vector<Block>>& garbler_labels = pulled.garbler_labels;
   BitVec& all_decode = pulled.all_decode;
@@ -273,20 +252,12 @@ std::vector<BitVec> GcEvaluatorOnlineBatch(Channel& channel,
         all_own_labels.begin() + ot_offsets[i] + circuit.evaluator_inputs());
 
     size_t num_and = circuit.Stats().and_gates;
-    std::vector<Block> output_labels;
-    if (scheme == GarblingScheme::kHalfGates) {
-      std::vector<GarbledTable> tables(num_and);
-      for (size_t g = 0; g < num_and; ++g) {
-        tables[g] = GarbledTable{flats[i][2 * g], flats[i][2 * g + 1]};
-      }
-      output_labels = EvaluateGarbled(circuit, tables, input_labels, inner);
-    } else {
-      std::vector<std::array<Block, 4>> tables(num_and);
-      for (size_t g = 0; g < num_and; ++g) {
-        for (int r = 0; r < 4; ++r) tables[g][r] = flats[i][4 * g + r];
-      }
-      output_labels = EvaluateClassic(circuit, tables, input_labels, inner);
+    std::vector<GarbledTable> tables(num_and);
+    for (size_t g = 0; g < num_and; ++g) {
+      tables[g] = GarbledTable{flats[i][2 * g], flats[i][2 * g + 1]};
     }
+    std::vector<Block> output_labels =
+        EvaluateGarbled(circuit, tables, input_labels, inner);
     size_t count = circuit.outputs().size();
     BitVec decode(count);
     for (size_t j = 0; j < count; ++j) {
@@ -308,29 +279,14 @@ std::vector<BitVec> GcEvaluatorOnlineBatch(Channel& channel,
 
 std::vector<BitVec> GcRunEvaluatorBatch(Channel& channel,
                                         const std::vector<GcEvalItem>& items,
-                                        OtExtReceiver& ot,
-                                        GarblingScheme scheme, ThreadPool* pool,
+                                        OtExtReceiver& ot, ThreadPool* pool,
                                         OtReceiverPadPool* ot_pads) {
   std::vector<const Circuit*> circuits;
   circuits.reserve(items.size());
   for (const GcEvalItem& item : items) circuits.push_back(item.circuit);
-  GcEvaluatorPulled pulled = GcEvaluatorPullBatch(channel, circuits, scheme);
+  GcEvaluatorPulled pulled = GcEvaluatorPullBatch(channel, circuits);
   return GcEvaluatorOnlineBatch(channel, std::move(pulled), items, ot, pool,
                                 ot_pads);
-}
-
-void GcRunGarbler(Channel& channel, const Circuit& circuit,
-                  const BitVec& garbler_bits, OtExtSender& ot, Rng& rng,
-                  GarblingScheme scheme, ThreadPool* pool) {
-  std::vector<GcGarbleItem> items = {GcGarbleItem{&circuit, &garbler_bits}};
-  GcRunGarblerBatch(channel, items, ot, rng, scheme, pool);
-}
-
-BitVec GcRunEvaluator(Channel& channel, const Circuit& circuit,
-                      const BitVec& evaluator_bits, OtExtReceiver& ot,
-                      GarblingScheme scheme, ThreadPool* pool) {
-  std::vector<GcEvalItem> items = {GcEvalItem{&circuit, &evaluator_bits}};
-  return GcRunEvaluatorBatch(channel, items, ot, scheme, pool)[0];
 }
 
 }  // namespace pafs

@@ -2,13 +2,14 @@
 // garbles and sends the circuit material, the evaluator (patient / client)
 // obtains its input labels via IKNP OT, evaluates, and decodes the outputs
 // locally. Nothing flows back after the label OT, so the garbler learns no
-// output bit. Semi-honest security, matching the paper's threat model.
+// output bit. Semi-honest security, matching the paper's threat model. The
+// wire speaks half-gates tables only (two blocks per AND gate); the classic
+// four-row scheme in gc/garble.h is a kernel for the F12 ablation.
 //
-// The batch entry points run N independent circuits as one protocol
-// exchange: per-circuit table/label frames and one decode frame, then a
-// single combined OT over every evaluator input bit (one extension matrix
-// + one transpose for the whole batch). The single runners are the 1-item
-// special case, so the wire format is shared.
+// The entry points run N independent circuits as one protocol exchange:
+// per-circuit table/label frames and one decode frame, then a single
+// combined OT over every evaluator input bit (one extension matrix + one
+// transpose for the whole batch). A single circuit is a 1-item batch.
 //
 // Offline material plugs in at two points: a pre-garbled circuit (from
 // serve/precompute's GcPool) skips the online Garble call, and an OT pad
@@ -36,14 +37,9 @@ struct GarbledCircuit;
 class OtSenderPadPool;
 class OtReceiverPadPool;
 
-// Which garbling scheme the protocol uses on the wire; both parties must
-// agree. Classic exists for the F12 ablation.
-enum class GarblingScheme { kHalfGates, kClassic };
-
 // One garbler-side batch entry. `pregarbled`, when non-null, is consumed
-// in place of a fresh Garble call — it must come from the same scheme
-// (half-gates only) and be used exactly once; the pool layer enforces the
-// single-use by popping. Pointers must outlive the call.
+// in place of a fresh Garble call and must be used exactly once; the pool
+// layer enforces the single-use by popping. Pointers must outlive the call.
 struct GcGarbleItem {
   const Circuit* circuit;
   const BitVec* garbler_bits;
@@ -72,24 +68,21 @@ struct GcGarblerPushed {
 };
 
 // Evaluator-side material received by the pull half, held until the input
-// row is known. `scheme` is recorded so the online half repacks tables
-// correctly.
+// row is known.
 struct GcEvaluatorPulled {
   std::vector<const Circuit*> circuits;
   std::vector<std::vector<Block>> flats;           // Per-item table blocks.
   std::vector<std::vector<Block>> garbler_labels;  // Per-item active labels.
   BitVec all_decode;                               // Whole batch, one frame.
-  GarblingScheme scheme = GarblingScheme::kHalfGates;
 };
 
 // Garbles (or adopts pre-garbled material) and ships tables + active
 // garbler labels + decode bits. Fresh-garble seeds are drawn from `rng`
 // serially in item order, so the stream reads identically whether garbling
 // runs serial or parallel.
-GcGarblerPushed GcGarblerPushBatch(
-    Channel& channel, const std::vector<GcGarbleItem>& items, Rng& rng,
-    GarblingScheme scheme = GarblingScheme::kHalfGates,
-    ThreadPool* pool = nullptr);
+GcGarblerPushed GcGarblerPushBatch(Channel& channel,
+                                   const std::vector<GcGarbleItem>& items,
+                                   Rng& rng, ThreadPool* pool = nullptr);
 
 // The garbler's online half: one combined OT over every evaluator input
 // bit. It ends on a send; the caller flushes a framed channel.
@@ -99,8 +92,7 @@ void GcGarblerOnlineBatch(Channel& channel, GcGarblerPushed pushed,
 // Receives the pushed material for `circuits` (sizes are demanded from the
 // known circuit shapes, not trusted from the wire).
 GcEvaluatorPulled GcEvaluatorPullBatch(
-    Channel& channel, const std::vector<const Circuit*>& circuits,
-    GarblingScheme scheme = GarblingScheme::kHalfGates);
+    Channel& channel, const std::vector<const Circuit*>& circuits);
 
 // The evaluator's online half: combined OT for its own labels, then
 // evaluation (parallel across items when `pool` is non-null) and local
@@ -115,30 +107,17 @@ std::vector<BitVec> GcEvaluatorOnlineBatch(
 // the batch when there are several fresh items, inside the circuit (e.g.
 // the member trees of a forest) for a single one. `ot_pads`, when non-null
 // and warm, derandomizes the label OT (see ot/ot_pool.h).
-void GcRunGarblerBatch(
-    Channel& channel, const std::vector<GcGarbleItem>& items, OtExtSender& ot,
-    Rng& rng, GarblingScheme scheme = GarblingScheme::kHalfGates,
-    ThreadPool* pool = nullptr, OtSenderPadPool* ot_pads = nullptr);
+void GcRunGarblerBatch(Channel& channel,
+                       const std::vector<GcGarbleItem>& items, OtExtSender& ot,
+                       Rng& rng, ThreadPool* pool = nullptr,
+                       OtSenderPadPool* ot_pads = nullptr);
 
 // Runs the evaluator's side of a batch; returns each circuit's outputs in
 // item order. Evaluation runs after all protocol IO, parallelized across
 // items when `pool` is non-null.
 std::vector<BitVec> GcRunEvaluatorBatch(
     Channel& channel, const std::vector<GcEvalItem>& items, OtExtReceiver& ot,
-    GarblingScheme scheme = GarblingScheme::kHalfGates,
     ThreadPool* pool = nullptr, OtReceiverPadPool* ot_pads = nullptr);
-
-// Single-circuit wrappers (1-item batches, same wire format), fully
-// online: a fresh garble and an unpooled label OT.
-void GcRunGarbler(Channel& channel, const Circuit& circuit,
-                  const BitVec& garbler_bits, OtExtSender& ot, Rng& rng,
-                  GarblingScheme scheme = GarblingScheme::kHalfGates,
-                  ThreadPool* pool = nullptr);
-
-BitVec GcRunEvaluator(Channel& channel, const Circuit& circuit,
-                      const BitVec& evaluator_bits, OtExtReceiver& ot,
-                      GarblingScheme scheme = GarblingScheme::kHalfGates,
-                      ThreadPool* pool = nullptr);
 
 }  // namespace pafs
 

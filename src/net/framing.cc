@@ -94,22 +94,37 @@ void FramedChannel::FillOneFrame() {
     throw ProtocolError("framing: frame length " + std::to_string(len) +
                         " exceeds cap " + std::to_string(max_message_bytes()));
   }
-  std::vector<uint8_t> payload(len);
-  if (len > 0) inner_.Recv(payload.data(), len);
-  if (Crc32(payload.data(), len) != want_crc) {
+  // Drop the consumed prefix first, so the buffer only ever holds the
+  // message being reassembled; then read the payload into its tail.
+  buffer_.erase(buffer_.begin(), buffer_.begin() + read_);
+  read_ = 0;
+  const size_t start = buffer_.size();
+  buffer_.resize(start + len);
+  uint8_t* payload = buffer_.data() + start;
+  try {
+    if (len > 0) inner_.Recv(payload, len);
+  } catch (...) {
+    buffer_.resize(start);  // A frame cut short is never consumed either.
+    throw;
+  }
+  if (Crc32(payload, len) != want_crc) {
+    buffer_.resize(start);  // No byte of a bad frame is ever consumed.
     static obs::Counter& bad = obs::GetCounter("net.integrity_failures");
     bad.Add();
     throw ProtocolError("framing: crc mismatch on " + std::to_string(len) +
                         "-byte frame");
   }
-  buffer_.insert(buffer_.end(), payload.begin(), payload.end());
 }
 
 void FramedChannel::Recv(uint8_t* data, size_t n) {
   Flush();  // Whatever this endpoint sent is what the peer waits on.
-  while (buffer_.size() < n) FillOneFrame();
-  std::copy(buffer_.begin(), buffer_.begin() + n, data);
-  buffer_.erase(buffer_.begin(), buffer_.begin() + n);
+  while (buffer_.size() - read_ < n) FillOneFrame();
+  std::copy_n(buffer_.data() + read_, n, data);
+  read_ += n;
+  if (read_ == buffer_.size()) {
+    buffer_ = std::vector<uint8_t>();
+    read_ = 0;
+  }
 }
 
 }  // namespace pafs

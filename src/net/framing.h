@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "net/channel.h"
@@ -79,13 +78,17 @@ class FramedChannel : public Channel {
  private:
   static constexpr size_t kHeaderBytes = 8;
 
-  // Pulls one frame off the wire, verifies it, appends payload to buffer_.
+  // Pulls one frame off the wire straight into buffer_'s tail and verifies
+  // it; a frame that fails the check is cut off again, unread.
   void FillOneFrame();
 
   Channel& inner_;
   // The pending flight: a header slot, then its payload (empty when none).
   std::vector<uint8_t> pending_;
-  std::deque<uint8_t> buffer_;  // Verified payload bytes not yet consumed.
+  // Verified payload: bytes from read_ on are not yet consumed. Released
+  // once drained, as pending_ is once flushed.
+  std::vector<uint8_t> buffer_;
+  size_t read_ = 0;
 };
 
 }  // namespace pafs

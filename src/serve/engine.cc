@@ -156,8 +156,7 @@ void GarblerDriver::Run(Channel& channel,
     PooledOtSend(channel, session.ot, messages, session.ot_pads);
   }
   GcRunGarblerBatch(channel, items, session.ot, session.rng,
-                    GarblingScheme::kHalfGates, ThreadPool::Global(),
-                    session.ot_pads);
+                    ThreadPool::Global(), session.ot_pads);
 }
 
 EvaluatorDriver::EvaluatorDriver(SessionSetup setup)
@@ -229,8 +228,7 @@ EvaluatorResult EvaluatorDriver::Run(Channel& channel,
     }
   }
   std::vector<BitVec> outputs = GcRunEvaluatorBatch(
-      channel, items, session.ot, GarblingScheme::kHalfGates,
-      ThreadPool::Global(), session.ot_pads);
+      channel, items, session.ot, ThreadPool::Global(), session.ot_pads);
   result.classes.resize(n);
   for (size_t i = 0; i < n; ++i) {
     result.classes[i] = DecodeClassIndex(outputs[i], setup_.num_classes);

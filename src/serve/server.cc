@@ -111,11 +111,17 @@ class RecordingChannel final : public Channel {
     if (transcript_->total_bytes + n > max_bytes_) {
       overflowed_ = true;
       transcript_->ops.clear();
+      transcript_->chunks.clear();
       transcript_->total_bytes = 0;
       return;
     }
-    transcript_->ops.push_back({is_send, std::vector<uint8_t>(data, data + n)});
+    transcript_->ops.push_back({is_send, n});
     transcript_->total_bytes += n;
+    std::vector<std::vector<uint8_t>>& chunks = transcript_->chunks;
+    if (chunks.empty() || chunks.back().capacity() - chunks.back().size() < n) {
+      chunks.emplace_back().reserve(std::max(QueryTranscript::kChunkBytes, n));
+    }
+    chunks.back().insert(chunks.back().end(), data, data + n);
   }
 
   Channel& inner_;
@@ -639,15 +645,29 @@ void ClassificationServer::ReplayQuery(Channel& ch,
   // Drive the recorded conversation: our sends verbatim, the peer's sends
   // checked byte-for-byte. A retry of the same query from the same client
   // snapshot is deterministic, so any divergence means the peer is not
-  // replaying what it claims to be — fail the session typed.
+  // replaying what it claims to be — fail the session typed. Each receive
+  // is compared before the next send, so a retry whose OT bytes differ
+  // never gets the recorded answer to them (that would hand it both labels
+  // of a wire).
+  size_t chunk = 0;
+  size_t offset = 0;
+  std::vector<uint8_t> got;
   for (const QueryTranscript::Op& op : transcript.ops) {
+    if (op.length == 0) continue;
+    // An op that did not fit its chunk's remaining room opened the next.
+    if (offset + op.length > transcript.chunks[chunk].size()) {
+      ++chunk;
+      offset = 0;
+    }
+    const uint8_t* recorded = transcript.chunks[chunk].data() + offset;
+    offset += op.length;
     if (op.is_send) {
-      ch.Send(op.bytes.data(), op.bytes.size());
+      ch.Send(recorded, op.length);
       continue;
     }
-    std::vector<uint8_t> got(op.bytes.size());
-    if (!got.empty()) ch.Recv(got.data(), got.size());
-    if (got != op.bytes) {
+    got.resize(op.length);
+    ch.Recv(got.data(), op.length);
+    if (!std::equal(got.begin(), got.end(), recorded)) {
       throw ProtocolError("serve: replay divergence on query " +
                           std::to_string(transcript.query_id));
     }

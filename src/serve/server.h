@@ -149,14 +149,20 @@ struct ServerStats {
 // Record of one executed query at framed-channel granularity: every Send
 // payload verbatim, every Recv payload for divergence checking. Replaying
 // it answers a retried query id byte-for-byte without re-running the
-// protocol (and therefore without advancing any crypto stream).
+// protocol (and therefore without advancing any crypto stream). Each op
+// names its direction and length; the payloads lie back to back, in op
+// order, in chunks of at least kChunkBytes, and no op straddles two
+// chunks. Recording costs one allocation per chunk, not one per op, and a
+// growing transcript never copies what it already holds.
 struct QueryTranscript {
+  static constexpr size_t kChunkBytes = size_t{64} << 10;
   struct Op {
     bool is_send = false;
-    std::vector<uint8_t> bytes;
+    size_t length = 0;
   };
   uint64_t query_id = 0;
   std::vector<Op> ops;
+  std::vector<std::vector<uint8_t>> chunks;
   uint64_t total_bytes = 0;
 };
 

@@ -50,7 +50,6 @@ SmcRunStats SecureLinearProtocol::RunServer(Channel& channel,
                                             const LinearModel& model,
                                             const std::map<int, int>& disclosed,
                                             OtExtSender& ot, Rng& rng,
-                                            GarblingScheme scheme,
                                             const PaillierPoolFn& pool_for) const {
   Timer timer;
   uint64_t bytes_before = channel.stats().bytes_sent;
@@ -140,7 +139,8 @@ SmcRunStats SecureLinearProtocol::RunServer(Channel& channel,
   for (int c = 0; c < num_classes_; ++c) {
     AppendSigned(garbler_bits, masks[c], kLinearScoreBits);
   }
-  GcRunGarbler(channel, circuit_, garbler_bits, ot, rng, scheme);
+  GcRunGarblerBatch(channel, {GcGarbleItem{&circuit_, &garbler_bits}}, ot,
+                    rng);
 
   SmcRunStats stats;
   stats.bytes = channel.stats().bytes_sent - bytes_before;
@@ -154,7 +154,6 @@ SmcRunStats SecureLinearProtocol::RunClient(Channel& channel,
                                             const PaillierKeyPair& keys,
                                             const std::vector<int>& row,
                                             OtExtReceiver& ot, Rng& rng,
-                                            GarblingScheme scheme,
                                             PaillierPadPool* pool) const {
   Timer timer;
   uint64_t bytes_before = channel.stats().bytes_sent;
@@ -192,7 +191,8 @@ SmcRunStats SecureLinearProtocol::RunClient(Channel& channel,
   }
 
   // Phase 2: garbled argmax.
-  BitVec out = GcRunEvaluator(channel, circuit_, evaluator_bits, ot, scheme);
+  BitVec out = GcRunEvaluatorBatch(
+      channel, {GcEvalItem{&circuit_, &evaluator_bits}}, ot)[0];
 
   SmcRunStats stats;
   stats.predicted_class = static_cast<int>(out.ToU64(0, index_bits_));

@@ -66,13 +66,10 @@ class SecureLinearProtocol {
   SmcRunStats RunServer(Channel& channel, const LinearModel& model,
                         const std::map<int, int>& disclosed, OtExtSender& ot,
                         Rng& rng,
-                        GarblingScheme scheme = GarblingScheme::kHalfGates,
                         const PaillierPoolFn& pool_for = nullptr) const;
   SmcRunStats RunClient(Channel& channel, const PaillierKeyPair& keys,
                         const std::vector<int>& row, OtExtReceiver& ot,
-                        Rng& rng,
-                        GarblingScheme scheme = GarblingScheme::kHalfGates,
-                        PaillierPadPool* pool = nullptr) const;
+                        Rng& rng, PaillierPadPool* pool = nullptr) const;
 
  private:
   HiddenLayout layout_;

@@ -4,7 +4,6 @@
 #include "smc/secure_linear.h"
 #include "util/check.h"
 #include "util/random.h"
-#include "util/timer.h"
 
 namespace pafs {
 
@@ -106,56 +105,6 @@ BitVec SecureLinearAbyProtocol::EvaluatorBits(
                  kLinearScoreBits);
   }
   return evaluator_bits;
-}
-
-SmcRunStats SecureLinearAbyProtocol::RunServer(
-    Channel& channel, const LinearModel& model,
-    const std::map<int, int>& disclosed, OtExtSender& ot, Rng& rng,
-    GarblingScheme scheme) const {
-  Timer timer;
-  uint64_t bytes_before = channel.stats().bytes_sent;
-  uint64_t rounds_before = channel.stats().direction_flips;
-  // Cancellation checkpoint before the correlated-OT fan-out; see
-  // gc/protocol.cc for the idiom.
-  channel.ThrowIfCancelled("linear server phase 1");
-
-  // Phase 1: the correlated OTs. Phase 2: garbled argmax over the
-  // reconstructed scores.
-  BitVec garbler_bits;
-  std::vector<std::array<Block, 2>> messages =
-      ShareMessages(model, disclosed, rng, &garbler_bits);
-  if (!messages.empty()) ot.Send(channel, messages);
-  GcRunGarbler(channel, circuit_, garbler_bits, ot, rng, scheme);
-
-  SmcRunStats stats;
-  stats.bytes = channel.stats().bytes_sent - bytes_before;
-  stats.rounds = channel.stats().direction_flips - rounds_before;
-  stats.wall_seconds = timer.ElapsedSeconds();
-  stats.and_gates = circuit_.Stats().and_gates;
-  return stats;
-}
-
-SmcRunStats SecureLinearAbyProtocol::RunClient(Channel& channel,
-                                               const std::vector<int>& row,
-                                               OtExtReceiver& ot,
-                                               GarblingScheme scheme) const {
-  Timer timer;
-  uint64_t bytes_before = channel.stats().bytes_sent;
-  uint64_t rounds_before = channel.stats().direction_flips;
-
-  BitVec choices = Choices(row);
-  std::vector<Block> received;
-  if (choices.size() > 0) received = ot.Recv(channel, choices);
-  BitVec evaluator_bits = EvaluatorBits(received);
-  BitVec out = GcRunEvaluator(channel, circuit_, evaluator_bits, ot, scheme);
-
-  SmcRunStats stats;
-  stats.predicted_class = static_cast<int>(out.ToU64(0, index_bits_));
-  stats.bytes = channel.stats().bytes_sent - bytes_before;
-  stats.rounds = channel.stats().direction_flips - rounds_before;
-  stats.wall_seconds = timer.ElapsedSeconds();
-  stats.and_gates = circuit_.Stats().and_gates;
-  return stats;
 }
 
 }  // namespace pafs

@@ -12,23 +12,25 @@
 // hybrid, except it first reconstructs each score with an in-circuit
 // adder over the two 32-bit shares (two's complement handles negatives).
 //
-// Experiment F16 compares this against the Paillier hybrid: identical
-// predictions, symmetric-crypto-only compute. The serving layer runs the
-// per-record pieces (ShareMessages / Choices / EvaluatorBits) inside its
-// batched executors, on pooled OTs and a pre-garbled argmax; RunServer and
-// RunClient are the same pieces over plain OT extension.
+// The serving drivers (serve/engine.h) run it: they call the per-record
+// pieces (ShareMessages / Choices / EvaluatorBits) for every record of a
+// request, move all phase-1 OTs in one transfer, pooled when warm, and
+// garble the argmax batch, pre-garbled when pooled. This class has no
+// in-process runner of its own; experiment F16 and the tests drive it
+// through those drivers and compare it against the Paillier hybrid:
+// identical predictions, symmetric-crypto-only compute.
 #ifndef PAFS_SMC_SECURE_LINEAR_ABY_H_
 #define PAFS_SMC_SECURE_LINEAR_ABY_H_
 
 #include <array>
 #include <map>
+#include <vector>
 
 #include "circuit/circuit.h"
-#include "gc/protocol.h"
+#include "crypto/block.h"
 #include "ml/linear_model.h"
-#include "net/channel.h"
-#include "ot/iknp.h"
 #include "smc/common.h"
+#include "util/bitvec.h"
 
 namespace pafs {
 
@@ -57,17 +59,6 @@ class SecureLinearAbyProtocol {
   // bits from the NumProductOts() received OT outputs.
   BitVec Choices(const std::vector<int>& row) const;
   BitVec EvaluatorBits(const std::vector<Block>& received) const;
-
-  // In-process runners (F16, tests): the pieces above over ot.Send/Recv,
-  // then the garbled argmax. Both OT endpoints must already be Setup.
-  // Only the client learns the class.
-  SmcRunStats RunServer(Channel& channel, const LinearModel& model,
-                        const std::map<int, int>& disclosed, OtExtSender& ot,
-                        Rng& rng,
-                        GarblingScheme scheme = GarblingScheme::kHalfGates) const;
-  SmcRunStats RunClient(Channel& channel, const std::vector<int>& row,
-                        OtExtReceiver& ot,
-                        GarblingScheme scheme = GarblingScheme::kHalfGates) const;
 
  private:
   HiddenLayout layout_;

@@ -219,13 +219,13 @@ TEST(ChaosTest, GarbledCircuitSurvivesEveryFaultKind) {
           OtExtSender ot;
           Rng rng(c.seed * 11 + 1);
           ot.Setup(ch, rng);
-          GcRunGarbler(ch, circuit, gbits, ot, rng);
+          GcRunGarblerBatch(ch, {{&circuit, &gbits}}, ot, rng);
         },
         [&](Channel& ch) {
           OtExtReceiver ot;
           Rng rng(c.seed * 13 + 2);
           ot.Setup(ch, rng);
-          client_got = GcRunEvaluator(ch, circuit, ebits, ot);
+          client_got = GcRunEvaluatorBatch(ch, {{&circuit, &ebits}}, ot)[0];
         },
         &server, &client);
     ASSERT_TRUE(no_hang) << "run hung until the watchdog killed it";
@@ -443,13 +443,13 @@ TEST(SocketChaosTest, GarbledCircuitSurvivesFaultMatrixOverTcp) {
           OtExtSender ot;
           Rng rng(c.seed * 41 + 1);
           ot.Setup(ch, rng);
-          GcRunGarbler(ch, circuit, gbits, ot, rng);
+          GcRunGarblerBatch(ch, {{&circuit, &gbits}}, ot, rng);
         },
         [&](Channel& ch) {
           OtExtReceiver ot;
           Rng rng(c.seed * 43 + 2);
           ot.Setup(ch, rng);
-          client_got = GcRunEvaluator(ch, circuit, ebits, ot);
+          client_got = GcRunEvaluatorBatch(ch, {{&circuit, &ebits}}, ot)[0];
         },
         &server, &client);
     ASSERT_TRUE(no_hang) << "run hung until the watchdog killed it";

@@ -1,6 +1,7 @@
 // Tests for garbling and the two-party GC protocol. The key property
 // throughout: the garbled execution matches Circuit::Evaluate bit-for-bit
-// on every input, for both the half-gates and classic schemes.
+// on every input. The kernel cases cover both the half-gates and classic
+// schemes; the protocol speaks half-gates only.
 #include <thread>
 #include <vector>
 
@@ -254,22 +255,24 @@ void SetUpOt(MemChannelPair& pair, OtExtSender& sender, Rng& sender_rng,
   peer.join();
 }
 
-// End-to-end protocol over channels + OT, both schemes.
-class GcProtocolTest : public ::testing::TestWithParam<GarblingScheme> {
+// End-to-end protocol over channels + OT.
+class GcProtocolTest : public ::testing::Test {
  protected:
   GcProtocolTest() {
     SetUpOt(pair_, ot_sender_, garbler_rng_, ot_receiver_, evaluator_rng_);
   }
 
-  // Returns the evaluator's outputs; only the evaluator decodes.
+  // Runs `circuit` as a 1-item batch; returns the evaluator's outputs
+  // (only the evaluator decodes).
   BitVec RunProtocol(const Circuit& circuit, const BitVec& garbler_bits,
                      const BitVec& evaluator_bits) {
     std::thread garbler([&] {
-      GcRunGarbler(pair_.endpoint(0), circuit, garbler_bits, ot_sender_,
-                   garbler_rng_, GetParam());
+      GcRunGarblerBatch(pair_.endpoint(0), {{&circuit, &garbler_bits}},
+                        ot_sender_, garbler_rng_);
     });
-    BitVec out = GcRunEvaluator(pair_.endpoint(1), circuit, evaluator_bits,
-                                ot_receiver_, GetParam());
+    BitVec out = GcRunEvaluatorBatch(pair_.endpoint(1),
+                                     {{&circuit, &evaluator_bits}},
+                                     ot_receiver_)[0];
     garbler.join();
     return out;
   }
@@ -280,13 +283,13 @@ class GcProtocolTest : public ::testing::TestWithParam<GarblingScheme> {
   Rng garbler_rng_{101}, evaluator_rng_{202};
 };
 
-TEST_P(GcProtocolTest, AdderEndToEnd) {
+TEST_F(GcProtocolTest, AdderEndToEnd) {
   Circuit c = BuildAdderCircuit(8);
   BitVec out = RunProtocol(c, BitVec::FromU64(77, 8), BitVec::FromU64(123, 8));
   EXPECT_EQ(out.ToU64(0, 8), (77 + 123) & 255);
 }
 
-TEST_P(GcProtocolTest, ComparisonEndToEnd) {
+TEST_F(GcProtocolTest, ComparisonEndToEnd) {
   CircuitBuilder b(8, 8);
   b.AddOutput(b.LessThanUnsigned(b.GarblerWord(0, 8), b.EvaluatorWord(0, 8)));
   Circuit c = b.Build();
@@ -297,7 +300,7 @@ TEST_P(GcProtocolTest, ComparisonEndToEnd) {
       false);
 }
 
-TEST_P(GcProtocolTest, SessionReuseAcrossCircuits) {
+TEST_F(GcProtocolTest, SessionReuseAcrossCircuits) {
   // OT session persists across protocol runs (amortized base OTs).
   Circuit adder = BuildAdderCircuit(6);
   for (uint64_t trial = 0; trial < 3; ++trial) {
@@ -307,22 +310,13 @@ TEST_P(GcProtocolTest, SessionReuseAcrossCircuits) {
   }
 }
 
-TEST_P(GcProtocolTest, GarblerOnlyInputs) {
+TEST_F(GcProtocolTest, GarblerOnlyInputs) {
   CircuitBuilder b(4, 0);
   b.AddOutputWord(b.NotW(b.GarblerWord(0, 4)));
   Circuit c = b.Build();
   BitVec out = RunProtocol(c, BitVec::FromU64(0b0110, 4), BitVec(0));
   EXPECT_EQ(out.ToU64(0, 4), 0b1001u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Schemes, GcProtocolTest,
-                         ::testing::Values(GarblingScheme::kHalfGates,
-                                           GarblingScheme::kClassic),
-                         [](const auto& info) {
-                           return info.param == GarblingScheme::kHalfGates
-                                      ? "HalfGates"
-                                      : "Classic";
-                         });
 
 // Records every byte one party sends — the probe for wire bit-identity.
 class TapChannel : public Channel {
@@ -341,7 +335,7 @@ class TapChannel : public Channel {
   std::vector<uint8_t> sent_;
 };
 
-TEST_P(GcProtocolTest, BatchMatchesPerItemPlaintext) {
+TEST_F(GcProtocolTest, BatchMatchesPerItemPlaintext) {
   // One wire batch, heterogeneous items — different widths, one item with
   // no evaluator inputs at all (exercises the bit-concatenation offsets).
   Circuit adder4 = BuildAdderCircuit(4);
@@ -366,11 +360,10 @@ TEST_P(GcProtocolTest, BatchMatchesPerItemPlaintext) {
   }
 
   std::thread garbler([&] {
-    GcRunGarblerBatch(pair_.endpoint(0), gitems, ot_sender_, garbler_rng_,
-                      GetParam());
+    GcRunGarblerBatch(pair_.endpoint(0), gitems, ot_sender_, garbler_rng_);
   });
-  std::vector<BitVec> evaluator_out = GcRunEvaluatorBatch(
-      pair_.endpoint(1), eitems, ot_receiver_, GetParam());
+  std::vector<BitVec> evaluator_out =
+      GcRunEvaluatorBatch(pair_.endpoint(1), eitems, ot_receiver_);
   garbler.join();
 
   ASSERT_EQ(evaluator_out.size(), circuits.size());
@@ -380,7 +373,7 @@ TEST_P(GcProtocolTest, BatchMatchesPerItemPlaintext) {
   }
 }
 
-TEST_P(GcProtocolTest, BatchThenSingleSharesTheOtSession) {
+TEST_F(GcProtocolTest, BatchThenSingleSharesTheOtSession) {
   // The combined-OT batch must leave the extension streams aligned for
   // whatever runs next on the session.
   Circuit adder = BuildAdderCircuit(6);
@@ -388,10 +381,9 @@ TEST_P(GcProtocolTest, BatchThenSingleSharesTheOtSession) {
   std::vector<GcGarbleItem> gitems = {{&adder, &g0, nullptr}};
   std::vector<GcEvalItem> eitems = {{&adder, &e0}};
   std::thread garbler([&] {
-    GcRunGarblerBatch(pair_.endpoint(0), gitems, ot_sender_, garbler_rng_,
-                      GetParam());
+    GcRunGarblerBatch(pair_.endpoint(0), gitems, ot_sender_, garbler_rng_);
   });
-  GcRunEvaluatorBatch(pair_.endpoint(1), eitems, ot_receiver_, GetParam());
+  GcRunEvaluatorBatch(pair_.endpoint(1), eitems, ot_receiver_);
   garbler.join();
   BitVec out = RunProtocol(adder, BitVec::FromU64(7, 6), BitVec::FromU64(8, 6));
   EXPECT_EQ(out.ToU64(0, 6), 15u);
@@ -423,11 +415,11 @@ TEST(GcBatchTest, PregarbledWireIsBitIdenticalToFresh) {
       gitems[0].pregarbled = &pre;
     }
     std::thread garbler([&] {
-      GcRunGarblerBatch(tap, gitems, s, rng_g, GarblingScheme::kHalfGates);
+      GcRunGarblerBatch(tap, gitems, s, rng_g);
     });
     std::vector<GcEvalItem> eitems = {{&c, &ebits}};
-    std::vector<BitVec> eval_out = GcRunEvaluatorBatch(
-        pair.endpoint(1), eitems, r, GarblingScheme::kHalfGates);
+    std::vector<BitVec> eval_out =
+        GcRunEvaluatorBatch(pair.endpoint(1), eitems, r);
     garbler.join();
     EXPECT_EQ(eval_out[0].ToU64(0, 16), (40000 + 25000) & 0xFFFF);
     return tap.sent();
@@ -458,43 +450,15 @@ TEST(GcBatchTest, PooledOtBatchMatchesPlaintext) {
   std::vector<GcEvalItem> eitems = {{&c, &e0}, {&c, &e1}};
   std::vector<BitVec> out;
   std::thread garbler([&] {
-    GcRunGarblerBatch(pair.endpoint(0), gitems, s, rng_g,
-                      GarblingScheme::kHalfGates, nullptr, &spool);
+    GcRunGarblerBatch(pair.endpoint(0), gitems, s, rng_g, nullptr, &spool);
   });
-  out = GcRunEvaluatorBatch(pair.endpoint(1), eitems, r,
-                            GarblingScheme::kHalfGates, nullptr, &rpool);
+  out = GcRunEvaluatorBatch(pair.endpoint(1), eitems, r, nullptr, &rpool);
   garbler.join();
   EXPECT_EQ(out[0].ToU64(0, 8), (99 + 101) & 255);
   EXPECT_EQ(out[1].ToU64(0, 8), (4 + 250) & 255);
   // The two items' 16 evaluator bits ran as ONE pooled OT.
   EXPECT_EQ(rpool.stats().hits, 16u);
   EXPECT_EQ(spool.stats().hits, 16u);
-}
-
-TEST(GcTrafficTest, HalfGatesHalvesTableTraffic) {
-  Circuit c = BuildAdderCircuit(32);
-
-  auto run = [&](GarblingScheme scheme) {
-    MemChannelPair pair;
-    OtExtSender s;
-    OtExtReceiver r;
-    Rng rng_g(1), rng_e(2);
-    SetUpOt(pair, s, rng_g, r, rng_e);
-    BitVec out;
-    std::thread garbler([&] {
-      GcRunGarbler(pair.endpoint(0), c, BitVec::FromU64(1, 32), s, rng_g,
-                   scheme);
-    });
-    out = GcRunEvaluator(pair.endpoint(1), c, BitVec::FromU64(2, 32), r,
-                         scheme);
-    garbler.join();
-    EXPECT_EQ(out.ToU64(0, 32), 3u);
-    return pair.TotalBytes();
-  };
-
-  uint64_t half_bytes = run(GarblingScheme::kHalfGates);
-  uint64_t classic_bytes = run(GarblingScheme::kClassic);
-  EXPECT_LT(half_bytes, classic_bytes);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 // peers die typed without taking a worker hostage, and Stop() drains.
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -33,6 +35,7 @@
 #include "serve/model.h"
 #include "serve/precompute.h"
 #include "serve/server.h"
+#include "smc/secure_nb.h"
 #include "util/random.h"
 
 namespace pafs {
@@ -1540,6 +1543,74 @@ TEST_F(ServeTest, PooledLinearRetryReplaysByteIdentical) {
   EXPECT_EQ(stats.replay_hits, 1u);
   // Query 2 executed exactly once; a divergence would have failed the
   // retry's recvs above instead of replaying to completion.
+  EXPECT_EQ(stats.queries_served, 2u);
+}
+
+TEST_F(ServeTest, DivergentRetryFailsTypedBeforeTheLabelTransfer) {
+  // A retry must be the same conversation, not just the same query id. A
+  // client that rewinds its OT stream and retries id 1 with the same
+  // disclosed values but a different hidden value would, if the server
+  // answered from the transcript regardless, learn the other label of
+  // every wire where its choice changed. The replay checks each received
+  // frame before its next send: the recorded prefix (admission ack, tables)
+  // goes out, the first diverging OT frame fails the session typed, and the
+  // recorded label messages never leave.
+  auto pipeline = MakePipeline(ClassifierKind::kNaiveBayes);
+  ClassificationServer server(ServingModel::FromPipeline(*pipeline),
+                              ServerConfig{});
+  server.Start();
+  const std::vector<int>& row = data_.row(5);
+
+  auto socket = SocketConnect(server.address(), 2.0 * kTimeScale);
+  socket->set_recv_timeout_seconds(30 * kTimeScale);
+  FramedChannel framed(*socket);
+  OtExtReceiver ot;
+  serve::SessionSetup setup = RawHandshake(framed, &ot);
+  const OtExtReceiver ot_snapshot = ot;
+
+  // Query 1 runs to its completion ack (with the lockstep refill).
+  SendQueryHead(framed, 1, setup, row);
+  ASSERT_EQ(framed.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+  std::unique_ptr<OtReceiverPadPool> pads = RawPadPool(setup);
+  EXPECT_EQ(RunRawClient(framed, setup, {row}, ot, pads.get())[0],
+            pipeline->PlaintextPredict(row));
+  Rng refill_rng(0x5EED);
+  RefillReceiverPads(framed, ot, refill_rng, pads.get());
+  ASSERT_EQ(framed.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+
+  // The same disclosure with one hidden value changed.
+  std::vector<int> changed = row;
+  int hidden = 0;
+  while (std::find(setup.plan_features.begin(), setup.plan_features.end(),
+                   hidden) != setup.plan_features.end()) {
+    ++hidden;
+  }
+  changed[hidden] = (row[hidden] + 1) % setup.features[hidden].cardinality;
+  std::map<int, int> placeholders;
+  for (int f : setup.plan_features) placeholders.emplace(f, 0);
+  SecureNbCircuit nb(setup.features, setup.num_classes, placeholders);
+  BitVec evaluator_bits = nb.EncodeRow(changed);
+  ASSERT_FALSE(evaluator_bits == nb.EncodeRow(row));
+
+  // Retry id 1 on the rewound OT stream: the replayed prefix arrives, and
+  // the label OT's first receive finds the session failed.
+  OtExtReceiver ot_retry = ot_snapshot;
+  SendQueryHead(framed, 1, setup, changed);
+  ASSERT_EQ(framed.RecvU64(), static_cast<uint64_t>(serve::ReplyStatus::kOk));
+  GcEvaluatorPulled pulled = GcEvaluatorPullBatch(framed, {&nb.circuit()});
+  EXPECT_THROW(GcEvaluatorOnlineBatch(framed, std::move(pulled),
+                                      {{&nb.circuit(), &evaluator_bits}},
+                                      ot_retry),
+               ChannelError);
+  ASSERT_TRUE(WaitFor([&] { return server.stats().sessions_failed >= 1; }));
+
+  ClassificationClient client(ClientFor(server));
+  EXPECT_EQ(client.Classify(row), pipeline->PlaintextPredict(row));
+  client.Close();
+  server.Stop();
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.sessions_failed, 1u);
+  EXPECT_EQ(stats.replay_hits, 0u);
   EXPECT_EQ(stats.queries_served, 2u);
 }
 

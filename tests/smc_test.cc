@@ -53,6 +53,7 @@ class SmcTest : public ::testing::Test {
     model.setup.plan_features = std::move(plan);
     model.nb = nb_;
     model.tree = tree_;
+    model.linear = linear_;
     return model;
   }
 
@@ -271,12 +272,10 @@ TEST_F(SmcTest, SecureLinearPooledMatchesUnpooledAndPlaintext) {
   SmcRunStats server_stats, client_stats;
   std::thread server([&] {
     server_stats = protocol.RunServer(channel_.endpoint(0), linear_, {},
-                                      ot_sender_, server_rng_,
-                                      GarblingScheme::kHalfGates, pool_for);
+                                      ot_sender_, server_rng_, pool_for);
   });
-  client_stats =
-      protocol.RunClient(channel_.endpoint(1), keys, row, ot_receiver_,
-                         client_rng_, GarblingScheme::kHalfGates, &client_pool);
+  client_stats = protocol.RunClient(channel_.endpoint(1), keys, row,
+                                    ot_receiver_, client_rng_, &client_pool);
   server.join();
 
   EXPECT_EQ(server_stats.predicted_class, -1);  // Only the client decodes.
@@ -351,18 +350,14 @@ TEST_F(SmcTest, SecureLinearWithDisclosure) {
 }
 
 TEST_F(SmcTest, AbyLinearMatchesFixedPointPlaintext) {
-  SecureLinearAbyProtocol protocol(data_.features(), data_.num_classes(), {});
   SetUpOt();
+  serve::ServingModel model = ModelFor(ClassifierKind::kLinear, {});
+  SecureLinearAbyProtocol protocol(data_.features(), data_.num_classes(), {});
   for (size_t i = 0; i < 8; ++i) {
     const std::vector<int>& row = data_.row(i * 83);
-    SmcRunStats server_stats, client_stats;
-    std::thread server([&] {
-      server_stats = protocol.RunServer(channel_.endpoint(0), linear_, {},
-                                        ot_sender_, server_rng_);
-    });
-    client_stats = protocol.RunClient(channel_.endpoint(1), row, ot_receiver_);
-    server.join();
-    EXPECT_EQ(server_stats.predicted_class, -1);  // Only the client decodes.
+    serve::EvaluatorResult result = RunDrivers(model, row);
+    EXPECT_EQ(result.and_gates,
+              protocol.argmax_circuit().Stats().and_gates);
     // Exact fixed-point reference (shares reconstruct exactly).
     auto w = linear_.FixedWeights(kSmcScale);
     auto b = linear_.FixedBias(kSmcScale);
@@ -378,7 +373,7 @@ TEST_F(SmcTest, AbyLinearMatchesFixedPointPlaintext) {
         expected = c;
       }
     }
-    EXPECT_EQ(client_stats.predicted_class, expected) << "row " << i;
+    EXPECT_EQ(result.classes[0], expected) << "row " << i;
   }
 }
 
@@ -388,29 +383,22 @@ TEST_F(SmcTest, AbyLinearWithDisclosureAgreesWithPaillierHybrid) {
   std::vector<int> disclosure = {WarfarinSchema::kAge, WarfarinSchema::kRace,
                                  WarfarinSchema::kWeight};
   SetUpOt();
+  serve::ServingModel model = ModelFor(ClassifierKind::kLinear, disclosure);
   for (size_t i = 0; i < 4; ++i) {
     const std::vector<int>& row = data_.row(i * 139);
     std::map<int, int> disclosed = DiscloseFor(row, disclosure);
-    SecureLinearAbyProtocol aby(data_.features(), data_.num_classes(),
-                                disclosed);
     SecureLinearProtocol paillier(data_.features(), data_.num_classes(),
                                   disclosed);
-    SmcRunStats aby_server, aby_client, pail_server, pail_client;
-    std::thread s1([&] {
-      aby_server = aby.RunServer(channel_.endpoint(0), linear_, disclosed,
-                                 ot_sender_, server_rng_);
-    });
-    aby_client = aby.RunClient(channel_.endpoint(1), row, ot_receiver_);
-    s1.join();
-    std::thread s2([&] {
-      pail_server = paillier.RunServer(channel_.endpoint(0), linear_,
-                                       disclosed, ot_sender_, server_rng_);
+    serve::EvaluatorResult aby = RunDrivers(model, row);
+    SmcRunStats pail_client;
+    std::thread server([&] {
+      paillier.RunServer(channel_.endpoint(0), linear_, disclosed, ot_sender_,
+                         server_rng_);
     });
     pail_client = paillier.RunClient(channel_.endpoint(1), keys, row,
                                      ot_receiver_, client_rng_);
-    s2.join();
-    EXPECT_EQ(aby_client.predicted_class, pail_client.predicted_class)
-        << "row " << i;
+    server.join();
+    EXPECT_EQ(aby.classes[0], pail_client.predicted_class) << "row " << i;
   }
 }
 
